@@ -1,8 +1,7 @@
 """Command-line interface: metrics, sweep, match, and synth subcommands.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (non-PSD),
-4 configuration error.  CONDMETRICS_THREADS caps internal parallelism;
-outputs are byte-identical for any worker count.
+4 configuration error.
 """
 
 from __future__ import annotations

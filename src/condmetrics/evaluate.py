@@ -1,8 +1,7 @@
 """End-to-end metric computation and the sweep experiments.
 
 These functions take in-memory arrays; the CLI layer handles files.  Every
-path is deterministic given the inputs and the seed, and independent of the
-worker count.
+path is deterministic given the inputs and the seed.
 """
 
 from __future__ import annotations
@@ -13,19 +12,13 @@ from .errors import ConfigError
 from .matching import align_discovered
 from .metrics import (
     MetricReport,
-    accuracy,
+    _accuracy,
+    _fid_family,
+    _is_family,
     as_feature_matrix,
     as_label_vector,
     as_probability_matrix,
-    bcfid_from_stats,
-    bcis,
-    class_conditional_stats,
-    fid,
-    inception_score,
-    per_class_is,
     subsampled_fid_suite,
-    wcfid_from_stats,
-    wcis,
 )
 from .synth import CollapseSchedule, label_noise, mode_collapse_indices, rng_for
 
@@ -85,12 +78,10 @@ def build_report(
         if probs.shape[1] != k:
             raise ConfigError(
                 f"probability matrix has {probs.shape[1]} classes, expected k={k}")
-        report.is_ = inception_score(probs)
+        report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
+            probs, gen_labels, weighting, class_count=k)
         if gen_labels is not None:
-            report.bcis = bcis(probs, gen_labels, weighting, class_count=k)
-            report.wcis = wcis(probs, gen_labels, weighting, class_count=k)
-            report.per_class_is = per_class_is(probs, gen_labels, class_count=k)
-            report.accuracy, report.per_class_accuracy = accuracy(probs, gen_labels)
+            report.accuracy, report.per_class_accuracy = _accuracy(probs, gen_labels)
 
     mapping = None
     if pairing == "hungarian":
@@ -120,18 +111,8 @@ def build_report(
 
     if subset_size is not None:
         sub = subsampled_fid_suite(
-            rf,
-            real_labels if with_classes else None,
-            gf,
-            gen_labels if with_classes else None,
-            subset_size,
-            trials,
-            seed,
-            k=k if with_classes else None,
-            pairing=mapping,
-            weighting=weighting,
-            pairing_label=pairing,
-        )
+            rf, real_labels, gf, gen_labels, subset_size, trials, seed,
+            k=k, pairing=mapping, weighting=weighting, pairing_label=pairing)
         report.fid = sub.fid
         report.bcfid = sub.bcfid
         report.wcfid = sub.wcfid
@@ -141,14 +122,9 @@ def build_report(
         return report
 
     report.dims_used = rf.shape[1]
-    report.fid = fid(rf, gf)
+    report.fid, report.bcfid, report.wcfid, report.per_class_fid = _fid_family(
+        rf, real_labels, gf, gen_labels, k, mapping, weighting)
     if with_classes:
-        real_stats = class_conditional_stats(
-            rf, real_labels, k, weighting=weighting, min_count=2, side="real")
-        gen_stats = class_conditional_stats(
-            gf, gen_labels, k, weighting=weighting, min_count=2, side="generated")
-        report.bcfid = bcfid_from_stats(real_stats, gen_stats)
-        report.wcfid, report.per_class_fid = wcfid_from_stats(real_stats, gen_stats, mapping)
         report.cfid_sum = report.bcfid + report.wcfid
     return report
 

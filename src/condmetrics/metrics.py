@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .errors import InvalidInputError
 from .gaussian import (
     GaussianStats,
@@ -98,16 +97,18 @@ def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarra
 def class_index_lists(
     labels: np.ndarray, k: int, *, min_count: int = 1, side: str = ""
 ) -> list[np.ndarray]:
-    """Per-class row indices; raises naming any class smaller than min_count."""
-    where = side and f" on the {side} side" or ""
-    out = []
-    for c in range(k):
-        idx = np.flatnonzero(labels == c)
-        if idx.size < min_count:
-            need = "no samples" if min_count == 1 else f"{idx.size} sample(s), needs >= {min_count}"
-            raise InvalidInputError(f"class {c} has {need}{where}")
-        out.append(idx)
-    return out
+    """Per-class row indices; raises naming the lowest class smaller than min_count."""
+    counts = np.bincount(labels, minlength=k)[:k]
+    small = np.flatnonzero(counts < min_count)
+    if small.size:
+        c = int(small[0])
+        where = side and f" on the {side} side" or ""
+        need = "no samples" if min_count == 1 else f"{counts[c]} sample(s), needs >= {min_count}"
+        raise InvalidInputError(f"class {c} has {need}{where}")
+    # a stable sort keeps each class's rows in ascending order
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(counts)
+    return [order[end - n:end] for n, end in zip(counts, ends)]
 
 
 def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray:
@@ -133,59 +134,67 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
 
 
-def inception_score(probs) -> float:
-    """exp of the mean KL from each predicted distribution to their average.
-
-    Equals exp of the mutual information between samples and predicted
-    labels at the empirical level; always in [1, K].
-    """
-    p = _clean_rows(as_probability_matrix(probs))
-    marginal = p.mean(axis=0)
-    return float(np.exp(np.mean(_kl_rows(p, marginal))))
-
-
-def _class_setup(probs, labels, weighting: str, class_count: int | None):
+def _is_family(p: np.ndarray, labels=None, weighting: str = "empirical",
+               class_count: int | None = None):
+    """IS, BCIS, WCIS and the per-class IS vector of a validated probability
+    matrix, from one cleaning and one class split; without labels the last
+    three are None."""
+    clean = _clean_rows(p)
+    is_ = float(np.exp(np.mean(_kl_rows(clean, clean.mean(axis=0)))))
+    if labels is None:
+        return is_, None, None, None
     # Conditioned classes live in their own index space: usually it matches
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
-    p = as_probability_matrix(probs)
     y = as_label_vector(labels, None, n=p.shape[0])
     k_cond = int(y.max()) + 1 if class_count is None else int(class_count)
     if y.max() >= k_cond:
         raise InvalidInputError(
             f"labels reach class {y.max()} but class_count is {k_cond}")
     idx = class_index_lists(y, k_cond, min_count=1, side="conditioned")
-    clean = _clean_rows(p)
     averages = np.stack([clean[i].mean(axis=0) for i in idx])
-    counts = np.array([i.size for i in idx])
-    priors = class_priors(counts, weighting)
-    return clean, idx, averages, priors
+    priors = class_priors(np.array([i.size for i in idx]), weighting)
+    within = np.array(
+        [float(np.mean(_kl_rows(clean[i], averages[c]))) for c, i in enumerate(idx)]
+    )
+    between = priors @ _kl_rows(averages, priors @ averages)
+    return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
+
+
+def inception_score(probs) -> float:
+    """exp of the mean KL from each predicted distribution to their average.
+
+    Equals exp of the mutual information between samples and predicted
+    labels at the empirical level; always in [1, K].
+    """
+    return _is_family(as_probability_matrix(probs))[0]
 
 
 def bcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Between-class score: inception score of the per-class average distributions."""
-    _, _, averages, priors = _class_setup(probs, labels, weighting, class_count)
-    marginal = priors @ averages
-    return float(np.exp(priors @ _kl_rows(averages, marginal)))
+    return _is_family(as_probability_matrix(probs), labels, weighting, class_count)[1]
 
 
 def wcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Within-class score: exp of the class-weighted mean within-class KL."""
-    clean, idx, averages, priors = _class_setup(probs, labels, weighting, class_count)
-    per = np.array(
-        [float(np.mean(_kl_rows(clean[i], averages[c]))) for c, i in enumerate(idx)]
-    )
-    return float(np.exp(priors @ per))
+    return _is_family(as_probability_matrix(probs), labels, weighting, class_count)[2]
 
 
 def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
     """Per-class within-class score; class weights combine these into wcis."""
-    clean, idx, averages, _ = _class_setup(probs, labels, "empirical", class_count)
-    return np.array(
-        [float(np.exp(np.mean(_kl_rows(clean[i], averages[c])))) for c, i in enumerate(idx)]
-    )
+    return _is_family(as_probability_matrix(probs), labels, class_count=class_count)[3]
+
+
+def _accuracy(p: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    k = p.shape[1]
+    y = as_label_vector(labels, k, n=p.shape[0])
+    hits = np.argmax(p, axis=1) == y
+    counts = np.bincount(y, minlength=k)
+    per = np.divide(np.bincount(y, weights=hits, minlength=k), counts,
+                    out=np.full(k, np.nan), where=counts > 0)
+    return float(hits.mean()), per
 
 
 def accuracy(probs, labels) -> tuple[float, np.ndarray]:
@@ -194,16 +203,7 @@ def accuracy(probs, labels) -> tuple[float, np.ndarray]:
     Argmax ties break to the lowest class index.  Also returns the per-class
     vector; classes with no members get NaN.
     """
-    p = as_probability_matrix(probs)
-    k = p.shape[1]
-    y = as_label_vector(labels, k, n=p.shape[0])
-    hits = np.argmax(p, axis=1) == y
-    per = np.full(k, np.nan)
-    for c in range(k):
-        members = y == c
-        if members.any():
-            per[c] = float(hits[members].mean())
-    return float(hits.mean()), per
+    return _accuracy(as_probability_matrix(probs), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +246,18 @@ def class_conditional_stats(
     y = as_label_vector(labels, k, n=x.shape[0])
     idx = class_index_lists(y, k, min_count=min_count, side=side)
     per_class = tuple(estimate_gaussian(x[i]) for i in idx)
-    counts = np.array([i.size for i in idx])
-    priors = class_priors(counts, weighting)
-    return class_conditional_from_moments(
-        np.stack([s.mean for s in per_class]),
-        [s.cov for s in per_class],
-        priors,
-        counts=counts,
-    )
+    priors = class_priors(np.array([i.size for i in idx]), weighting)
+    return _with_between(per_class, priors)
+
+
+def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
+    """Add the Gaussian over class means, weighted by priors, to per-class stats."""
+    means = np.stack([s.mean for s in per_class])
+    mu_b = priors @ means
+    centred = means - mu_b
+    sigma_b = (centred * priors[:, None]).T @ centred
+    between = GaussianStats(mu_b, sigma_b, count=sum(s.count for s in per_class))
+    return ClassConditionalStats(per_class=per_class, between=between, priors=priors)
 
 
 def class_conditional_from_moments(
@@ -277,11 +281,7 @@ def class_conditional_from_moments(
         GaussianStats(means[c], np.asarray(covs[c], dtype=np.float64), int(counts[c]))
         for c in range(k)
     )
-    mu_b = priors @ means
-    centred = means - mu_b
-    sigma_b = (centred * priors[:, None]).T @ centred
-    between = GaussianStats(mu_b, sigma_b, count=int(np.sum(counts)))
-    return ClassConditionalStats(per_class=per_class, between=between, priors=priors)
+    return _with_between(per_class, priors)
 
 
 def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
@@ -327,10 +327,32 @@ def wcfid_from_stats(
     if real.k != gen.k:
         raise InvalidInputError(f"class count mismatch: {real.k} vs {gen.k}")
     mapping = _resolve_mapping(pairing, real.k)
-    pairs = [(real.per_class[mapping[c]], gen.per_class[c]) for c in range(real.k)]
-    per = np.array(ordered_map(lambda ab: frechet_distance(*ab), pairs))
+    per = np.array([frechet_distance(real.per_class[mapping[c]], gen.per_class[c])
+                    for c in range(real.k)])
     weights = real.priors[mapping]
     return float(weights @ per), per
+
+
+def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
+                weighting: str, min_count: int = 2):
+    real = class_conditional_stats(
+        real_features, real_labels, k, weighting=weighting, min_count=min_count, side="real")
+    gen = class_conditional_stats(
+        gen_features, gen_labels, k, weighting=weighting, min_count=min_count,
+        side="generated")
+    return real, gen
+
+
+def _fid_family(real_features, real_labels, gen_features, gen_labels, k: int | None,
+                mapping, weighting: str):
+    """fid, bcfid, wcfid and the per-class FID vector of two feature matrices;
+    without labels the last three are None."""
+    f = fid(real_features, gen_features)
+    if real_labels is None:
+        return f, None, None, None
+    real, gen = _stats_pair(
+        real_features, real_labels, gen_features, gen_labels, k, weighting)
+    return (f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, mapping))
 
 
 def bcfid(
@@ -338,11 +360,8 @@ def bcfid(
     *, weighting: str = "empirical",
 ) -> float:
     """Fréchet distance between the real and generated class-mean distributions."""
-    real = class_conditional_stats(
-        real_features, real_labels, k, weighting=weighting, side="real")
-    gen = class_conditional_stats(
-        gen_features, gen_labels, k, weighting=weighting, side="generated")
-    return bcfid_from_stats(real, gen)
+    return bcfid_from_stats(*_stats_pair(
+        real_features, real_labels, gen_features, gen_labels, k, weighting, min_count=1))
 
 
 def wcfid(
@@ -350,11 +369,8 @@ def wcfid(
     *, pairing=None, weighting: str = "empirical",
 ) -> tuple[float, np.ndarray]:
     """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class)."""
-    real = class_conditional_stats(
-        real_features, real_labels, k, weighting=weighting, min_count=2, side="real")
-    gen = class_conditional_stats(
-        gen_features, gen_labels, k, weighting=weighting, min_count=2, side="generated")
-    return wcfid_from_stats(real, gen, pairing)
+    return wcfid_from_stats(*_stats_pair(
+        real_features, real_labels, gen_features, gen_labels, k, weighting), pairing)
 
 
 def cfid_sum(
@@ -362,10 +378,8 @@ def cfid_sum(
     *, pairing=None, weighting: str = "empirical",
 ) -> float:
     """bcfid + wcfid: a single conditional score that upper-bounds fid."""
-    real = class_conditional_stats(
-        real_features, real_labels, k, weighting=weighting, min_count=2, side="real")
-    gen = class_conditional_stats(
-        gen_features, gen_labels, k, weighting=weighting, min_count=2, side="generated")
+    real, gen = _stats_pair(
+        real_features, real_labels, gen_features, gen_labels, k, weighting)
     return bcfid_from_stats(real, gen) + wcfid_from_stats(real, gen, pairing)[0]
 
 
@@ -441,21 +455,11 @@ def subsampled_fid_suite(
                   for _ in range(trials)]
 
     mapping = _resolve_mapping(pairing, k) if with_classes else None
-
-    def one_trial(cols: np.ndarray):
-        r, g = rf[:, cols], gf[:, cols]
-        f = fid(r, g)
-        if not with_classes:
-            return f, None, None, None
-        rs = class_conditional_stats(
-            r, real_labels, k, weighting=weighting, min_count=2, side="real")
-        gs = class_conditional_stats(
-            g, gen_labels, k, weighting=weighting, min_count=2, side="generated")
-        b = bcfid_from_stats(rs, gs)
-        w, per = wcfid_from_stats(rs, gs, mapping)
-        return f, b, w, per
-
-    results = ordered_map(one_trial, index_sets)
+    results = [
+        _fid_family(rf[:, cols], real_labels if with_classes else None,
+                    gf[:, cols], gen_labels, k, mapping, weighting)
+        for cols in index_sets
+    ]
     scale = float(subset_size)
     fid_mean = float(np.mean([r[0] for r in results])) / scale
     report = MetricReport(

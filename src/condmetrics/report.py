@@ -69,51 +69,39 @@ def report_values(report: MetricReport) -> dict:
     }
 
 
+def _json_object(report: MetricReport, *lead: str) -> str:
+    """One report as a JSON object; ``lead`` members come before JSON_KEYS."""
+    values = report_values(report)
+    members = [f"{json.dumps(key)}:{_json_value(values[key])}" for key in JSON_KEYS]
+    return "{" + ",".join([*lead, *members]) + "}"
+
+
+def _csv_row(report: MetricReport, *lead) -> str:
+    """The scalar columns of one report as a CSV row, after the ``lead`` cells."""
+    values = report_values(report)
+    cells = [*lead, *(values[col] for col in CSV_COLUMNS[1:])]
+    return ",".join("" if v is None else format_number(v) for v in cells)
+
+
 def report_to_json(report: MetricReport) -> str:
-    values = report_values(report)
-    body = ",".join(f"{json.dumps(key)}:{_json_value(values[key])}" for key in JSON_KEYS)
-    return "{" + body + "}\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_number(value)
-
-
-def report_to_csv_row(param, report: MetricReport) -> str:
-    values = report_values(report)
-    cells = [_csv_cell(param)] + [_csv_cell(values[col]) for col in CSV_COLUMNS[1:]]
-    return ",".join(cells)
+    return _json_object(report) + "\n"
 
 
 def report_to_csv(report: MetricReport) -> str:
     """Single report as a two-line CSV (scalar columns, no param)."""
-    values = report_values(report)
-    header = ",".join(CSV_COLUMNS[1:])
-    row = ",".join(_csv_cell(values[col]) for col in CSV_COLUMNS[1:])
-    return header + "\n" + row + "\n"
+    return ",".join(CSV_COLUMNS[1:]) + "\n" + _csv_row(report) + "\n"
 
 
 def reports_to_csv(rows) -> str:
     """Rows of (param, MetricReport) to a fixed-header CSV document."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(report_to_csv_row(param, report) for param, report in rows)
+    lines = [",".join(CSV_COLUMNS), *(_csv_row(report, param) for param, report in rows)]
     return "\n".join(lines) + "\n"
 
 
 def reports_to_json(rows) -> str:
     """Rows of (param, MetricReport) to a JSON array with canonical entries."""
-    entries = []
-    for param, report in rows:
-        values = report_values(report)
-        body = ",".join(
-            [f"\"param\":{format_number(param)}"]
-            + [f"{json.dumps(key)}:{_json_value(values[key])}" for key in JSON_KEYS]
-        )
-        entries.append("{" + body + "}")
+    entries = (_json_object(report, f"\"param\":{format_number(param)}")
+               for param, report in rows)
     return "[" + ",".join(entries) + "]\n"
 
 

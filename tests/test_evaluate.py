@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from condmetrics import ConfigError, MixtureSpec, build_report, gen_mixture
+from condmetrics import (
+    ConfigError,
+    MixtureSpec,
+    accuracy,
+    align_discovered,
+    bcfid,
+    bcis,
+    build_report,
+    cfid_sum,
+    fid,
+    gen_mixture,
+    inception_score,
+    per_class_is,
+    wcfid,
+    wcis,
+)
 from condmetrics.evaluate import sweep_label_noise
 from condmetrics.report import report_to_json
 from condmetrics.synth import dirichlet_rows, rng_for
@@ -37,6 +52,36 @@ class TestBuildReport:
         assert rep.dims_used == 4
         assert rep.warnings == []
         assert rep.accuracy == 1.0
+
+    @pytest.mark.parametrize("weighting", ["empirical", "uniform"])
+    @pytest.mark.parametrize("pairing", ["identity", "hungarian"])
+    def test_fields_equal_standalone_functions(self, pairing, weighting):
+        k, d = 3, 4
+        means = rng_for(20).normal(0.0, 3.0, (k, d))
+        x, y = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [30, 50, 70], seed=21))
+        g, gy = gen_mixture(MixtureSpec(means + 0.3, [np.eye(d)] * k, [40, 50, 60], seed=22))
+        # generated condition c is predicted as class (c + 1) % k
+        probs = one_hot_dominant((gy + 1) % k, k, strength=0.6, seed=23)
+        rep = build_report(
+            real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+            probs=probs, k=k, weighting=weighting, pairing=pairing)
+        mapping = align_discovered(probs, gy).mapping if pairing == "hungarian" else None
+        if mapping is not None:
+            assert mapping.tolist() == [1, 2, 0]
+
+        assert rep.is_ == inception_score(probs)
+        assert rep.bcis == bcis(probs, gy, weighting, class_count=k)
+        assert rep.wcis == wcis(probs, gy, weighting, class_count=k)
+        assert np.array_equal(rep.per_class_is, per_class_is(probs, gy, class_count=k))
+        overall, per_acc = accuracy(probs, gy)
+        assert rep.accuracy == overall
+        assert np.array_equal(rep.per_class_accuracy, per_acc)
+        assert rep.fid == fid(x, g)
+        assert rep.bcfid == bcfid(x, y, g, gy, k, weighting=weighting)
+        total, per_fid = wcfid(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+        assert rep.wcfid == total
+        assert np.array_equal(rep.per_class_fid, per_fid)
+        assert rep.cfid_sum == cfid_sum(x, y, g, gy, k, pairing=mapping, weighting=weighting)
 
     def test_probs_only_skips_fid_family(self):
         _, y = make_instance(seed=3)

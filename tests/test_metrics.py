@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from condmetrics import (
     InvalidInputError,
+    TensorFileError,
     accuracy,
     bcfid,
     bcfid_from_stats,
@@ -23,7 +25,8 @@ from condmetrics import (
     wcfid_from_stats,
     wcis,
 )
-from condmetrics.metrics import as_probability_matrix
+from condmetrics.metrics import as_probability_matrix, class_index_lists
+from condmetrics.tensorfile import load_probabilities, save_tensor
 from condmetrics.synth import MixtureSpec, dirichlet_rows, gen_mixture, label_noise, rng_for
 
 
@@ -57,6 +60,42 @@ class TestProbabilityValidation:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
             as_probability_matrix([[1.0], [1.0]])
+
+    @pytest.mark.parametrize("rows, code", [
+        ([[0.5, 0.5], [0.9, 0.3]], "row-sum"),
+        ([[0.5, 0.5], [1.2, -0.2]], "bad-value"),
+    ])
+    def test_file_errors_keep_their_codes(self, tmp_path, rows, code):
+        path = tmp_path / "p.cfm"
+        save_tensor(path, np.array(rows))
+        with pytest.raises(TensorFileError) as err:
+            load_probabilities(path)
+        assert err.value.code == code
+        assert str(path) in str(err.value) and "row 1" in str(err.value)
+
+
+class TestClassIndexLists:
+    @given(st.integers(0, 10_000), st.integers(1, 300), st.integers(1, 8),
+           st.integers(-2, 2), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_boolean_scan_oracle(self, seed, n, classes, extra, min_count):
+        labels = rng_for(seed).integers(0, classes, n)
+        # extra < 0 leaves the highest labels outside [0, k); they are ignored
+        k = max(1, int(labels.max()) + 1 + extra)
+        counts = [int(np.sum(labels == c)) for c in range(k)]
+        small = [c for c in range(k) if counts[c] < min_count]
+        if small:
+            c = small[0]
+            need = ("no samples" if min_count == 1
+                    else f"{counts[c]} sample(s), needs >= {min_count}")
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"class {c} has {need} on the real side") + "$"):
+                class_index_lists(labels, k, min_count=min_count, side="real")
+            return
+        got = class_index_lists(labels, k, min_count=min_count, side="real")
+        assert len(got) == k
+        for c, idx in enumerate(got):
+            assert np.array_equal(idx, np.flatnonzero(labels == c))
 
 
 class TestInceptionScore:
@@ -175,6 +214,12 @@ class TestAccuracy:
         labels = np.array([1, 2, 0])
         overall, per = accuracy(probs, labels)
         assert overall == 0.0
+
+    def test_class_without_rows_is_nan(self):
+        probs = np.eye(3)
+        overall, per = accuracy(probs, np.array([0, 0, 2]))
+        assert overall == pytest.approx(2 / 3)
+        assert per[0] == 0.5 and math.isnan(per[1]) and per[2] == 1.0
 
     def test_tie_breaks_to_lowest_index(self):
         probs = np.array([[0.5, 0.5]])
