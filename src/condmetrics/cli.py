@@ -1,6 +1,7 @@
 """Command-line interface: metrics, sweep, match, and synth subcommands.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure (non-PSD),
+Exit codes: 0 success, 2 invalid input, 3 numerical failure (a non-PSD
+explicitly supplied covariance; feature inputs never raise it),
 4 configuration error.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
-from .matching import align_discovered, average_class_probabilities
+from .matching import average_class_probabilities, hungarian_max
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -133,8 +134,8 @@ def cmd_match(args) -> int:
         raise ConfigError("match needs --probs and --gen-labels")
     probs = load_probabilities(probs_path)
     conds = load_labels(labels_path, k=probs.shape[1])
-    assignment = align_discovered(probs, conds)
     averages = average_class_probabilities(probs, conds)
+    assignment = hungarian_max(averages)
     _write(args.out, assignment_to_json(assignment.mapping, assignment.score, averages))
     return 0
 

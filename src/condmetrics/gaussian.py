@@ -1,5 +1,14 @@
 """Gaussian population statistics and the Fréchet distance between Gaussians.
 
+Each Gaussian is held as its mean and one row factor F (r x d, r <= d) with
+covariance F^T F, built once.  Estimates keep the triangular QR factor of
+rows whose Gram matrix is the covariance (the centred samples over sqrt(N),
+or sqrt(pi_c) (mu_c - mu) for the Gaussian over class means), so r is at most
+min(N, d), memory is O(min(N, d) * d) per Gaussian, and the covariance is PSD
+by construction.  An explicitly supplied covariance keeps its PSD square
+root, whose eigendecomposition is the only place a non-PSD matrix raises
+NotPSDError (the CLI's exit code 3).
+
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
 between-class and within-class parts; the conditional-metric bound tests rely
@@ -32,31 +41,23 @@ def as_feature_matrix(features) -> np.ndarray:
     return x
 
 
-def _check_psd(cov: np.ndarray, *, context: str = "matrix") -> None:
-    w = np.linalg.eigvalsh(cov)
-    floor = -EIG_TOL * max(1.0, float(w[-1]))
-    if float(w[0]) < floor:
-        raise NotPSDError(
-            f"{context} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}"
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianStats:
     """Mean vector and population covariance of one (sub)population.
 
-    The covariance is symmetrized on construction and must be PSD up to the
-    round-off floor; ``count`` records how many samples produced the estimate
-    (0 for analytically constructed statistics).
+    ``GaussianStats(mean, cov, count)`` symmetrizes ``cov``, which must be PSD
+    up to the round-off floor, and keeps its square root as ``factor``; ``cov``
+    is rebuilt from the factor when read.  ``count`` records how many samples
+    produced the estimate (0 for analytically constructed statistics).
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    factor: np.ndarray
     count: int = 0
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        cov = np.asarray(self.cov, dtype=np.float64)
+    def __init__(self, mean, cov, count: int = 0):
+        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+        cov = np.asarray(cov, dtype=np.float64)
         if mean.size < 1:
             raise InvalidInputError("mean vector must be non-empty")
         if cov.shape != (mean.size, mean.size):
@@ -65,10 +66,18 @@ class GaussianStats:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidInputError("Gaussian statistics contain non-finite entries")
-        cov = 0.5 * (cov + cov.T)
-        _check_psd(cov, context="covariance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        self.__dict__.update(mean=mean, factor=sqrtm_psd(0.5 * (cov + cov.T)), count=count)
+
+    @classmethod
+    def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
+        """Gaussian with covariance rows^T rows, kept as the QR factor R of rows."""
+        stats = cls.__new__(cls)
+        stats.__dict__.update(mean=mean, factor=np.linalg.qr(rows, mode="r"), count=count)
+        return stats
+
+    @property
+    def cov(self) -> np.ndarray:
+        return self.factor.T @ self.factor
 
     @property
     def dim(self) -> int:
@@ -80,9 +89,7 @@ def estimate_gaussian(features) -> GaussianStats:
     x = as_feature_matrix(features)
     n = x.shape[0]
     mean = x.mean(axis=0)
-    centred = x - mean
-    cov = centred.T @ centred / n
-    return GaussianStats(mean=mean, cov=cov, count=n)
+    return GaussianStats._from_rows(mean, (x - mean) / np.sqrt(n), n)
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -122,26 +129,21 @@ def frechet_distance_raw(a: GaussianStats, b: GaussianStats) -> float:
             f"dimension mismatch: {a.dim} vs {b.dim}"
         )
     delta = a.mean - b.mean
-    a_half = sqrtm_psd(a.cov)
-    b_half = sqrtm_psd(b.cov)
-    # Tr((S1^1/2 S2 S1^1/2)^1/2) equals the nuclear norm of S1^1/2 S2^1/2;
-    # the SVD route reads the root eigenvalues off directly instead of
-    # recovering them from their squares, which would square the condition
-    # number and break the self-distance and symmetry tolerances.
-    cross = float(np.linalg.svd(a_half @ b_half, compute_uv=False).sum())
-    return (
-        float(delta @ delta)
-        + float(np.trace(a.cov))
-        + float(np.trace(b.cov))
-        - 2.0 * cross
-    )
+    # With Sa = Fa^T Fa and Sb = Fb^T Fb, Tr((Sa^1/2 Sb Sa^1/2)^1/2) equals the
+    # nuclear norm of Fa Fb^T (FastFID, arXiv:2009.14075).  The SVD reads the
+    # singular values off directly instead of recovering them from their
+    # squares, which would square the condition number and break the
+    # self-distance and symmetry tolerances.
+    cross = float(np.linalg.svd(a.factor @ b.factor.T, compute_uv=False).sum())
+    traces = float(np.vdot(a.factor, a.factor)) + float(np.vdot(b.factor, b.factor))
+    return float(delta @ delta) + traces - 2.0 * cross
 
 
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """Squared Fréchet (2-Wasserstein) distance between two Gaussians.
 
-    The trace cross-term uses only symmetric PSD intermediates (the two
-    covariance square roots), never the nonsymmetric product S1 S2.  The
-    result is clamped to be non-negative.
+    The trace cross-term is the nuclear norm of the product of the two
+    covariance factors, r_a x r_b, so no d x d matrix and no matrix root is
+    formed per call.  The result is clamped to be non-negative.
     """
     return max(frechet_distance_raw(a, b), 0.0)

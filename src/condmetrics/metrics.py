@@ -254,9 +254,8 @@ def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
     """Add the Gaussian over class means, weighted by priors, to per-class stats."""
     means = np.stack([s.mean for s in per_class])
     mu_b = priors @ means
-    centred = means - mu_b
-    sigma_b = (centred * priors[:, None]).T @ centred
-    between = GaussianStats(mu_b, sigma_b, count=sum(s.count for s in per_class))
+    rows = np.sqrt(priors)[:, None] * (means - mu_b)
+    between = GaussianStats._from_rows(mu_b, rows, sum(s.count for s in per_class))
     return ClassConditionalStats(per_class=per_class, between=between, priors=priors)
 
 
@@ -274,23 +273,18 @@ def class_conditional_from_moments(
         raise InvalidInputError("means must be a K x d matrix matching the priors")
     if np.any(priors < 0) or abs(float(priors.sum()) - 1.0) > 1e-9:
         raise InvalidInputError("priors must be non-negative and sum to 1")
-    k = priors.size
-    if counts is None:
-        counts = np.zeros(k, dtype=np.int64)
+    counts = np.zeros(priors.size, dtype=np.int64) if counts is None else counts
     per_class = tuple(
-        GaussianStats(means[c], np.asarray(covs[c], dtype=np.float64), int(counts[c]))
-        for c in range(k)
-    )
+        GaussianStats(means[c], covs[c], int(counts[c])) for c in range(priors.size))
     return _with_between(per_class, priors)
 
 
 def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
-    """Pooled Gaussian via the law of total covariance."""
-    cov = stats.between.cov + sum(
-        p * s.cov for p, s in zip(stats.priors, stats.per_class)
-    )
+    """Pooled Gaussian via the law of total covariance, as stacked factors."""
+    rows = np.vstack([stats.between.factor] + [
+        np.sqrt(p) * s.factor for p, s in zip(stats.priors, stats.per_class)])
     count = sum(s.count for s in stats.per_class)
-    return GaussianStats(stats.between.mean, cov, count=count)
+    return GaussianStats._from_rows(stats.between.mean, rows, count)
 
 
 def _resolve_mapping(pairing, k: int) -> np.ndarray:

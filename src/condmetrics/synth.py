@@ -10,7 +10,7 @@ order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,7 @@ class MixtureSpec:
     covs: np.ndarray
     counts: np.ndarray
     seed: int = 0
+    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
@@ -55,17 +56,15 @@ class MixtureSpec:
                 cov = np.diag(cov)
             if cov.shape != (d, d):
                 raise InvalidInputError(f"covariance {c} has shape {cov.shape}, expected ({d}, {d})")
-            cov = 0.5 * (cov + cov.T)
-            w = np.linalg.eigvalsh(cov)
-            if float(w[0]) < -EIG_TOL * max(1.0, float(np.abs(w).max())):
-                raise InvalidInputError(f"covariance {c} is not PSD")
-            covs[c] = cov
+            covs[c] = 0.5 * (cov + cov.T)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (k,) or np.any(counts < 2):
             raise InvalidInputError("each class needs a sample count >= 2")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "counts", counts)
+        factors = tuple(_psd_factor(cov, f"covariance {c}") for c, cov in enumerate(covs))
+        object.__setattr__(self, "_factors", factors)
 
     @property
     def k(self) -> int:
@@ -82,9 +81,11 @@ class MixtureSpec:
         return class_conditional_from_moments(self.means, self.covs, priors)
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
+def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     # Eigen factor L with L L^T = cov; unlike Cholesky it accepts singular covs.
     w, v = np.linalg.eigh(cov)
+    if float(w[0]) < -EIG_TOL * max(1.0, float(np.abs(w).max())):
+        raise InvalidInputError(f"{name} is not PSD")
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -94,7 +95,7 @@ def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     blocks = []
     for c in range(spec.k):
         z = rng.standard_normal((int(spec.counts[c]), spec.dim))
-        blocks.append(z @ _psd_factor(spec.covs[c]).T + spec.means[c])
+        blocks.append(z @ spec._factors[c].T + spec.means[c])
     features = np.concatenate(blocks, axis=0)
     labels = np.repeat(np.arange(spec.k, dtype=np.int64), spec.counts)
     return features, labels

@@ -100,6 +100,18 @@ class TestBuildReport:
         assert rep.is_ is None and rep.bcis is None and rep.accuracy is None
         assert rep.fid is not None and rep.cfid_sum is not None
 
+    def test_feature_inputs_need_no_eigendecomposition(self, monkeypatch):
+        # sample covariances are PSD factors by construction: no PSD check, no root
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("eigendecomposition on the feature path")
+
+        x, y = make_instance(seed=7, d=12, n_per_class=5)
+        g, gy = make_instance(seed=8, d=12, n_per_class=5, shift=0.5)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=3)
+        assert rep.fid > 0.0 and rep.bcfid > 0.0 and rep.wcfid > 0.0
+
     def test_unmatched_counts_warn(self):
         x, y = make_instance(seed=7, n_per_class=50)
         g, gy = make_instance(seed=8, n_per_class=60)

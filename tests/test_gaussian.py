@@ -161,3 +161,113 @@ class TestGaussianStats:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             GaussianStats([0.0, 0.0], np.eye(3))
+
+
+def covariance_frechet(mean_a, cov_a, mean_b, cov_b):
+    # reference: the Fréchet distance from d x d covariances, through the PSD
+    # roots of both and the SVD of their product
+    a_half, b_half = sqrtm_psd(cov_a), sqrtm_psd(cov_b)
+    delta = mean_a - mean_b
+    cross = np.linalg.svd(a_half @ b_half, compute_uv=False).sum()
+    return float(delta @ delta + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
+
+
+def covariance_moments(x):
+    # reference: mean and d x d population covariance of sample rows
+    mean = x.mean(axis=0)
+    centred = x - mean
+    cov = centred.T @ centred / x.shape[0]
+    return mean, 0.5 * (cov + cov.T)
+
+
+def feature_sample(rng, n, d, kind):
+    x = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d) + rng.normal(0.0, 1.0, d)
+    if kind == "constant":
+        x[:, 0] = 3.0
+        x[:, -1] = -1.5
+    elif kind == "duplicated":
+        x[:, 1] = x[:, 0]
+        x[:, 2] = 2.0 * x[:, 0]
+    elif kind == "offset":
+        x = x - x.mean(axis=0) + 1e8 + rng.standard_normal(d)
+    return x
+
+
+class TestFactorKernel:
+    """The factor kernel against the covariance formula and closed forms."""
+
+    # Both sides share n whenever n < d: when a singular covariance meets one
+    # of higher rank, the covariance formula's clamped roots keep sqrt(eps)-sized
+    # eigenvalues and it is itself only good to ~1e-9 (those pairs are
+    # checked against the Gram-space reference below instead).
+    @pytest.mark.parametrize("kind", ["plain", "constant", "duplicated", "offset"])
+    @pytest.mark.parametrize("na,nb,d", [
+        (5, 5, 12),      # n < d
+        (50, 50, 256),   # n < d
+        (12, 12, 12),    # n = d
+        (40, 60, 6),     # n > d
+        (1, 1, 7),       # one row per side: zero covariances
+        (1, 30, 7),      # n = 1 against n > d
+    ])
+    def test_sample_pairs_match_covariance_formula(self, kind, na, nb, d):
+        rng = np.random.default_rng([na, nb, d, len(kind)])
+        for _ in range(3):
+            xa, xb = feature_sample(rng, na, d, kind), feature_sample(rng, nb, d, kind)
+            new = frechet_distance_raw(estimate_gaussian(xa), estimate_gaussian(xb))
+            reference = covariance_frechet(*covariance_moments(xa), *covariance_moments(xb))
+            assert new == pytest.approx(reference, rel=1e-10)
+
+    # n > d, so the sample covariance (rank n - 1 after centring) is as
+    # regular as the explicit one
+    @pytest.mark.parametrize("kind", ["plain", "constant", "offset"])
+    @pytest.mark.parametrize("n,d", [(9, 8), (40, 6), (300, 32)])
+    def test_mixed_pairs_match_covariance_formula(self, kind, n, d):
+        rng = np.random.default_rng([n, d, len(kind)])
+        for _ in range(3):
+            x = feature_sample(rng, n, d, kind)
+            b = rng.standard_normal((d, d))
+            cov = b @ b.T / d
+            if kind == "constant":  # share the sample side's null space
+                cov[[0, -1], :] = cov[:, [0, -1]] = 0.0
+            mean = rng.normal(0.0, 1.0, d) + (1e8 if kind == "offset" else 0.0)
+            explicit = GaussianStats(mean, cov)
+            reference = covariance_frechet(*covariance_moments(x), mean, cov)
+            assert frechet_distance_raw(estimate_gaussian(x), explicit) == pytest.approx(
+                reference, rel=1e-10)
+            assert frechet_distance_raw(explicit, estimate_gaussian(x)) == pytest.approx(
+                reference, rel=1e-10)
+
+    @pytest.mark.parametrize("na,nb,d", [(5, 40, 12), (3, 8, 12), (11, 3, 12), (2, 500, 64)])
+    def test_unequal_ranks_match_gram_space_reference(self, na, nb, d):
+        # cross term = ||Xa Xb^T||_* / sqrt(na nb) on the centred samples
+        rng = np.random.default_rng([na, nb, d])
+        for _ in range(3):
+            xa, xb = feature_sample(rng, na, d, "plain"), feature_sample(rng, nb, d, "plain")
+            ca, cb = xa - xa.mean(axis=0), xb - xb.mean(axis=0)
+            delta = xa.mean(axis=0) - xb.mean(axis=0)
+            cross = np.linalg.svd(ca @ cb.T, compute_uv=False).sum() / np.sqrt(na * nb)
+            reference = (delta @ delta + np.sum(ca * ca) / na + np.sum(cb * cb) / nb
+                         - 2.0 * cross)
+            new = frechet_distance_raw(estimate_gaussian(xa), estimate_gaussian(xb))
+            assert new == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("n,d", [(5, 12), (12, 12), (40, 6)])
+    def test_sample_against_explicit_diagonal_closed_form(self, n, d):
+        # with Sb = diag(s^2): cross term = ||Xc diag(s)||_* / sqrt(n)
+        rng = np.random.default_rng([n, d])
+        x = feature_sample(rng, n, d, "plain")
+        s = rng.uniform(0.1, 3.0, d)
+        mean = rng.normal(0.0, 1.0, d)
+        centred = x - x.mean(axis=0)
+        delta = x.mean(axis=0) - mean
+        cross = np.linalg.svd(centred * s, compute_uv=False).sum() / np.sqrt(n)
+        reference = delta @ delta + np.sum(centred * centred) / n + s @ s - 2.0 * cross
+        got = frechet_distance_raw(estimate_gaussian(x), GaussianStats(mean, np.diag(s * s)))
+        assert got == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (5, 12), (12, 12), (40, 6)])
+    def test_sample_factor_is_small_and_reproduces_covariance(self, n, d):
+        x = feature_sample(np.random.default_rng([n, d]), n, d, "plain")
+        stats = estimate_gaussian(x)
+        assert stats.factor.shape == (min(n, d), d)
+        assert np.allclose(stats.cov, covariance_moments(x)[1], rtol=0, atol=1e-12 * d)

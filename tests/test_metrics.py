@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,77 @@ class TestFID:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             fid(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+def labelled_pair(seed):
+    # two labelled sides, k <= 3 classes of 2-12 rows each, rows shuffled
+    rng = rng_for(seed)
+    k, d = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    sides = []
+    for shift in (0.0, rng.uniform(0.0, 2.0)):
+        y = rng.permutation(np.repeat(np.arange(k), rng.integers(2, 13, k)))
+        x = rng.standard_normal((y.size, d)) * rng.uniform(0.3, 3.0, d) + shift + y[:, None]
+        sides += [x, y]
+    return rng, sides, k
+
+
+def fid_family(x, y, g, gy, k):
+    total, per = wcfid(x, y, g, gy, k)
+    return np.concatenate([[fid(x, g), bcfid(x, y, g, gy, k), total], per])
+
+
+def second_moment(*sides):
+    # magnitude of the terms the Fréchet distance cancels; sets the round-off scale
+    return sum(float(np.mean(np.sum(s * s, axis=1))) for s in sides)
+
+
+class TestFrechetMetamorphic:
+    """fid, bcfid, wcfid and the per-class vector under transformations of the
+    features whose effect on the Fréchet distance is known exactly."""
+
+    @given(st.integers(0, 10_000), st.floats(0.01, 100.0))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_multiplies_by_square(self, seed, c):
+        _, (x, y, g, gy), k = labelled_pair(seed)
+        base = fid_family(x, y, g, gy, k)
+        scaled = fid_family(c * x, y, c * g, gy, k)
+        atol = 1e-12 * c * c * second_moment(x, g)
+        assert np.allclose(scaled, c * c * base, rtol=1e-10, atol=atol)
+
+    @given(st.integers(0, 10_000), st.floats(-1e3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_translation_invariance(self, seed, offset):
+        rng, (x, y, g, gy), k = labelled_pair(seed)
+        t = offset * rng.uniform(-1.0, 1.0, x.shape[1])
+        base = fid_family(x, y, g, gy, k)
+        moved = fid_family(x + t, y, g + t, gy, k)
+        # centring at |t| leaves errors of about eps * |t| per entry
+        atol = 1e-12 * (second_moment(x, g) + float(t @ t))
+        assert np.allclose(moved, base, rtol=1e-10, atol=atol)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_row_permutation_within_a_side(self, seed):
+        rng, (x, y, g, gy), k = labelled_pair(seed)
+        pr, pg = rng.permutation(y.size), rng.permutation(gy.size)
+        base = fid_family(x, y, g, gy, k)
+        assert np.allclose(fid_family(x[pr], y[pr], g, gy, k), base,
+                           rtol=1e-10, atol=1e-12 * second_moment(x, g))
+        assert np.allclose(fid_family(x, y, g[pg], gy[pg], k), base,
+                           rtol=1e-10, atol=1e-12 * second_moment(x, g))
+
+    def test_fid_memory_is_bounded_by_the_inputs(self):
+        # 50 x 2048 per side: one 2048 x 2048 covariance alone would be 33.5 MB
+        rng = rng_for(2048)
+        x, g = rng.standard_normal((50, 2048)), rng.standard_normal((50, 2048)) + 0.1
+        tracemalloc.start()
+        try:
+            value = fid(x, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value > 0.0
+        assert peak < 8 * 2**20
 
 
 class TestConditionalFID:
