@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .matching import align_discovered
+from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
     MetricReport,
     _accuracy,
@@ -90,7 +90,7 @@ def build_report(
             raise ConfigError(
                 f"metric wcfid with pairing=hungarian needs {missing} "
                 "to discover the class mapping")
-        mapping = align_discovered(probs, gen_labels).mapping
+        mapping = hungarian_max(_average_class_probabilities(probs, gen_labels)).mapping
 
     if real_features is None:
         return report

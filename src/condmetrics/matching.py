@@ -1,9 +1,16 @@
 """Alignment of discovered (unlabelled-condition) classes to real classes.
 
-The assignment maximizes the total average prediction probability.  The core
-solver is scipy's linear_sum_assignment run as min-cost on the complemented
-matrix (max(value) - value); ties between equally scoring permutations are
-broken toward the lexicographically smallest mapping so repeated runs agree.
+The assignment maximizes the total average prediction probability.  One call
+to scipy's linear_sum_assignment, run as min-cost on the complemented matrix
+(max(value) - value), gives an optimal mapping M.  Ties between permutations
+whose scores lie within the tolerance of the optimum are broken toward the
+lexicographically smallest mapping so repeated runs agree, without solving
+again: dual potentials u, v (u_i + v_j >= value_ij, equality on M) make the
+optimal completions exactly the perfect matchings of zero-slack edges
+(Burkard, Dell'Amico & Martello, Assignment Problems, SIAM 2009, ch. 4), so
+a row's smaller columns are pruned by their slack and the survivors priced
+together by one shortest-path search over the unfixed rows.  Worst case
+O(K^3): Bellman-Ford for the potentials, then one O(K^2) search per row.
 """
 
 from __future__ import annotations
@@ -31,13 +38,17 @@ class ClassAssignment:
         object.__setattr__(self, "mapping", mapping)
 
 
-def average_class_probabilities(probs, conds) -> np.ndarray:
-    """K x K matrix: row c = mean prediction distribution of conditioned class c."""
-    p = as_probability_matrix(probs)
+def _average_class_probabilities(p: np.ndarray, conds) -> np.ndarray:
+    """average_class_probabilities on an already validated probability matrix."""
     k = p.shape[1]
     y = as_label_vector(conds, k, n=p.shape[0])
     idx = class_index_lists(y, k, min_count=1, side="conditioned")
     return np.stack([p[i].mean(axis=0) for i in idx])
+
+
+def average_class_probabilities(probs, conds) -> np.ndarray:
+    """K x K matrix: row c = mean prediction distribution of conditioned class c."""
+    return _average_class_probabilities(as_probability_matrix(probs), conds)
 
 
 def _assignment_score(value: np.ndarray, mapping: np.ndarray) -> float:
@@ -50,33 +61,115 @@ def _solve_max(value: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _lex_smallest_optimal(value: np.ndarray, best: float) -> np.ndarray:
-    """Lexicographically smallest mapping attaining the optimal score.
+def _dual_potentials(value: np.ndarray, match: np.ndarray, eps: float):
+    """Potentials u, v with u_i + v_j >= value_ij, tight on the optimal `match`.
 
-    Fixes one row at a time to its smallest feasible column, re-solving the
-    remaining subproblem to confirm the optimum is still reachable.
+    v solves v_M(i) <= v_j + value_iM(i) - value_ij, a shortest-path system
+    over columns with no negative cycle because `match` is optimal; it runs
+    as Bellman-Ford (every row relaxed at once) until no column drops by more
+    than `eps`, which keeps rounding on zero-weight cycles from looping.
+    """
+    k = value.shape[0]
+    own = value[np.arange(k), match]
+    v = np.zeros(k)
+    for _ in range(k):
+        bound = own - (value - v).max(axis=1)
+        lower = bound < v[match] - eps
+        if not lower.any():
+            break
+        v[match[lower]] = bound[lower]
+    return (value - v).max(axis=1), v
+
+
+def _cheapest_forcing(value, u, v, owner, live, target, slack, allowance, candidate):
+    """Smallest candidate column c with slack[c] + reseat[c] <= allowance.
+
+    reseat[c] is the least loss of re-seating the row that holds column c,
+    once c is taken, along a chain of live columns that ends in `target`.
+    It is a Dijkstra backward from `target` with the slacks
+    u_r + v_j - value_rj as edge lengths; a matched edge costs nothing.  The
+    search stops once no unsettled candidate below the best fit can still
+    fit.  Returns (c or None, nxt, reseat, settled): the row holding column
+    j moves to column nxt[j]; `settled` lists the columns whose reseat is final.
+    """
+    reseat = np.full(owner.size, np.inf)
+    nxt = np.empty(owner.size, dtype=np.int64)
+    unsettled = live.copy()
+    unsettled[target] = False
+    reseat[target] = 0.0
+    settled = [target]
+    u_owner = u[owner]
+    col, base, best = target, 0.0, None
+    while True:
+        reach = base + np.maximum(u_owner + v[col] - value[owner, col], 0.0)
+        better = unsettled & (reach < reseat)
+        reseat[better] = reach[better]
+        nxt[better] = col
+        waiting = candidate & unsettled
+        if best is not None:
+            waiting[best:] = False
+        if not waiting.any():
+            break
+        front = np.where(unsettled, reseat, np.inf)
+        col = int(np.argmin(front))
+        base = float(front[col])
+        if base + slack[waiting].min() > allowance:
+            break
+        unsettled[col] = False
+        settled.append(col)
+        if waiting[col] and slack[col] + base <= allowance:
+            best = col
+    return best, nxt, reseat, settled
+
+
+def _lex_smallest_optimal(value: np.ndarray, match: np.ndarray, best: float) -> np.ndarray:
+    """Lexicographically smallest mapping whose score is within tol of `best`.
+
+    `match` is an optimal mapping.  Rows are fixed in order to their smallest
+    column that keeps the optimum of the rest within the tolerance.  Column
+    match[row] always does; a smaller live column c costs its slack plus the
+    cheapest re-seating of the row holding c.  Slacks are exact to within
+    `margin`, so the search keeps that much extra and the row-order sum of the
+    re-seated mapping decides.  Accepting c shifts the potentials by the
+    search distances, so `match` stays optimal for the unfixed rows and tight.
     """
     k = value.shape[0]
     tol = 1e-9 * (1.0 + abs(best))
-    available = list(range(k))
-    mapping = np.empty(k, dtype=np.int64)
-    prefix = 0.0
+    floor = best - tol
+    margin = tol / 1024
+    owner = np.empty(k, dtype=np.int64)
+    owner[match] = np.arange(k)
+    u, v = _dual_potentials(value, match, margin / k)
+    total = best
     for row in range(k):
-        rest_rows = list(range(row + 1, k))
-        for col in available:
-            candidate = prefix + float(value[row, col])
-            if rest_rows:
-                rest_cols = [c for c in available if c != col]
-                sub = value[np.ix_(rest_rows, rest_cols)]
-                candidate += _assignment_score(sub, _solve_max(sub))
-            if candidate >= best - tol:
-                mapping[row] = col
-                prefix += float(value[row, col])
-                available.remove(col)
+        target = match[row]
+        live = owner >= row
+        slack = np.maximum(u[row] + v - value[row], 0.0)
+        allowance = total - floor + margin
+        candidate = live & (slack <= allowance)
+        candidate[target:] = False
+        while candidate.any():
+            col, nxt, reseat, settled = _cheapest_forcing(
+                value, u, v, owner, live, target, slack, allowance, candidate)
+            if col is None:
                 break
-        else:  # pragma: no cover - unreachable: the optimum is always feasible
-            raise AssertionError("no feasible column reaches the optimal score")
-    return mapping
+            rotated = match.copy()
+            seat = col
+            while seat != target:
+                r, seat = owner[seat], nxt[seat]
+                rotated[r] = seat
+            rotated[row] = col
+            score = _assignment_score(value, rotated)
+            if score < floor:
+                candidate[col] = False
+                continue
+            shift = reseat[settled] - reseat[settled[-1]]
+            v[settled] += shift
+            u[owner[settled]] -= shift
+            match, total = rotated, score
+            owner[match] = np.arange(k)
+            break
+    return match
 
 
 def hungarian_max(value) -> ClassAssignment:
@@ -88,8 +181,14 @@ def hungarian_max(value) -> ClassAssignment:
         raise InvalidInputError("value matrix is empty")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("value matrix contains non-finite entries")
-    best = _assignment_score(v, _solve_max(v))
-    mapping = _lex_smallest_optimal(v, best)
+    k = v.shape[0]
+    spread = float(v.max()) - float(v.min())
+    if not np.isfinite(k * spread) or not np.isfinite(k * float(np.abs(v).max())):
+        raise InvalidInputError(
+            "value matrix entries are too large: a sum of K entries or of K "
+            "differences overflows float64")
+    match = _solve_max(v)
+    mapping = _lex_smallest_optimal(v, match, _assignment_score(v, match))
     return ClassAssignment(mapping=mapping, score=_assignment_score(v, mapping))
 
 

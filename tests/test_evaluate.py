@@ -152,6 +152,28 @@ class TestBuildReport:
             probs=probs, k=4, pairing="identity")
         assert identity.wcfid > 1.0
 
+    def test_hungarian_validates_probs_once(self, monkeypatch):
+        import condmetrics.evaluate as evaluate_mod
+        import condmetrics.matching as matching_mod
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (evaluate_mod, matching_mod):
+            monkeypatch.setattr(mod, "as_probability_matrix", counted(mod.as_probability_matrix))
+        x, y = make_instance(seed=14, k=4)
+        gy = (y + 1) % 4
+        probs = one_hot_dominant(y, 4, seed=15)
+        build_report(
+            real_features=x, real_labels=y, gen_features=x, gen_labels=gy,
+            probs=probs, k=4, pairing="hungarian")
+        assert len(calls) == 1
+
     def test_swapping_sides_preserves_fid_family(self):
         x, y = make_instance(seed=16)
         g, gy = make_instance(seed=17)

@@ -1,8 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import condmetrics.matching as matching
 from condmetrics import (
     InvalidInputError,
     align_discovered,
@@ -20,6 +23,44 @@ def brute_force_max(value):
         if score > best_score:
             best_score, best_perm = score, perm
     return best_score, best_perm
+
+
+def brute_force_lex(value):
+    """The tie rule by enumeration: first permutation in lexicographic order
+    whose score is within 1e-9 * (1 + |best|) of the best score."""
+    k = value.shape[0]
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    scores = value[np.arange(k), perms].sum(axis=1)
+    best = float(scores.max())
+    return perms[np.argmax(scores >= best - 1e-9 * (1.0 + abs(best)))]
+
+
+def reference_lex_smallest(value):
+    """The former tie-break, kept as the reference: one assignment solve per
+    (row, candidate column), O(K^2) solves."""
+    def solve_score(sub):
+        _, cols = linear_sum_assignment(float(sub.max()) - sub)
+        return float(sub[np.arange(sub.shape[0]), cols].sum())
+
+    k = value.shape[0]
+    best = solve_score(value)
+    tol = 1e-9 * (1.0 + abs(best))
+    available = list(range(k))
+    mapping = np.empty(k, dtype=np.int64)
+    prefix = 0.0
+    for row in range(k):
+        rest_rows = list(range(row + 1, k))
+        for col in available:
+            candidate = prefix + float(value[row, col])
+            if rest_rows:
+                rest_cols = [c for c in available if c != col]
+                candidate += solve_score(value[np.ix_(rest_rows, rest_cols)])
+            if candidate >= best - tol:
+                mapping[row] = col
+                prefix += float(value[row, col])
+                available.remove(col)
+                break
+    return mapping
 
 
 class TestAverageClassProbabilities:
@@ -86,6 +127,107 @@ class TestHungarianMax:
             hungarian_max(np.zeros((2, 3)))
         with pytest.raises(InvalidInputError):
             hungarian_max(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_overflowing_finite_matrix_is_typed_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="too large"):
+                hungarian_max([[1e308, -1e308], [-1e308, 1e308]])
+            with pytest.raises(InvalidInputError, match="too large"):
+                hungarian_max(np.full((3, 3), 1e308))
+
+
+class TestLexicographicTieBreak:
+    @staticmethod
+    def _planted(seed):
+        """Tie-heavy matrices for K <= 7: {0,1,2} integers, 0.1 grid, constants,
+        near-ties 0.5x / 2x the tolerance below or above a tied optimum, and
+        0/1 matrices with sub-tolerance noise on every entry, where one row's
+        choice spends part of the tolerance that later rows can still use."""
+        rng = rng_for(seed)
+        k = int(rng.integers(1, 8))
+        kind = seed % 5
+        if kind == 0:
+            return rng.integers(0, 3, (k, k)).astype(np.float64)
+        if kind == 1:
+            return np.round(rng.uniform(0.0, 1.0, (k, k)), 1)
+        if kind == 2:
+            return np.full((k, k), float(rng.uniform(-2.0, 2.0)))
+        value = rng.integers(0, 2, (k, k)).astype(np.float64)
+        if kind == 4:
+            return value + rng.uniform(-0.7, 0.7, (k, k)) * 1e-9 * (1.0 + k)
+        best = float(brute_force_max(value)[0])
+        tol = 1e-9 * (1.0 + abs(best))
+        winner = brute_force_lex(value)
+        row = int(rng.integers(0, k))
+        value[row, winner[row]] += rng.choice([-2.0, -0.5, 0.5, 2.0]) * tol
+        return value
+
+    def test_matches_brute_force_tie_rule(self):
+        for seed in range(500):
+            value = self._planted(700 + seed)
+            assert np.array_equal(hungarian_max(value).mapping, brute_force_lex(value)), seed
+
+    def test_near_ties_either_side_of_tolerance(self):
+        # the lexicographically first optimum [0, 1] loses f * tol against [1, 0]
+        for f, expected in ((0.5, [0, 1]), (2.0, [1, 0])):
+            value = np.ones((2, 2))
+            value[0, 0] -= f * 1e-9 * 3.0
+            assert np.array_equal(hungarian_max(value).mapping, expected)
+
+    @staticmethod
+    def _tight_blocks(n):
+        # the first n rows tie between every left column and their own right
+        # column, but taking a left column displaces a row of the all-tie
+        # bottom block onto the right side at a loss of 0.5: every left column
+        # has zero slack, and none can be taken
+        value = np.zeros((2 * n, 2 * n))
+        value[:n, :n] = 2.0
+        value[np.arange(n), n + np.arange(n)] = 2.0
+        value[n:, :n] = 1.0
+        value[n:, n:] = 0.5
+        return value
+
+    @pytest.mark.parametrize("k", [8, 13, 21, 34, 60])
+    def test_matches_former_tie_break(self, k):
+        rng = rng_for(900 + k)
+        for value in (rng.uniform(0.0, 1.0, (k, k)),
+                      rng.integers(0, 3, (k, k)).astype(np.float64),
+                      np.round(rng.uniform(0.0, 1.0, (k, k)), 1),
+                      self._tight_blocks(k // 2)):
+            assert np.array_equal(hungarian_max(value).mapping, reference_lex_smallest(value))
+
+    def test_one_search_per_row_on_tight_blocks(self, monkeypatch):
+        # zero-slack columns that cannot be taken are priced by one search per
+        # row, not one per column, which keeps the pass O(K^3)
+        searches = []
+        search = matching._cheapest_forcing
+
+        def counted(*args):
+            searches.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(matching, "_cheapest_forcing", counted)
+        result = hungarian_max(self._tight_blocks(100))
+        assert len(searches) <= 200
+        assert np.array_equal(result.mapping[:100], 100 + np.arange(100))
+
+    @pytest.mark.parametrize("value", [
+        rng_for(11).uniform(0.0, 1.0, (200, 200)),  # unique optimum
+        np.ones((50, 50)),  # every permutation ties
+    ], ids=["unique-k200", "all-ties-k50"])
+    def test_one_assignment_solve_per_call(self, monkeypatch, value):
+        _, optimum = linear_sum_assignment(value.max() - value)
+        solves = []
+
+        def counted(cost):
+            solves.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+        result = hungarian_max(value)
+        assert solves == [value.shape]
+        assert result.score == float(value[np.arange(value.shape[0]), optimum].sum())
 
 
 class TestAlignDiscovered:
