@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
-from .matching import average_class_probabilities, hungarian_max
+from .matching import _average_class_probabilities, hungarian_max
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -117,7 +117,8 @@ def cmd_sweep(args) -> int:
             steps=args.steps,
             shrink_factor=args.shrink_factor,
             per_class_sample=args.per_class_sample,
-            collapsed_classes=tuple(int(c) for c in args.collapsed_classes.split(",")),
+            collapsed_classes=tuple(
+                _parse_list(args.collapsed_classes, "--collapsed-classes", int)),
         )
         rows = sweep_mode_collapse(schedule=schedule, **common)
     if (args.format or "csv") == "csv":
@@ -134,15 +135,16 @@ def cmd_match(args) -> int:
         raise ConfigError("match needs --probs and --gen-labels")
     probs = load_probabilities(probs_path)
     conds = load_labels(labels_path, k=probs.shape[1])
-    averages = average_class_probabilities(probs, conds)
+    # load_probabilities has validated the matrix already
+    averages = _average_class_probabilities(probs, conds)
     assignment = hungarian_max(averages)
     _write(args.out, assignment_to_json(assignment.mapping, assignment.score, averages))
     return 0
 
 
-def _parse_floats(raw: str, flag: str) -> list[float]:
+def _parse_list(raw: str, flag: str, cast=float) -> list:
     try:
-        return [float(tok) for tok in raw.split(",")]
+        return [cast(tok) for tok in raw.split(",")]
     except ValueError:
         raise ConfigError(f"unparseable {flag} value: {raw!r}") from None
 
@@ -173,7 +175,7 @@ def cmd_synth(args) -> int:
         emit(features=features, labels=labels)
     elif args.generator == "rings":
         features, labels = gen_rings(
-            _parse_floats(args.radii, "--radii"), args.radial_sigma,
+            _parse_list(args.radii, "--radii"), args.radial_sigma,
             args.n_per_class, args.seed)
         emit(features=features, labels=labels)
     elif args.generator == "matched-moments":
@@ -182,14 +184,14 @@ def cmd_synth(args) -> int:
              b_features=pair.gen_features, b_labels=pair.gen_labels)
     elif args.generator == "tightness":
         pair = gen_tightness_case(
-            _parse_floats(args.sigma_real, "--sigma-real"),
-            _parse_floats(args.sigma_gen, "--sigma-gen"),
+            _parse_list(args.sigma_real, "--sigma-real"),
+            _parse_list(args.sigma_gen, "--sigma-gen"),
             args.n_per_class, args.seed)
         emit(real_features=pair.real_features, real_labels=pair.real_labels,
              gen_features=pair.gen_features, gen_labels=pair.gen_labels)
     else:  # dirichlet
         probs = dirichlet_rows(
-            _parse_floats(args.alpha, "--alpha"), args.n_per_class, args.seed)
+            _parse_list(args.alpha, "--alpha"), args.n_per_class, args.seed)
         emit(probs=probs)
     return 0
 

@@ -2,6 +2,11 @@
 
 These functions take in-memory arrays; the CLI layer handles files.  Every
 path is deterministic given the inputs and the seed.
+
+Inputs are validated and the real side's Gaussians estimated once per set of
+inputs; each report then scores only what its point changes (the generated
+labels, or a row subset of the generated side).  ``build_report`` is the
+one-point case, and a sweep scores every grid point against one preparation.
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
     MetricReport,
     _accuracy,
-    _fid_family,
+    _column_sets,
+    _fid_side,
     _is_family,
+    _score_fid,
     as_feature_matrix,
     as_label_vector,
     as_probability_matrix,
-    subsampled_fid_suite,
 )
 from .synth import CollapseSchedule, label_noise, mode_collapse_indices, rng_for
 
@@ -30,10 +36,80 @@ def _resolve_k(k, probs, *label_sets) -> int:
         return int(k)
     if probs is not None:
         return int(np.asarray(probs).shape[1])
-    observed = [int(np.max(y)) for y in label_sets if y is not None]
+    observed = [int(as_label_vector(y, None).max()) for y in label_sets if y is not None]
     if observed:
         return max(observed) + 1
     raise ConfigError("class count k could not be inferred; pass it explicitly")
+
+
+def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, k,
+                subset_size, trials, seed, weighting, pairing):
+    """Check the configuration, validate the inputs and estimate the real side
+    once.  Returns ``score(gen_labels, rows=None)``, the report of one point; its
+    generated features and probabilities are restricted to ``rows`` if given."""
+    if pairing not in PAIRINGS:
+        raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
+    if probs is None and real_features is None and gen_features is None:
+        raise ConfigError("no inputs given; nothing to compute")
+    if (real_features is None) != (gen_features is None):
+        missing = "--gen-features" if gen_features is None else "--real-features"
+        raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
+    if real_features is not None and (real_labels is None) != (gen_labels is None):
+        missing = "--gen-labels" if gen_labels is None else "--real-labels"
+        raise ConfigError(
+            f"metrics bcfid/wcfid need labels on both sides; {missing} is missing")
+    if pairing == "hungarian" and (probs is None or gen_labels is None):
+        missing = "--probs" if probs is None else "--gen-labels"
+        raise ConfigError(
+            f"metric wcfid with pairing=hungarian needs {missing} "
+            "to discover the class mapping")
+
+    k = _resolve_k(k, probs, real_labels, gen_labels)
+    if probs is not None:
+        probs = as_probability_matrix(probs)
+        if probs.shape[1] != k:
+            raise ConfigError(
+                f"probability matrix has {probs.shape[1]} classes, expected k={k}")
+    if real_features is not None:
+        rf = as_feature_matrix(real_features)
+        gf = as_feature_matrix(gen_features)
+        if real_labels is not None:
+            real_labels = as_label_vector(real_labels, k, n=rf.shape[0])
+            real_counts = np.bincount(real_labels, minlength=k)
+        column_sets, scale = _column_sets(rf, gf, subset_size, trials, seed)
+        dims_used = rf.shape[1] if subset_size is None else subset_size
+        real_sides = [_fid_side(rf, real_labels, cols, k, weighting, "real")
+                      for cols in column_sets]
+
+    def score(gen_labels, rows=None) -> MetricReport:
+        report = MetricReport(pairing=pairing, seed=int(seed))
+        p = probs if rows is None or probs is None else probs[rows]
+        if p is not None:
+            report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
+                p, gen_labels, weighting, class_count=k)
+            if gen_labels is not None:
+                report.accuracy, report.per_class_accuracy = _accuracy(p, gen_labels)
+
+        mapping = None if pairing == "identity" else hungarian_max(
+            _average_class_probabilities(p, gen_labels)).mapping
+
+        if real_features is None:
+            return report
+        g = gf if rows is None else gf[rows]
+        gen_labels = None if real_labels is None else as_label_vector(gen_labels, k, n=g.shape[0])
+        if gen_labels is not None:
+            paired = real_counts if mapping is None else real_counts[mapping]
+            if np.any(paired != np.bincount(gen_labels, minlength=k)):
+                report.warnings.append(
+                    "per-class sample counts differ between the real and generated "
+                    "sides; the conditional-bound guarantees assume matched counts")
+        report.dims_used = dims_used
+        gen_sides = (_fid_side(g, gen_labels, cols, k, weighting, "generated")
+                     for cols in column_sets)
+        _score_fid(report, real_sides, gen_sides, mapping, scale)
+        return report
+
+    return score
 
 
 def build_report(
@@ -58,75 +134,10 @@ def build_report(
     is recorded when the per-class sample counts of the two sides differ,
     since the conditional-bound guarantees assume matched counts.
     """
-    if pairing not in PAIRINGS:
-        raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
-    if probs is None and real_features is None and gen_features is None:
-        raise ConfigError("no inputs given; nothing to compute")
-    if (real_features is None) != (gen_features is None):
-        missing = "--gen-features" if gen_features is None else "--real-features"
-        raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
-    if real_features is not None and (real_labels is None) != (gen_labels is None):
-        missing = "--gen-labels" if gen_labels is None else "--real-labels"
-        raise ConfigError(
-            f"metrics bcfid/wcfid need labels on both sides; {missing} is missing")
-
-    k = _resolve_k(k, probs, real_labels, gen_labels)
-    report = MetricReport(pairing=pairing, seed=int(seed))
-
-    if probs is not None:
-        probs = as_probability_matrix(probs)
-        if probs.shape[1] != k:
-            raise ConfigError(
-                f"probability matrix has {probs.shape[1]} classes, expected k={k}")
-        report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
-            probs, gen_labels, weighting, class_count=k)
-        if gen_labels is not None:
-            report.accuracy, report.per_class_accuracy = _accuracy(probs, gen_labels)
-
-    mapping = None
-    if pairing == "hungarian":
-        if probs is None or gen_labels is None:
-            missing = "--probs" if probs is None else "--gen-labels"
-            raise ConfigError(
-                f"metric wcfid with pairing=hungarian needs {missing} "
-                "to discover the class mapping")
-        mapping = hungarian_max(_average_class_probabilities(probs, gen_labels)).mapping
-
-    if real_features is None:
-        return report
-
-    rf = as_feature_matrix(real_features)
-    gf = as_feature_matrix(gen_features)
-    with_classes = real_labels is not None
-    if with_classes:
-        real_labels = as_label_vector(real_labels, k, n=rf.shape[0])
-        gen_labels = as_label_vector(gen_labels, k, n=gf.shape[0])
-        real_counts = np.bincount(real_labels, minlength=k)
-        gen_counts = np.bincount(gen_labels, minlength=k)
-        paired = real_counts[mapping] if mapping is not None else real_counts
-        if np.any(paired != gen_counts):
-            report.warnings.append(
-                "per-class sample counts differ between the real and generated "
-                "sides; the conditional-bound guarantees assume matched counts")
-
-    if subset_size is not None:
-        sub = subsampled_fid_suite(
-            rf, real_labels, gf, gen_labels, subset_size, trials, seed,
-            k=k, pairing=mapping, weighting=weighting, pairing_label=pairing)
-        report.fid = sub.fid
-        report.bcfid = sub.bcfid
-        report.wcfid = sub.wcfid
-        report.cfid_sum = sub.cfid_sum
-        report.per_class_fid = sub.per_class_fid
-        report.dims_used = sub.dims_used
-        return report
-
-    report.dims_used = rf.shape[1]
-    report.fid, report.bcfid, report.wcfid, report.per_class_fid = _fid_family(
-        rf, real_labels, gf, gen_labels, k, mapping, weighting)
-    if with_classes:
-        report.cfid_sum = report.bcfid + report.wcfid
-    return report
+    return _evaluation(
+        real_features=real_features, real_labels=real_labels, gen_features=gen_features,
+        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        seed=seed, weighting=weighting, pairing=pairing)(gen_labels)
 
 
 def sweep_label_noise(
@@ -148,16 +159,12 @@ def sweep_label_noise(
     generated labels with the stream (seed, spawn_key=(i,))."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
-    rows = []
-    for i, p in enumerate(grid):
-        noised = label_noise(gen_labels, float(p), _point_seed(seed, i))
-        rep = build_report(
-            real_features=real_features, real_labels=real_labels,
-            gen_features=gen_features, gen_labels=noised, probs=probs,
-            k=k, subset_size=subset_size, trials=trials, seed=seed,
-            weighting=weighting, pairing=pairing)
-        rows.append((float(p), rep))
-    return rows
+    score = _evaluation(
+        real_features=real_features, real_labels=real_labels, gen_features=gen_features,
+        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        seed=seed, weighting=weighting, pairing=pairing)
+    return [(float(p), score(label_noise(gen_labels, float(p), _point_seed(seed, i))))
+            for i, p in enumerate(grid)]
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -186,15 +193,9 @@ def sweep_mode_collapse(
         raise ConfigError("mode_collapse sweep needs generated features and labels")
     k = _resolve_k(k, probs, real_labels, gen_labels)
     gen_labels = np.asarray(gen_labels).astype(np.int64)
+    score = _evaluation(
+        real_features=real_features, real_labels=real_labels, gen_features=gen_features,
+        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        seed=seed, weighting=weighting, pairing=pairing)
     steps = mode_collapse_indices(gen_labels, k, schedule, seed)
-    rows = []
-    for step, idx in enumerate(steps):
-        rep = build_report(
-            real_features=real_features, real_labels=real_labels,
-            gen_features=np.asarray(gen_features, dtype=np.float64)[idx],
-            gen_labels=gen_labels[idx],
-            probs=None if probs is None else np.asarray(probs, dtype=np.float64)[idx],
-            k=k, subset_size=subset_size, trials=trials, seed=seed,
-            weighting=weighting, pairing=pairing)
-        rows.append((float(step), rep))
-    return rows
+    return [(float(step), score(gen_labels[idx], idx)) for step, idx in enumerate(steps)]

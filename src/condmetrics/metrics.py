@@ -53,7 +53,8 @@ def as_probability_matrix(probs) -> np.ndarray:
         raise InvalidInputError(f"probability matrix needs at least 2 classes, got {k}")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("probability matrix contains non-finite entries")
-    if float(p.min()) < -1e-9 or float(p.max()) > 1.0 + 1e-9:
+    lo, hi = float(p.min()), float(p.max())
+    if lo < -1e-9 or hi > 1.0 + 1e-9:
         bad = int(np.argmax((p < -1e-9) | (p > 1.0 + 1e-9), axis=None) // k)
         raise InvalidInputError(f"probability entries outside [0, 1] at row {bad}")
     sums = p.sum(axis=1)
@@ -63,7 +64,8 @@ def as_probability_matrix(probs) -> np.ndarray:
         raise InvalidInputError(
             f"probability row {bad} sums to {sums[bad]:.9f}, expected 1 within 1e-6"
         )
-    return np.clip(p, 0.0, 1.0)
+    # an in-range matrix is returned as is: clipping it would copy it unchanged
+    return p if lo >= 0.0 and hi <= 1.0 else np.clip(p, 0.0, 1.0)
 
 
 def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarray:
@@ -337,16 +339,49 @@ def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
     return real, gen
 
 
-def _fid_family(real_features, real_labels, gen_features, gen_labels, k: int | None,
-                mapping, weighting: str):
-    """fid, bcfid, wcfid and the per-class FID vector of two feature matrices;
-    without labels the last three are None."""
-    f = fid(real_features, gen_features)
-    if real_labels is None:
-        return f, None, None, None
-    real, gen = _stats_pair(
-        real_features, real_labels, gen_features, gen_labels, k, weighting)
-    return (f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, mapping))
+def _column_sets(rf: np.ndarray, gf: np.ndarray, subset_size, trials: int, seed: int):
+    """The FID family's column sets and score divisor: all columns as one trial
+    at scale 1, or ``trials`` seeded draws of ``subset_size`` columns."""
+    if rf.shape[1] != gf.shape[1]:
+        raise InvalidInputError(
+            f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
+    if subset_size is None:
+        return [slice(None)], 1.0
+    d = rf.shape[1]
+    if not 1 <= subset_size <= d:
+        raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    cols = [np.sort(rng.choice(d, size=subset_size, replace=False)) for _ in range(trials)]
+    return cols, float(subset_size)
+
+
+def _fid_side(x: np.ndarray, labels, cols, k: int | None, weighting: str, side: str):
+    """Pooled Gaussian of x[:, cols] and, with labels, its class-conditional
+    statistics (None without labels)."""
+    x = x[:, cols]
+    pooled = estimate_gaussian(x)  # first: its temporaries are the largest
+    classes = None if labels is None else class_conditional_stats(
+        x, labels, k, weighting=weighting, min_count=2, side=side)
+    return pooled, classes
+
+
+def _score_fid(report: MetricReport, real_sides, gen_sides, pairing, scale: float) -> None:
+    """Set the FID family of ``report`` (fid, and with labels bcfid, wcfid and the
+    per-class vector): each is its mean over the paired trials of prepared
+    sides, divided by ``scale``."""
+    scores = []
+    for (real_pooled, real), (gen_pooled, gen) in zip(real_sides, gen_sides):
+        f = frechet_distance(real_pooled, gen_pooled)
+        scores.append((f,) if real is None else
+                      (f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing)))
+    means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
+    report.fid = float(means[0])
+    if len(means) > 1:
+        report.bcfid, report.wcfid = float(means[1]), float(means[2])
+        report.cfid_sum = report.bcfid + report.wcfid
+        report.per_class_fid = means[3]
 
 
 def bcfid(
@@ -432,35 +467,15 @@ def subsampled_fid_suite(
     """
     rf = as_feature_matrix(real_features)
     gf = as_feature_matrix(gen_features)
-    if rf.shape[1] != gf.shape[1]:
-        raise InvalidInputError(
-            f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
-    d = rf.shape[1]
-    if not 1 <= subset_size <= d:
-        raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    with_classes = real_labels is not None and gen_labels is not None
-    if with_classes and k is None:
+    column_sets, scale = _column_sets(rf, gf, subset_size, trials, seed)
+    if real_labels is None or gen_labels is None:
+        real_labels = gen_labels = pairing = None
+    elif k is None:
         raise InvalidInputError("k is required when labels are provided")
-
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    index_sets = [np.sort(rng.choice(d, size=subset_size, replace=False))
-                  for _ in range(trials)]
-
-    mapping = _resolve_mapping(pairing, k) if with_classes else None
-    results = [
-        _fid_family(rf[:, cols], real_labels if with_classes else None,
-                    gf[:, cols], gen_labels, k, mapping, weighting)
-        for cols in index_sets
-    ]
-    scale = float(subset_size)
-    fid_mean = float(np.mean([r[0] for r in results])) / scale
-    report = MetricReport(
-        fid=fid_mean, dims_used=subset_size, pairing=pairing_label, seed=int(seed))
-    if with_classes:
-        report.bcfid = float(np.mean([r[1] for r in results])) / scale
-        report.wcfid = float(np.mean([r[2] for r in results])) / scale
-        report.cfid_sum = report.bcfid + report.wcfid
-        report.per_class_fid = np.mean([r[3] for r in results], axis=0) / scale
+    report = MetricReport(dims_used=subset_size, pairing=pairing_label, seed=int(seed))
+    _score_fid(
+        report,
+        (_fid_side(rf, real_labels, cols, k, weighting, "real") for cols in column_sets),
+        (_fid_side(gf, gen_labels, cols, k, weighting, "generated") for cols in column_sets),
+        pairing, scale)
     return report

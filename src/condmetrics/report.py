@@ -38,35 +38,16 @@ def format_number(x) -> str:
 
 
 def _json_value(value) -> str:
-    if value is None:
-        return "null"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format_number(value)
 
 
 def report_values(report: MetricReport) -> dict:
-    return {
-        "is": report.is_,
-        "bcis": report.bcis,
-        "wcis": report.wcis,
-        "fid": report.fid,
-        "bcfid": report.bcfid,
-        "wcfid": report.wcfid,
-        "cfid_sum": report.cfid_sum,
-        "accuracy": report.accuracy,
-        "per_class_fid": report.per_class_fid,
-        "per_class_is": report.per_class_is,
-        "per_class_accuracy": report.per_class_accuracy,
-        "dims_used": report.dims_used,
-        "pairing": report.pairing,
-        "seed": report.seed,
-        "warnings": list(report.warnings),
-    }
+    """Report fields by JSON key, in JSON_KEYS order."""
+    return {key: getattr(report, "is_" if key == "is" else key) for key in JSON_KEYS}
 
 
 def _json_object(report: MetricReport, *lead: str) -> str:

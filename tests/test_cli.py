@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condmetrics
 from condmetrics import MixtureSpec, gen_mixture, load_labels, load_tensor, save_csv, save_tensor
 from condmetrics.cli import main
 from condmetrics.report import JSON_KEYS
@@ -98,10 +101,13 @@ class TestCmdMetrics:
         assert out_bin.read_bytes() == out_csv.read_bytes()
 
     def test_module_entrypoint(self, dataset, tmp_path):
+        # the child imports the same package as this test, installed or not
+        src = str(Path(condmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "report.json"
         proc = subprocess.run(
             [sys.executable, "-m", "condmetrics", *metrics_args(dataset, out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["fid"] >= 0
 
@@ -123,6 +129,27 @@ class TestExitCodes:
         bad = tmp_path / "p.cfm"
         save_tensor(bad, np.array([[0.9, 0.3], [0.5, 0.5]]))
         assert main(["metrics", "--probs", str(bad)]) == 2
+
+    def test_empty_label_file_without_k_is_invalid_input(self, dataset, tmp_path, capsys):
+        empty = tmp_path / "empty.cfm"
+        save_tensor(empty, np.zeros(0, dtype=np.int64))
+        rc = main(["metrics",
+                   "--real-features", str(dataset["real_features"]),
+                   "--real-labels", str(empty),
+                   "--gen-features", str(dataset["gen_features"]),
+                   "--gen-labels", str(dataset["gen_labels"])])
+        assert rc == 2
+        assert "label vector is empty" in capsys.readouterr().err
+
+    def test_unparseable_collapsed_classes_is_config_error(self, dataset, tmp_path, capsys):
+        rc = main(["sweep", "--experiment", "mode_collapse", "--collapsed-classes", "x",
+                   "--real-features", str(dataset["real_features"]),
+                   "--real-labels", str(dataset["real_labels"]),
+                   "--gen-features", str(dataset["gen_features"]),
+                   "--gen-labels", str(dataset["gen_labels"]),
+                   "--k", "3", "--out", str(tmp_path / "c.csv")])
+        assert rc == 4
+        assert "--collapsed-classes" in capsys.readouterr().err
 
     def test_not_psd_maps_to_exit_three(self, dataset, tmp_path, monkeypatch):
         from condmetrics import NotPSDError
@@ -291,6 +318,39 @@ class TestCmdMatch:
                      "--gen-labels", str(conds_path), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["mapping"] == [(c + 1) % k for c in range(k)]
+
+    def test_validates_probabilities_once(self, tmp_path, monkeypatch):
+        import condmetrics.matching as matching_mod
+        import condmetrics.tensorfile as tensorfile_mod
+        from condmetrics import average_class_probabilities, hungarian_max
+        from condmetrics.report import assignment_to_json
+
+        k = 6
+        conds = rng_for(7).permutation(np.repeat(np.arange(k), 9))
+        probs = one_hot_dominant((conds + 2) % k, k, strength=0.4, seed=8)
+        probs_path, conds_path = tmp_path / "p.cfm", tmp_path / "c.cfm"
+        save_tensor(probs_path, probs)
+        save_tensor(conds_path, conds)
+        # the output of the public pipeline, computed before counting starts
+        averages = average_class_probabilities(load_tensor(probs_path), conds)
+        best = hungarian_max(averages)
+        expected = assignment_to_json(best.mapping, best.score, averages)
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (matching_mod, tensorfile_mod):
+            monkeypatch.setattr(mod, "as_probability_matrix", counted(mod.as_probability_matrix))
+        out = tmp_path / "match.json"
+        assert main(["match", "--probs", str(probs_path),
+                     "--gen-labels", str(conds_path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_text() == expected
 
 
 class TestCmdSynth:

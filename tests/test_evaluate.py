@@ -16,12 +16,19 @@ from condmetrics import (
     gen_mixture,
     inception_score,
     per_class_is,
+    subsampled_fid_suite,
     wcfid,
     wcis,
 )
-from condmetrics.evaluate import sweep_label_noise
+from condmetrics.evaluate import _point_seed, sweep_label_noise, sweep_mode_collapse
 from condmetrics.report import report_to_json
-from condmetrics.synth import dirichlet_rows, rng_for
+from condmetrics.synth import (
+    CollapseSchedule,
+    dirichlet_rows,
+    label_noise,
+    mode_collapse_indices,
+    rng_for,
+)
 
 
 def make_instance(seed=0, k=3, d=4, n_per_class=60, shift=0.0):
@@ -194,6 +201,18 @@ class TestBuildReport:
         assert rep.dims_used == 2
         assert rep.fid is not None and rep.per_class_fid.shape == (3,)
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_subset_fields_equal_subsampled_suite(self, labelled):
+        x, y = make_instance(seed=18, d=6)
+        g, gy = make_instance(seed=19, d=6, shift=0.4)
+        labels = dict(real_labels=y, gen_labels=gy) if labelled else {}
+        rep = build_report(real_features=x, gen_features=g, k=3, subset_size=4,
+                           trials=3, seed=7, **labels)
+        sub = subsampled_fid_suite(x, labels.get("real_labels"), g, labels.get("gen_labels"),
+                                   4, 3, 7, k=3)
+        assert report_to_json(rep) == report_to_json(sub)
+        assert (rep.bcfid is None) == (not labelled)
+
     def test_no_inputs_is_config_error(self):
         with pytest.raises(ConfigError):
             build_report(k=3)
@@ -220,3 +239,66 @@ class TestSweeps:
         assert len(rows) == 1
         assert rows[0][0] == 0.0
         assert report_to_json(rows[0][1]) == report_to_json(base)
+
+    @pytest.mark.parametrize("options", [
+        dict(pairing="hungarian"),
+        dict(pairing="hungarian", weighting="uniform", subset_size=3, trials=4),
+        dict(subset_size=4, trials=2),
+    ])
+    def test_label_noise_rows_equal_pointwise_reports(self, options):
+        # the differential gate of the shared preparation: every sweep row is
+        # the report of that point's inputs scored from scratch
+        x, y = make_instance(seed=25, k=4, d=5)
+        g, gy = make_instance(seed=26, k=4, d=5, shift=0.3)
+        probs = one_hot_dominant((gy + 1) % 4, 4, strength=0.5, seed=27)
+        inputs = dict(real_features=x, real_labels=y, gen_features=g, probs=probs,
+                      k=4, seed=9, **options)
+        grid = [0.0, 0.25, 0.5, 1.0]
+        rows = sweep_label_noise(gen_labels=gy, grid=grid, **inputs)
+        assert [p for p, _ in rows] == grid
+        for i, (p, rep) in enumerate(rows):
+            noised = label_noise(gy, p, _point_seed(9, i))
+            assert report_to_json(rep) == report_to_json(
+                build_report(gen_labels=noised, **inputs))
+
+    @pytest.mark.parametrize("options", [{}, dict(pairing="hungarian", subset_size=3, trials=2)])
+    def test_mode_collapse_rows_equal_pointwise_reports(self, options):
+        x, y = make_instance(seed=28, k=3, d=4, n_per_class=40)
+        g, gy = make_instance(seed=29, k=3, d=4, n_per_class=40, shift=0.2)
+        probs = one_hot_dominant(gy, 3, strength=0.6, seed=30)
+        schedule = CollapseSchedule(steps=4, shrink_factor=0.5, per_class_sample=12,
+                                    collapsed_classes=(1,))
+        inputs = dict(real_features=x, real_labels=y, k=3, seed=2, **options)
+        rows = sweep_mode_collapse(gen_features=g, gen_labels=gy, probs=probs,
+                                   schedule=schedule, **inputs)
+        steps = mode_collapse_indices(gy, 3, schedule, 2)
+        assert [p for p, _ in rows] == [0.0, 1.0, 2.0, 3.0]
+        for (_, rep), idx in zip(rows, steps):
+            assert report_to_json(rep) == report_to_json(build_report(
+                gen_features=g[idx], gen_labels=gy[idx], probs=probs[idx], **inputs))
+
+    def test_sweep_prepares_the_real_side_once(self, monkeypatch):
+        import condmetrics.evaluate as evaluate_mod
+        import condmetrics.matching as matching_mod
+        import condmetrics.metrics as metrics_mod
+
+        calls = {"validate": 0, "estimate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (evaluate_mod, matching_mod, metrics_mod):
+            monkeypatch.setattr(mod, "as_probability_matrix",
+                                counted("validate", mod.as_probability_matrix))
+        monkeypatch.setattr(metrics_mod, "estimate_gaussian",
+                            counted("estimate", metrics_mod.estimate_gaussian))
+        x, y = make_instance(seed=31, k=3)
+        g, gy = make_instance(seed=32, k=3)
+        probs = one_hot_dominant(gy, 3, seed=33)
+        sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                          probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
+        # real side once (pooled + 3 classes), generated side at each of 4 points
+        assert calls == {"validate": 1, "estimate": 4 + 4 * 4}

@@ -62,6 +62,23 @@ class TestProbabilityValidation:
         with pytest.raises(InvalidInputError):
             as_probability_matrix([[1.0], [1.0]])
 
+    def test_in_range_matrix_is_returned_without_a_copy(self):
+        probs = dirichlet_rows([0.5, 1.0, 2.0], 50, seed=3)
+        probs[0] = [0.0, 1.0, 0.0]
+        kept = probs.copy()
+        out = as_probability_matrix(probs)
+        assert out is probs
+        assert np.array_equal(out, kept)
+
+    def test_round_off_outside_the_range_is_still_clipped(self):
+        probs = np.array([[-1e-10, 1.0 + 1e-10], [0.5, 0.5]])
+        out = as_probability_matrix(probs)
+        assert out is not probs
+        assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
+        assert out[0, 1] == 1.0
+        assert np.array_equal(out[1], [0.5, 0.5])
+        assert probs[0, 0] == -1e-10  # the caller's matrix is left alone
+
     @pytest.mark.parametrize("rows, code", [
         ([[0.5, 0.5], [0.9, 0.3]], "row-sum"),
         ([[0.5, 0.5], [1.2, -0.2]], "bad-value"),
@@ -238,6 +255,67 @@ class TestAccuracy:
             oracle = float(np.mean(np.argmax(probs, axis=1) == noised))
             assert overall == oracle
             assert overall == pytest.approx(target, abs=0.05)
+
+
+def conditioned_probs(seed):
+    # Dirichlet rows (exact argmax ties have probability zero) and labels that
+    # cover every one of k <= 6 conditioned classes
+    rng = rng_for(seed)
+    k, n = int(rng.integers(2, 7)), int(rng.integers(12, 80))
+    probs = dirichlet_rows(rng.uniform(0.2, 3.0, k), n, seed + 1)
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    return rng, probs, labels.astype(np.int64), k
+
+
+def is_family(probs, labels, k, weighting="empirical"):
+    return np.concatenate([
+        [inception_score(probs), bcis(probs, labels, weighting, class_count=k),
+         wcis(probs, labels, weighting, class_count=k)],
+        per_class_is(probs, labels, class_count=k)])
+
+
+class TestInceptionMetamorphic:
+    """The IS family and accuracy under reorderings whose effect is known:
+    the scores see a set of rows, and class names carry no meaning."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(["empirical", "uniform"]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_permutation_invariance(self, seed, weighting):
+        rng, probs, labels, k = conditioned_probs(seed)
+        perm = rng.permutation(labels.size)
+        base = is_family(probs, labels, k, weighting)
+        moved = is_family(probs[perm], labels[perm], k, weighting)
+        assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
+        overall, per = accuracy(probs, labels)
+        moved_overall, moved_per = accuracy(probs[perm], labels[perm])
+        assert moved_overall == overall
+        assert np.array_equal(moved_per, per)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_class_relabelling_permutes_per_class_vectors(self, seed):
+        # condition c becomes sigma[c] and probability column j moves to sigma[j]
+        rng, probs, labels, k = conditioned_probs(seed)
+        sigma = rng.permutation(k)
+        relabelled = sigma[labels]
+        moved = np.empty_like(probs)
+        moved[:, sigma] = probs
+        base_is = per_class_is(probs, labels, class_count=k)
+        new_is = per_class_is(moved, relabelled, class_count=k)
+        assert np.allclose(new_is[sigma], base_is, rtol=1e-12, atol=0.0)
+        _, base_acc = accuracy(probs, labels)
+        _, new_acc = accuracy(moved, relabelled)
+        assert np.array_equal(new_acc[sigma], base_acc)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_class_relabelling_permutes_per_class_fid(self, seed):
+        # relabelling both sides keeps every class's rows, in order: exact
+        rng, (x, y, g, gy), k = labelled_pair(seed)
+        sigma = rng.permutation(k)
+        _, base = wcfid(x, y, g, gy, k)
+        _, moved = wcfid(x, sigma[y], g, sigma[gy], k)
+        assert np.array_equal(moved[sigma], base)
 
 
 class TestFID:
