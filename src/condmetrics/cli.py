@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
 from .matching import _average_class_probabilities, hungarian_max
+from .metrics import _check_rows
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -57,8 +58,6 @@ def _load_inputs(args) -> dict:
     data["real_labels"] = load_labels(rl) if rl else None
     data["gen_labels"] = load_labels(gl) if gl else None
     data["probs"] = load_probabilities(pp) if pp else None
-    if all(v is None for v in data.values()):
-        raise ConfigError("no inputs given; nothing to compute")
     return data
 
 
@@ -135,7 +134,8 @@ def cmd_match(args) -> int:
         raise ConfigError("match needs --probs and --gen-labels")
     probs = load_probabilities(probs_path)
     conds = load_labels(labels_path, k=probs.shape[1])
-    # load_probabilities has validated the matrix already
+    _check_rows(conds, probs.shape[0])
+    # the loaders have checked both arrays already
     averages = _average_class_probabilities(probs, conds)
     assignment = hungarian_max(averages)
     _write(args.out, assignment_to_json(assignment.mapping, assignment.score, averages))

@@ -3,10 +3,10 @@
 These functions take in-memory arrays; the CLI layer handles files.  Every
 path is deterministic given the inputs and the seed.
 
-Inputs are validated and the real side's Gaussians estimated once per set of
-inputs; each report then scores only what its point changes (the generated
-labels, or a row subset of the generated side).  ``build_report`` is the
-one-point case, and a sweep scores every grid point against one preparation.
+Each input array is checked and the real side's Gaussians estimated once per
+set of inputs; each report then scores only what its point changes (the
+generated labels, or a row subset of the generated side).  ``build_report`` is
+the one-point case, and a sweep scores every grid point against one preparation.
 """
 
 from __future__ import annotations
@@ -18,35 +18,25 @@ from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
     MetricReport,
     _accuracy,
+    _check_rows,
+    _checked_features,
     _column_sets,
     _fid_side,
     _is_family,
     _score_fid,
-    as_feature_matrix,
     as_label_vector,
     as_probability_matrix,
 )
-from .synth import CollapseSchedule, label_noise, mode_collapse_indices, rng_for
+from .synth import CollapseSchedule, _label_noise, _mode_collapse_indices, rng_for
 
 PAIRINGS = ("identity", "hungarian")
 
 
-def _resolve_k(k, probs, *label_sets) -> int:
-    if k is not None:
-        return int(k)
-    if probs is not None:
-        return int(np.asarray(probs).shape[1])
-    observed = [int(as_label_vector(y, None).max()) for y in label_sets if y is not None]
-    if observed:
-        return max(observed) + 1
-    raise ConfigError("class count k could not be inferred; pass it explicitly")
-
-
 def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, k,
                 subset_size, trials, seed, weighting, pairing):
-    """Check the configuration, validate the inputs and estimate the real side
-    once.  Returns ``score(gen_labels, rows=None)``, the report of one point; its
-    generated features and probabilities are restricted to ``rows`` if given."""
+    """Check the configuration and each input, and estimate the real side, once.
+    Returns ``(score, checked gen_labels, k)``; ``score(labels, rows=None)`` reports
+    one point of checked labels, on the generated rows ``rows`` if given."""
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
     if probs is None and real_features is None and gen_features is None:
@@ -63,20 +53,29 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         raise ConfigError(
             f"metric wcfid with pairing=hungarian needs {missing} "
             "to discover the class mapping")
+    if k is None and probs is None and gen_labels is None:
+        raise ConfigError("class count k could not be inferred; pass it explicitly")
 
-    k = _resolve_k(k, probs, real_labels, gen_labels)
+    k = None if k is None else int(k)
     if probs is not None:
         probs = as_probability_matrix(probs)
-        if probs.shape[1] != k:
+        if k is not None and probs.shape[1] != k:
             raise ConfigError(
                 f"probability matrix has {probs.shape[1]} classes, expected k={k}")
+        k = probs.shape[1]
     if real_features is not None:
-        rf = as_feature_matrix(real_features)
-        gf = as_feature_matrix(gen_features)
+        rf, real_labels, gf, gen_labels = _checked_features(
+            real_features, real_labels, gen_features, gen_labels, k)
+    elif gen_labels is not None:
+        gen_labels = as_label_vector(gen_labels, k)
+    if probs is not None and gen_labels is not None:
+        _check_rows(gen_labels, probs.shape[0])
+    if k is None:  # no probabilities: the classes are those the labels reach
+        k = max(int(real_labels.max()), int(gen_labels.max())) + 1
+    if real_features is not None:
         if real_labels is not None:
-            real_labels = as_label_vector(real_labels, k, n=rf.shape[0])
             real_counts = np.bincount(real_labels, minlength=k)
-        column_sets, scale = _column_sets(rf, gf, subset_size, trials, seed)
+        column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
         dims_used = rf.shape[1] if subset_size is None else subset_size
         real_sides = [_fid_side(rf, real_labels, cols, k, weighting, "real")
                       for cols in column_sets]
@@ -86,7 +85,7 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         p = probs if rows is None or probs is None else probs[rows]
         if p is not None:
             report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
-                p, gen_labels, weighting, class_count=k)
+                p, gen_labels, k, weighting)
             if gen_labels is not None:
                 report.accuracy, report.per_class_accuracy = _accuracy(p, gen_labels)
 
@@ -96,7 +95,6 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         if real_features is None:
             return report
         g = gf if rows is None else gf[rows]
-        gen_labels = None if real_labels is None else as_label_vector(gen_labels, k, n=g.shape[0])
         if gen_labels is not None:
             paired = real_counts if mapping is None else real_counts[mapping]
             if np.any(paired != np.bincount(gen_labels, minlength=k)):
@@ -109,7 +107,7 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         _score_fid(report, real_sides, gen_sides, mapping, scale)
         return report
 
-    return score
+    return score, gen_labels, k
 
 
 def build_report(
@@ -134,10 +132,11 @@ def build_report(
     is recorded when the per-class sample counts of the two sides differ,
     since the conditional-bound guarantees assume matched counts.
     """
-    return _evaluation(
+    score, gen_labels, _ = _evaluation(
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing)(gen_labels)
+        seed=seed, weighting=weighting, pairing=pairing)
+    return score(gen_labels)
 
 
 def sweep_label_noise(
@@ -159,11 +158,11 @@ def sweep_label_noise(
     generated labels with the stream (seed, spawn_key=(i,))."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
-    score = _evaluation(
+    score, gen_labels, _ = _evaluation(
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
-    return [(float(p), score(label_noise(gen_labels, float(p), _point_seed(seed, i))))
+    return [(float(p), score(_label_noise(gen_labels, float(p), _point_seed(seed, i))))
             for i, p in enumerate(grid)]
 
 
@@ -191,11 +190,9 @@ def sweep_mode_collapse(
     emitted dataset of the staged pool-shrinking simulation."""
     if gen_features is None or gen_labels is None:
         raise ConfigError("mode_collapse sweep needs generated features and labels")
-    k = _resolve_k(k, probs, real_labels, gen_labels)
-    gen_labels = np.asarray(gen_labels).astype(np.int64)
-    score = _evaluation(
+    score, gen_labels, k = _evaluation(
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
-    steps = mode_collapse_indices(gen_labels, k, schedule, seed)
+    steps = _mode_collapse_indices(gen_labels, k, schedule, seed)
     return [(float(step), score(gen_labels[idx], idx)) for step, idx in enumerate(steps)]

@@ -86,7 +86,10 @@ class GaussianStats:
 
 def estimate_gaussian(features) -> GaussianStats:
     """Estimate mean and population covariance (divisor N) from sample rows."""
-    x = as_feature_matrix(features)
+    return _estimate_gaussian(as_feature_matrix(features))
+
+
+def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
     n = x.shape[0]
     mean = x.mean(axis=0)
     return GaussianStats._from_rows(mean, (x - mean) / np.sqrt(n), n)

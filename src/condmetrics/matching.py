@@ -38,17 +38,16 @@ class ClassAssignment:
         object.__setattr__(self, "mapping", mapping)
 
 
-def _average_class_probabilities(p: np.ndarray, conds) -> np.ndarray:
-    """average_class_probabilities on an already validated probability matrix."""
-    k = p.shape[1]
-    y = as_label_vector(conds, k, n=p.shape[0])
-    idx = class_index_lists(y, k, min_count=1, side="conditioned")
+def _average_class_probabilities(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """average_class_probabilities on checked probabilities and labels in [0, K)."""
+    idx = class_index_lists(y, p.shape[1], min_count=1, side="conditioned")
     return np.stack([p[i].mean(axis=0) for i in idx])
 
 
 def average_class_probabilities(probs, conds) -> np.ndarray:
     """K x K matrix: row c = mean prediction distribution of conditioned class c."""
-    return _average_class_probabilities(as_probability_matrix(probs), conds)
+    p = as_probability_matrix(probs)
+    return _average_class_probabilities(p, as_label_vector(conds, p.shape[1], n=p.shape[0]))
 
 
 def _assignment_score(value: np.ndarray, mapping: np.ndarray) -> float:

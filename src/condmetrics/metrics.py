@@ -14,6 +14,9 @@ Score families
 Class weights default to empirical frequencies ("empirical"); passing
 ``weighting="uniform"`` averages classes with equal weight instead, which is
 also meaningful for unbalanced data but forfeits the exact identities above.
+
+Each input array is checked once, where it enters a public function; private
+kernels take checked arrays and labels in [0, k) and check nothing.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussian import (
     GaussianStats,
+    _estimate_gaussian,
     as_feature_matrix,
-    estimate_gaussian,
     frechet_distance,
 )
 
@@ -76,12 +79,11 @@ def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarra
     if y.size < 1:
         raise InvalidInputError("label vector is empty")
     if not np.issubdtype(y.dtype, np.integer):
-        yf = np.asarray(labels, dtype=np.float64)
-        if not np.all(np.isfinite(yf)) or np.any(yf != np.floor(yf)):
-            raise InvalidInputError("labels must be integers")
-        y = yf.astype(np.int64)
-    else:
-        y = y.astype(np.int64)
+        y = np.asarray(labels, dtype=np.float64)
+        bad = ~np.isfinite(y) | (y != np.floor(y))
+        if bad.any():
+            raise InvalidInputError(f"labels must be integers (row {int(np.argmax(bad))} is not)")
+    y = y.astype(np.int64)
     if y.min() < 0:
         raise InvalidInputError(f"labels must be non-negative, got {y.min()}")
     if k is not None:
@@ -91,9 +93,14 @@ def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarra
             raise InvalidInputError(
                 f"labels must lie in [0, {k}), got values up to {y.max()}"
             )
-    if n is not None and y.size != n:
-        raise InvalidInputError(f"label count {y.size} does not match row count {n}")
+    if n is not None:
+        _check_rows(y, n)
     return y
+
+
+def _check_rows(labels: np.ndarray, n: int) -> None:
+    if labels.size != n:
+        raise InvalidInputError(f"label count {labels.size} does not match row count {n}")
 
 
 def class_index_lists(
@@ -136,24 +143,18 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
 
 
-def _is_family(p: np.ndarray, labels=None, weighting: str = "empirical",
-               class_count: int | None = None):
-    """IS, BCIS, WCIS and the per-class IS vector of a validated probability
-    matrix, from one cleaning and one class split; without labels the last
-    three are None."""
+def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "empirical"):
+    """IS, BCIS, WCIS and the per-class IS vector of a checked probability
+    matrix and checked labels in [0, k), from one cleaning and one class
+    split; without labels the last three are None."""
     clean = _clean_rows(p)
     is_ = float(np.exp(np.mean(_kl_rows(clean, clean.mean(axis=0)))))
-    if labels is None:
+    if y is None:
         return is_, None, None, None
     # Conditioned classes live in their own index space: usually it matches
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
-    y = as_label_vector(labels, None, n=p.shape[0])
-    k_cond = int(y.max()) + 1 if class_count is None else int(class_count)
-    if y.max() >= k_cond:
-        raise InvalidInputError(
-            f"labels reach class {y.max()} but class_count is {k_cond}")
-    idx = class_index_lists(y, k_cond, min_count=1, side="conditioned")
+    idx = class_index_lists(y, k, min_count=1, side="conditioned")
     averages = np.stack([clean[i].mean(axis=0) for i in idx])
     priors = class_priors(np.array([i.size for i in idx]), weighting)
     within = np.array(
@@ -161,6 +162,13 @@ def _is_family(p: np.ndarray, labels=None, weighting: str = "empirical",
     )
     between = priors @ _kl_rows(averages, priors @ averages)
     return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
+
+
+def _checked_is_family(probs, labels, weighting: str, class_count: int | None):
+    p = as_probability_matrix(probs)
+    y = as_label_vector(labels, class_count, n=p.shape[0])
+    k = int(y.max()) + 1 if class_count is None else int(class_count)
+    return _is_family(p, y, k, weighting)
 
 
 def inception_score(probs) -> float:
@@ -175,23 +183,22 @@ def inception_score(probs) -> float:
 def bcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Between-class score: inception score of the per-class average distributions."""
-    return _is_family(as_probability_matrix(probs), labels, weighting, class_count)[1]
+    return _checked_is_family(probs, labels, weighting, class_count)[1]
 
 
 def wcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Within-class score: exp of the class-weighted mean within-class KL."""
-    return _is_family(as_probability_matrix(probs), labels, weighting, class_count)[2]
+    return _checked_is_family(probs, labels, weighting, class_count)[2]
 
 
 def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
     """Per-class within-class score; class weights combine these into wcis."""
-    return _is_family(as_probability_matrix(probs), labels, class_count=class_count)[3]
+    return _checked_is_family(probs, labels, "empirical", class_count)[3]
 
 
-def _accuracy(p: np.ndarray, labels) -> tuple[float, np.ndarray]:
+def _accuracy(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     k = p.shape[1]
-    y = as_label_vector(labels, k, n=p.shape[0])
     hits = np.argmax(p, axis=1) == y
     counts = np.bincount(y, minlength=k)
     per = np.divide(np.bincount(y, weights=hits, minlength=k), counts,
@@ -205,7 +212,8 @@ def accuracy(probs, labels) -> tuple[float, np.ndarray]:
     Argmax ties break to the lowest class index.  Also returns the per-class
     vector; classes with no members get NaN.
     """
-    return _accuracy(as_probability_matrix(probs), labels)
+    p = as_probability_matrix(probs)
+    return _accuracy(p, as_label_vector(labels, p.shape[1], n=p.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +254,12 @@ def class_conditional_stats(
     """Estimate per-class and between-class Gaussian statistics from samples."""
     x = as_feature_matrix(features)
     y = as_label_vector(labels, k, n=x.shape[0])
+    return _class_conditional_stats(x, y, k, weighting, min_count, side)
+
+
+def _class_conditional_stats(x, y, k: int, weighting: str, min_count: int, side: str):
     idx = class_index_lists(y, k, min_count=min_count, side=side)
-    per_class = tuple(estimate_gaussian(x[i]) for i in idx)
+    per_class = tuple(_estimate_gaussian(x[i]) for i in idx)
     priors = class_priors(np.array([i.size for i in idx]), weighting)
     return _with_between(per_class, priors)
 
@@ -299,9 +311,22 @@ def _resolve_mapping(pairing, k: int) -> np.ndarray:
     return mapping
 
 
+def _checked_features(real_features, real_labels, gen_features, gen_labels, k):
+    """Both feature matrices, of one dimension, and both label vectors unless both are None."""
+    rf = as_feature_matrix(real_features)
+    gf = as_feature_matrix(gen_features)
+    if rf.shape[1] != gf.shape[1]:
+        raise InvalidInputError(f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
+    if real_labels is None and gen_labels is None:
+        return rf, None, gf, None
+    return (rf, as_label_vector(real_labels, k, n=rf.shape[0]),
+            gf, as_label_vector(gen_labels, k, n=gf.shape[0]))
+
+
 def fid(real_features, gen_features) -> float:
     """Fréchet distance between the Gaussian fits of two feature populations."""
-    return frechet_distance(estimate_gaussian(real_features), estimate_gaussian(gen_features))
+    rf, _, gf, _ = _checked_features(real_features, None, gen_features, None, None)
+    return frechet_distance(_estimate_gaussian(rf), _estimate_gaussian(gf))
 
 
 def bcfid_from_stats(real: ClassConditionalStats, gen: ClassConditionalStats) -> float:
@@ -331,23 +356,16 @@ def wcfid_from_stats(
 
 def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
                 weighting: str, min_count: int = 2):
-    real = class_conditional_stats(
-        real_features, real_labels, k, weighting=weighting, min_count=min_count, side="real")
-    gen = class_conditional_stats(
-        gen_features, gen_labels, k, weighting=weighting, min_count=min_count,
-        side="generated")
-    return real, gen
+    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
+    return (_class_conditional_stats(rf, ry, k, weighting, min_count, "real"),
+            _class_conditional_stats(gf, gy, k, weighting, min_count, "generated"))
 
 
-def _column_sets(rf: np.ndarray, gf: np.ndarray, subset_size, trials: int, seed: int):
+def _column_sets(d: int, subset_size, trials: int, seed: int):
     """The FID family's column sets and score divisor: all columns as one trial
-    at scale 1, or ``trials`` seeded draws of ``subset_size`` columns."""
-    if rf.shape[1] != gf.shape[1]:
-        raise InvalidInputError(
-            f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
+    at scale 1, or ``trials`` seeded draws of ``subset_size`` of the d columns."""
     if subset_size is None:
         return [slice(None)], 1.0
-    d = rf.shape[1]
     if not 1 <= subset_size <= d:
         raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
     if trials < 1:
@@ -357,13 +375,12 @@ def _column_sets(rf: np.ndarray, gf: np.ndarray, subset_size, trials: int, seed:
     return cols, float(subset_size)
 
 
-def _fid_side(x: np.ndarray, labels, cols, k: int | None, weighting: str, side: str):
-    """Pooled Gaussian of x[:, cols] and, with labels, its class-conditional
-    statistics (None without labels)."""
+def _fid_side(x: np.ndarray, y, cols, k: int | None, weighting: str, side: str):
+    """Pooled Gaussian of the checked x[:, cols] and, with labels in [0, k),
+    its class-conditional statistics (None without labels)."""
     x = x[:, cols]
-    pooled = estimate_gaussian(x)  # first: its temporaries are the largest
-    classes = None if labels is None else class_conditional_stats(
-        x, labels, k, weighting=weighting, min_count=2, side=side)
+    pooled = _estimate_gaussian(x)  # first: its temporaries are the largest
+    classes = None if y is None else _class_conditional_stats(x, y, k, weighting, 2, side)
     return pooled, classes
 
 
@@ -465,17 +482,16 @@ def subsampled_fid_suite(
     report holds the mean over trials.  Labels may be omitted to subsample
     the unconditional fid alone.
     """
-    rf = as_feature_matrix(real_features)
-    gf = as_feature_matrix(gen_features)
-    column_sets, scale = _column_sets(rf, gf, subset_size, trials, seed)
     if real_labels is None or gen_labels is None:
         real_labels = gen_labels = pairing = None
     elif k is None:
         raise InvalidInputError("k is required when labels are provided")
+    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
+    column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
     report = MetricReport(dims_used=subset_size, pairing=pairing_label, seed=int(seed))
     _score_fid(
         report,
-        (_fid_side(rf, real_labels, cols, k, weighting, "real") for cols in column_sets),
-        (_fid_side(gf, gen_labels, cols, k, weighting, "generated") for cols in column_sets),
+        (_fid_side(rf, ry, cols, k, weighting, "real") for cols in column_sets),
+        (_fid_side(gf, gy, cols, k, weighting, "generated") for cols in column_sets),
         pairing, scale)
     return report

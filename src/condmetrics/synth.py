@@ -16,8 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import EIG_TOL
-from .metrics import ClassConditionalStats, class_conditional_from_moments
+from .gaussian import EIG_TOL, as_feature_matrix
+from .metrics import (
+    ClassConditionalStats,
+    as_label_vector,
+    class_conditional_from_moments,
+    class_index_lists,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,12 +235,12 @@ def label_noise(labels, p: float, seed: int) -> np.ndarray:
     Permuting (rather than resampling) preserves the label multiset exactly,
     so per-class counts never change.  p=0 is the identity; p=1 permutes all.
     """
+    return _label_noise(as_label_vector(labels, None), p, seed)
+
+
+def _label_noise(y: np.ndarray, p: float, seed: int) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"noise fraction must be in [0, 1], got {p}")
-    y = np.asarray(labels)
-    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
-        raise InvalidInputError("labels must be a 1-D integer vector")
-    y = y.astype(np.int64)
     n_sel = int(math.floor(p * y.size))
     if n_sel < 2:
         return y.copy()
@@ -284,18 +289,14 @@ def mode_collapse_indices(
     Each step then draws ``per_class_sample`` rows per class from the current
     pool, switching to with-replacement once a pool is smaller than the draw.
     """
-    y = np.asarray(labels)
-    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
-        raise InvalidInputError("labels must be a 1-D integer vector")
-    pools = {c: np.flatnonzero(y == c) for c in range(k)}
+    return _mode_collapse_indices(as_label_vector(labels, None), k, schedule, seed)
+
+
+def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, seed: int):
     for c in schedule.collapsed_classes:
         if not 0 <= c < k:
             raise InvalidInputError(f"collapsed class {c} outside [0, {k})")
-        if pools[c].size == 0:
-            raise InvalidInputError(f"collapsed class {c} has no samples")
-    for c in range(k):
-        if pools[c].size == 0:
-            raise InvalidInputError(f"class {c} has no samples")
+    pools = class_index_lists(y, k)
     size_by_class = {
         c: collapse_pool_sizes(pools[c].size, schedule)
         for c in schedule.collapsed_classes
@@ -320,13 +321,10 @@ def mode_collapse_run(
     features, labels, schedule: CollapseSchedule, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Emit the per-step (features, labels) datasets of a collapse simulation."""
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != y.size:
-        raise InvalidInputError("features and labels must have matching row counts")
+    x = as_feature_matrix(features)
+    y = as_label_vector(labels, None, n=x.shape[0])
     k = int(y.max()) + 1
-    return [(x[idx], y[idx].astype(np.int64))
-            for idx in mode_collapse_indices(y, k, schedule, seed)]
+    return [(x[idx], y[idx]) for idx in _mode_collapse_indices(y, k, schedule, seed)]
 
 
 def dirichlet_rows(alpha, n: int, seed: int) -> np.ndarray:

@@ -94,11 +94,7 @@ def _load_binary(path: Path) -> np.ndarray:
             f"expected {expected}",
             code="truncated")
     arr = np.frombuffer(data, dtype=dtype, count=int(np.prod(dims)), offset=dims_end)
-    arr = arr.reshape(dims).copy()
-    if dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise TensorFileError(
-            f"{path}: non-finite value at row {_find_bad_row(arr)}", code="non-finite")
-    return arr
+    return arr.reshape(dims).copy()
 
 
 def _load_csv(path: Path) -> np.ndarray:
@@ -125,19 +121,17 @@ def _load_csv(path: Path) -> np.ndarray:
         except ValueError:
             raise TensorFileError(
                 f"{path}: unparseable number at row {i}", code="bad-value") from None
-    arr = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise TensorFileError(
-            f"{path}: non-finite value at row {_find_bad_row(arr)}", code="non-finite")
-    return arr
+    return np.asarray(rows, dtype=np.float64)
 
 
 def load_tensor(path) -> np.ndarray:
     """Load a tensor; '.csv' paths are parsed as text, all others as binary."""
     p = Path(path)
-    if p.suffix.lower() == ".csv":
-        return _load_csv(p)
-    return _load_binary(p)
+    arr = _load_csv(p) if p.suffix.lower() == ".csv" else _load_binary(p)
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise TensorFileError(
+            f"{p}: non-finite value at row {_find_bad_row(arr)}", code="non-finite")
+    return arr
 
 
 def load_features(path) -> np.ndarray:
@@ -166,16 +160,8 @@ def load_labels(path, k: int | None = None) -> np.ndarray:
     arr = load_tensor(path)
     if arr.ndim == 2 and arr.shape[1] == 1:
         arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise TensorFileError(f"{path}: labels must be rank 1", code="bad-rank")
-    if arr.dtype.kind == "f":
-        if np.any(arr != np.floor(arr)):
-            bad = int(np.argmax(arr != np.floor(arr)))
-            raise TensorFileError(
-                f"{path}: non-integer label at row {bad}", code="bad-value")
-        arr = arr.astype(np.int64)
-    if k is not None:
+    try:
         return as_label_vector(arr, k)
-    if arr.size and arr.min() < 0:
-        raise TensorFileError(f"{path}: negative label", code="bad-value")
-    return arr.astype(np.int64)
+    except InvalidInputError as exc:
+        code = "bad-rank" if "1-D" in str(exc) else "bad-value"
+        raise TensorFileError(f"{path}: {exc}", code=code) from None

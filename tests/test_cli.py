@@ -151,6 +151,28 @@ class TestExitCodes:
         assert rc == 4
         assert "--collapsed-classes" in capsys.readouterr().err
 
+    def test_mode_collapse_labels_longer_than_features_is_invalid_input(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        import condmetrics.evaluate as evaluate_mod
+
+        def no_step_is_scored(*_args, **_kwargs):
+            raise AssertionError("a collapse step was scored")
+
+        monkeypatch.setattr(evaluate_mod, "_score_fid", no_step_is_scored)
+        labels = load_tensor(dataset["gen_labels"])
+        longer = tmp_path / "longer.cfm"
+        save_tensor(longer, np.concatenate([labels, labels[:10]]))
+        out = tmp_path / "c.csv"
+        rc = main(["sweep", "--experiment", "mode_collapse", "--steps", "2",
+                   "--real-features", str(dataset["real_features"]),
+                   "--real-labels", str(dataset["real_labels"]),
+                   "--gen-features", str(dataset["gen_features"]),
+                   "--gen-labels", str(longer),
+                   "--k", "3", "--out", str(out)])
+        assert rc == 2
+        assert "label count 160 does not match row count 150" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_not_psd_maps_to_exit_three(self, dataset, tmp_path, monkeypatch):
         from condmetrics import NotPSDError
         import condmetrics.cli as cli

@@ -1,10 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condmetrics import (
     ConfigError,
+    InvalidInputError,
     MixtureSpec,
     accuracy,
     align_discovered,
@@ -21,6 +25,7 @@ from condmetrics import (
     wcis,
 )
 from condmetrics.evaluate import _point_seed, sweep_label_noise, sweep_mode_collapse
+from condmetrics.metrics import PROB_FLOOR
 from condmetrics.report import report_to_json
 from condmetrics.synth import (
     CollapseSchedule,
@@ -42,6 +47,38 @@ def one_hot_dominant(labels, k, strength=0.9, seed=0):
     rows = rng.uniform(0.0, 1.0 - strength, (labels.size, k))
     rows[np.arange(labels.size), labels] += strength
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def assert_report_equals_standalone(x, y, g, gy, probs, k, *, pairing="identity",
+                                    weighting="empirical", subset_size=None):
+    """build_report's fields are == the standalone functions on the same inputs
+    and, with subset_size, its subsampled fields are == subsampled_fid_suite's."""
+    inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                  probs=probs, k=k, weighting=weighting, pairing=pairing)
+    rep = build_report(**inputs)
+    mapping = align_discovered(probs, gy).mapping if pairing == "hungarian" else None
+    if probs is not None:
+        assert rep.is_ == inception_score(probs)
+        assert rep.bcis == bcis(probs, gy, weighting, class_count=k)
+        assert rep.wcis == wcis(probs, gy, weighting, class_count=k)
+        assert np.array_equal(rep.per_class_is, per_class_is(probs, gy, class_count=k))
+        overall, per_acc = accuracy(probs, gy)
+        assert rep.accuracy == overall
+        assert np.array_equal(rep.per_class_accuracy, per_acc)
+    assert rep.fid == fid(x, g)
+    assert rep.bcfid == bcfid(x, y, g, gy, k, weighting=weighting)
+    total, per_fid = wcfid(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+    assert rep.wcfid == total
+    assert np.array_equal(rep.per_class_fid, per_fid)
+    assert rep.cfid_sum == cfid_sum(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+    if subset_size is not None:
+        sub_rep = build_report(subset_size=subset_size, trials=3, seed=5, **inputs)
+        suite = subsampled_fid_suite(x, y, g, gy, subset_size, 3, 5, k=k, pairing=mapping,
+                                     weighting=weighting, pairing_label=pairing)
+        for key in ("fid", "bcfid", "wcfid", "cfid_sum", "dims_used", "pairing"):
+            assert getattr(sub_rep, key) == getattr(suite, key)
+        assert np.array_equal(sub_rep.per_class_fid, suite.per_class_fid)
+    return rep, mapping
 
 
 class TestBuildReport:
@@ -69,26 +106,26 @@ class TestBuildReport:
         g, gy = gen_mixture(MixtureSpec(means + 0.3, [np.eye(d)] * k, [40, 50, 60], seed=22))
         # generated condition c is predicted as class (c + 1) % k
         probs = one_hot_dominant((gy + 1) % k, k, strength=0.6, seed=23)
-        rep = build_report(
-            real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-            probs=probs, k=k, weighting=weighting, pairing=pairing)
-        mapping = align_discovered(probs, gy).mapping if pairing == "hungarian" else None
+        _, mapping = assert_report_equals_standalone(
+            x, y, g, gy, probs, k, pairing=pairing, weighting=weighting)
         if mapping is not None:
             assert mapping.tolist() == [1, 2, 0]
 
-        assert rep.is_ == inception_score(probs)
-        assert rep.bcis == bcis(probs, gy, weighting, class_count=k)
-        assert rep.wcis == wcis(probs, gy, weighting, class_count=k)
-        assert np.array_equal(rep.per_class_is, per_class_is(probs, gy, class_count=k))
-        overall, per_acc = accuracy(probs, gy)
-        assert rep.accuracy == overall
-        assert np.array_equal(rep.per_class_accuracy, per_acc)
-        assert rep.fid == fid(x, g)
-        assert rep.bcfid == bcfid(x, y, g, gy, k, weighting=weighting)
-        total, per_fid = wcfid(x, y, g, gy, k, pairing=mapping, weighting=weighting)
-        assert rep.wcfid == total
-        assert np.array_equal(rep.per_class_fid, per_fid)
-        assert rep.cfid_sum == cfid_sum(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 5),
+           pairing=st.sampled_from(["identity", "hungarian"]),
+           weighting=st.sampled_from(["empirical", "uniform"]))
+    @settings(max_examples=40, deadline=None)
+    def test_fields_equal_standalone_functions_on_random_shapes(
+            self, seed, k, d, pairing, weighting):
+        rng = rng_for(seed)
+        y = rng.permutation(np.repeat(np.arange(k), rng.integers(2, 7, k)))
+        gy = rng.permutation(np.repeat(np.arange(k), rng.integers(2, 7, k)))
+        x = rng.normal(0.0, 1.0, (y.size, d)) + y[:, None]
+        g = rng.normal(0.2, 1.5, (gy.size, d)) + gy[:, None]
+        probs = one_hot_dominant(rng.permutation(k)[gy], k, strength=0.5, seed=seed)
+        assert_report_equals_standalone(
+            x, y, g, gy, probs, k, pairing=pairing, weighting=weighting,
+            subset_size=int(rng.integers(1, d + 1)))
 
     def test_probs_only_skips_fid_family(self):
         _, y = make_instance(seed=3)
@@ -217,6 +254,22 @@ class TestBuildReport:
         with pytest.raises(ConfigError):
             build_report(k=3)
 
+    def test_integral_float_labels_equal_integer_labels(self):
+        x, y = make_instance(seed=34)
+        g, gy = make_instance(seed=35)
+        probs = one_hot_dominant(gy, 3, seed=36)
+        inputs = dict(real_features=x, real_labels=y, gen_features=g, probs=probs, k=3)
+        assert report_to_json(build_report(gen_labels=gy.astype(np.float64), **inputs)) == \
+            report_to_json(build_report(gen_labels=gy, **inputs))
+        rows = sweep_label_noise(gen_labels=gy.astype(np.float64), grid=[0.5], **inputs)
+        assert report_to_json(rows[0][1]) == report_to_json(
+            sweep_label_noise(gen_labels=gy, grid=[0.5], **inputs)[0][1])
+
+    def test_out_of_range_generated_labels_name_the_class_range(self):
+        probs = dirichlet_rows([1.0, 1.0, 1.0], 6, seed=37)
+        with pytest.raises(InvalidInputError, match=r"labels must lie in \[0, 3\)"):
+            build_report(probs=probs, gen_labels=np.array([0, 1, 2, 0, 1, 3]))
+
     def test_report_identity_holds(self):
         probs = dirichlet_rows([0.8, 1.2, 2.0, 0.5], 400, seed=20)
         labels = rng_for(21).integers(0, 4, 400).astype(np.int64)
@@ -293,8 +346,8 @@ class TestSweeps:
         for mod in (evaluate_mod, matching_mod, metrics_mod):
             monkeypatch.setattr(mod, "as_probability_matrix",
                                 counted("validate", mod.as_probability_matrix))
-        monkeypatch.setattr(metrics_mod, "estimate_gaussian",
-                            counted("estimate", metrics_mod.estimate_gaussian))
+        monkeypatch.setattr(metrics_mod, "_estimate_gaussian",
+                            counted("estimate", metrics_mod._estimate_gaussian))
         x, y = make_instance(seed=31, k=3)
         g, gy = make_instance(seed=32, k=3)
         probs = one_hot_dominant(gy, 3, seed=33)
@@ -302,3 +355,129 @@ class TestSweeps:
                           probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
         # real side once (pooled + 3 classes), generated side at each of 4 points
         assert calls == {"validate": 1, "estimate": 4 + 4 * 4}
+
+
+class TestValidationBoundary:
+    """Every input array is checked once per call, where it enters the package."""
+
+    CHECKS = ("as_feature_matrix", "as_label_vector", "as_probability_matrix")
+
+    @classmethod
+    def _count_checks(cls, monkeypatch) -> dict:
+        # wrap each checker in every condmetrics module that binds it, so a
+        # check is counted wherever the caller looks it up
+        import condmetrics.cli  # noqa: F401  (imports every module)
+
+        calls = dict.fromkeys(cls.CHECKS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("condmetrics."):
+                for name in cls.CHECKS:
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        return calls
+
+    @pytest.mark.parametrize("k", [4, None])  # passed, or read off the probabilities
+    @pytest.mark.parametrize("entry", ["build_report", "sweep_label_noise"])
+    def test_report_and_sweep_check_each_array_once(self, monkeypatch, entry, k):
+        x, y = make_instance(seed=40, k=4, d=5)
+        g, gy = make_instance(seed=41, k=4, d=5, shift=0.3)
+        probs = one_hot_dominant((gy + 1) % 4, 4, strength=0.5, seed=42)
+        inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                      probs=probs, k=k, pairing="hungarian")
+        calls = self._count_checks(monkeypatch)
+        if entry == "build_report":
+            build_report(**inputs)
+        else:
+            rows = sweep_label_noise(grid=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], **inputs)
+            assert len(rows) == 6
+        assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
+                         "as_probability_matrix": 1}
+
+    @pytest.mark.parametrize("entry", ["subsampled_fid_suite", "wcfid"])
+    def test_fid_functions_check_each_array_once(self, monkeypatch, entry):
+        x, y = make_instance(seed=43, k=4, d=5)
+        g, gy = make_instance(seed=44, k=4, d=5, shift=0.3)
+        calls = self._count_checks(monkeypatch)
+        if entry == "subsampled_fid_suite":
+            subsampled_fid_suite(x, y, g, gy, 3, 5, 7, k=4)
+        else:
+            wcfid(x, y, g, gy, 4)
+        assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
+                         "as_probability_matrix": 0}
+
+    def test_mode_collapse_sweep_checks_each_array_once(self, monkeypatch):
+        x, y = make_instance(seed=45, k=3, d=4, n_per_class=30)
+        g, gy = make_instance(seed=46, k=3, d=4, n_per_class=30)
+        schedule = CollapseSchedule(steps=3, per_class_sample=10)
+        calls = self._count_checks(monkeypatch)
+        sweep_mode_collapse(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                            schedule=schedule)
+        assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
+                         "as_probability_matrix": 0}
+
+
+def _degenerate_case(name):
+    """Inputs (x, y, g, gy, probs, k) of one degenerate shape."""
+    rng = rng_for(50)
+    k, n = 3, 6
+    y = np.repeat(np.arange(k), n)
+    gy = rng.permutation(y)
+    x = rng.normal(0.0, 1.0, (y.size, 4)) + y[:, None]
+    g = rng.normal(0.3, 1.2, (gy.size, 4)) + gy[:, None]
+    probs = one_hot_dominant(gy, k, strength=0.6, seed=51)
+    if name == "d=1":
+        x, g = x[:, :1], g[:, :1]
+    elif name == "K=1-features-only":
+        y, gy, k, probs = np.zeros_like(y), np.zeros_like(gy), 1, None
+    elif name == "n_c=2":
+        keep_y = np.concatenate([np.flatnonzero(y == c)[:2] for c in range(k)])
+        keep_g = np.concatenate([np.flatnonzero(gy == c)[:2] for c in range(k)])
+        x, y, g, gy, probs = x[keep_y], y[keep_y], g[keep_g], gy[keep_g], probs[keep_g]
+    elif name == "constant-features":
+        x, g = np.full_like(x, 2.5), np.full_like(g, -1.0)
+    elif name == "duplicated-rows":
+        x, y = np.repeat(x, 2, axis=0), np.repeat(y, 2)
+        g, gy, probs = np.repeat(g, 2, axis=0), np.repeat(gy, 2), np.repeat(probs, 2, axis=0)
+    elif name == "one-hot-at-PROB_FLOOR":
+        probs = np.eye(k)[gy]
+    return x, y, g, gy, probs, k
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("name", [
+        "d=1", "K=1-features-only", "n_c=2", "constant-features", "duplicated-rows",
+        "one-hot-at-PROB_FLOOR",
+    ])
+    def test_report_equals_standalone_functions(self, name):
+        x, y, g, gy, probs, k = _degenerate_case(name)
+        rep, _ = assert_report_equals_standalone(
+            x, y, g, gy, probs, k, subset_size=1 if x.shape[1] == 1 else 2)
+        values = [rep.fid, rep.bcfid, rep.wcfid, *rep.per_class_fid]
+        assert np.all(np.isfinite(values)) and min(values) >= 0.0
+        if probs is not None:
+            assert rep.is_ == pytest.approx(rep.bcis * rep.wcis, rel=1e-9)
+
+    def test_constant_features_score_the_mean_shift(self):
+        x, y, g, gy, _, k = _degenerate_case("constant-features")
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=k)
+        shift = 4 * 3.5 ** 2  # every covariance is 0; the means differ by 3.5 per dimension
+        assert rep.fid == pytest.approx(shift, rel=1e-12)
+        assert rep.bcfid == pytest.approx(shift, rel=1e-12)
+        assert rep.wcfid == pytest.approx(shift, rel=1e-12)
+
+    def test_one_hot_rows_keep_the_floor_perturbation_below_tolerance(self):
+        x, y, g, gy, probs, k = _degenerate_case("one-hot-at-PROB_FLOOR")
+        rep = build_report(probs=probs, gen_labels=gy, k=k)
+        # every class is predicted with certainty: IS = BCIS = K and WCIS = 1,
+        # up to the PROB_FLOOR perturbation
+        assert rep.is_ == pytest.approx(k, rel=k * PROB_FLOOR * 1e3)
+        assert rep.bcis == pytest.approx(k, rel=k * PROB_FLOOR * 1e3)
+        assert rep.wcis == pytest.approx(1.0, abs=k * PROB_FLOOR * 1e3)
+        assert rep.accuracy == 1.0

@@ -143,6 +143,16 @@ class TestLabelNoise:
         assert bcis(probs, noised) == pytest.approx(1.0, abs=0.05)
         assert wcis(probs, noised) == pytest.approx(inception_score(probs), rel=0.05)
 
+    def test_integral_float_labels_equal_integer_labels(self):
+        labels = rng_for(13).integers(0, 5, 200)
+        for p in (0.0, 0.3, 1.0):
+            assert np.array_equal(label_noise(labels.astype(np.float64), p, seed=14),
+                                  label_noise(labels, p, seed=14))
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            label_noise(np.array([0, -1, 1]), 0.5, seed=0)
+
     def test_invalid_fraction_rejected(self):
         with pytest.raises(InvalidInputError):
             label_noise(np.array([0, 1]), 1.5, seed=0)
@@ -197,6 +207,23 @@ class TestModeCollapse:
         # pool shrank below 25, so the draw must repeat rows
         class0 = fx[fy == 0]
         assert len(np.unique(class0, axis=0)) < 25
+
+    def test_pools_are_the_ascending_rows_of_each_class(self):
+        # one step, every pool smaller than the draw: the draw sees each pool
+        # in ascending row order, as np.flatnonzero(labels == c) lists it
+        y = rng_for(15).permutation(np.repeat(np.arange(3), [4, 5, 6]))
+        schedule = CollapseSchedule(steps=1, per_class_sample=7)
+        (step,) = mode_collapse_indices(y, 3, schedule, seed=16)
+        rng = rng_for(16, 0)
+        expected = [rng.choice(np.flatnonzero(y == c), size=7, replace=True) for c in range(3)]
+        assert np.array_equal(step, np.concatenate(expected))
+
+    def test_empty_class_and_length_mismatch_rejected(self):
+        y = np.array([0, 0, 2, 2])
+        with pytest.raises(InvalidInputError, match="class 1 has no samples"):
+            mode_collapse_indices(y, 3, CollapseSchedule(collapsed_classes=(2,)), seed=0)
+        with pytest.raises(InvalidInputError, match="label count 4 does not match row count 3"):
+            mode_collapse_run(np.zeros((3, 2)), y, CollapseSchedule(), seed=0)
 
     def test_missing_collapsed_class_rejected(self):
         y = np.repeat(np.arange(2), 10)

@@ -94,6 +94,26 @@ class TestErrors:
             load_labels(path)
         assert err.value.code == "bad-value"
 
+    @pytest.mark.parametrize("labels, k, code, text", [
+        (np.array([0, -1, 1]), None, "bad-value", "non-negative"),
+        (np.array([0, 3, 1]), 3, "bad-value", "[0, 3)"),
+        (np.zeros(0, dtype=np.int64), None, "bad-value", "empty"),
+        (np.array([[0, 1], [1, 0]]), None, "bad-rank", "1-D"),
+    ], ids=["negative", "out-of-range", "empty", "two-columns"])
+    def test_label_checks_map_to_codes(self, tmp_path, labels, k, code, text):
+        path = tmp_path / "l.cfm"
+        save_tensor(path, labels)
+        with pytest.raises(TensorFileError) as err:
+            load_labels(path, k=k)
+        assert err.value.code == code
+        assert text in str(err.value) and str(path) in str(err.value)
+
+    def test_non_integral_label_names_row(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("0\n1\n2.5\n")
+        with pytest.raises(TensorFileError, match="row 2"):
+            load_labels(path)
+
     def test_bad_rank_for_features(self, tmp_path):
         path = tmp_path / "v.cfm"
         save_tensor(path, np.arange(4, dtype=np.float64))
