@@ -53,8 +53,6 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         raise ConfigError(
             f"metric wcfid with pairing=hungarian needs {missing} "
             "to discover the class mapping")
-    if k is None and probs is None and gen_labels is None:
-        raise ConfigError("class count k could not be inferred; pass it explicitly")
 
     k = None if k is None else int(k)
     if probs is not None:
@@ -70,7 +68,9 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         gen_labels = as_label_vector(gen_labels, k)
     if probs is not None and gen_labels is not None:
         _check_rows(gen_labels, probs.shape[0])
-    if k is None:  # no probabilities: the classes are those the labels reach
+    if k is None and gen_labels is not None:
+        # no probabilities: the classes are those the labels reach; without
+        # labels (unconditional fid) no score needs k
         k = max(int(real_labels.max()), int(gen_labels.max())) + 1
     if real_features is not None:
         if real_labels is not None:

@@ -6,7 +6,12 @@ Score families
   and within-class (``wcis``) components.  With empirical class weights the
   three satisfy ``log IS = log BCIS + log WCIS`` exactly, because the mean
   sample-to-marginal KL splits into a between-class KL plus the class-weighted
-  within-class KL.
+  within-class KL.  They are computed from two quantities of the floored,
+  renormalized rows q: each row's negative entropy h_i = sum_j q_ij log q_ij
+  and the class averages a_c.  Then log IS = mean(h) - m . log m for the
+  marginal m, the log per-class score is mean_{i in c} h_i - a_c . log a_c,
+  and BCIS needs only the K x K averages; rows are cleaned in fixed-size
+  blocks, so no second array of the matrix's size is made.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.
@@ -39,6 +44,9 @@ PROB_FLOOR = 1e-12
 
 WEIGHTINGS = ("empirical", "uniform")
 
+# Entries per row block of the IS family's passes (see ``_is_family``).
+_IS_BLOCK = 2**15
+
 
 # ---------------------------------------------------------------------------
 # input validation
@@ -54,9 +62,10 @@ def as_probability_matrix(probs) -> np.ndarray:
         raise InvalidInputError("probability matrix has no rows")
     if k < 2:
         raise InvalidInputError(f"probability matrix needs at least 2 classes, got {k}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("probability matrix contains non-finite entries")
+    # min and max propagate NaN and +-inf, so they also settle finiteness
     lo, hi = float(p.min()), float(p.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InvalidInputError("probability matrix contains non-finite entries")
     if lo < -1e-9 or hi > 1.0 + 1e-9:
         bad = int(np.argmax((p < -1e-9) | (p > 1.0 + 1e-9), axis=None) // k)
         raise InvalidInputError(f"probability entries outside [0, 1] at row {bad}")
@@ -138,6 +147,11 @@ def _clean_rows(p: np.ndarray) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
+def _neg_entropy_rows(q: np.ndarray) -> np.ndarray:
+    """Row-wise sum_j q_ij log q_ij for strictly positive rows."""
+    return np.sum(q * np.log(q), axis=1)
+
+
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise KL(p_i || q) for strictly positive p rows and q."""
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
@@ -145,21 +159,34 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "empirical"):
     """IS, BCIS, WCIS and the per-class IS vector of a checked probability
-    matrix and checked labels in [0, k), from one cleaning and one class
-    split; without labels the last three are None."""
-    clean = _clean_rows(p)
-    is_ = float(np.exp(np.mean(_kl_rows(clean, clean.mean(axis=0)))))
+    matrix and checked labels in [0, k); without labels the last three are None.
+
+    One pass over row blocks of about ``_IS_BLOCK`` entries gives each row's
+    negative entropy and the marginal; labels add one pass over each class's
+    rows, in blocks of the same size, for its average (see the module
+    docstring for the identities).
+    """
+    n, width = p.shape
+    rows = max(1, _IS_BLOCK // width)
+    neg_entropy = np.empty(n)
+    col_sum = np.zeros(width)
+    for start in range(0, n, rows):
+        q = _clean_rows(p[start:start + rows])
+        neg_entropy[start:start + rows] = _neg_entropy_rows(q)
+        col_sum += q.sum(axis=0)
+    marginal = col_sum / n
+    is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
     if y is None:
         return is_, None, None, None
     # Conditioned classes live in their own index space: usually it matches
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
     idx = class_index_lists(y, k, min_count=1, side="conditioned")
-    averages = np.stack([clean[i].mean(axis=0) for i in idx])
+    averages = np.stack([
+        sum(_clean_rows(p[i[s:s + rows]]).sum(axis=0) for s in range(0, i.size, rows))
+        / i.size for i in idx])
     priors = class_priors(np.array([i.size for i in idx]), weighting)
-    within = np.array(
-        [float(np.mean(_kl_rows(clean[i], averages[c]))) for c, i in enumerate(idx)]
-    )
+    within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
     between = priors @ _kl_rows(averages, priors @ averages)
     return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
 

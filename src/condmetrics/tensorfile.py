@@ -12,6 +12,8 @@ header row, '.' decimals); every other path is read as binary.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -62,39 +64,47 @@ def _find_bad_row(a: np.ndarray) -> int:
 
 
 def _load_binary(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise TensorFileError(
-            f"{path}: bad magic at byte 0, expected {MAGIC!r}", code="bad-magic")
-    if len(data) < _HEADER.size:
-        raise TensorFileError(
-            f"{path}: header truncated at byte {len(data)}, expected {_HEADER.size}",
-            code="truncated")
-    _, version, code, rank = _HEADER.unpack_from(data)
-    if version != VERSION:
-        raise TensorFileError(f"{path}: unsupported version {version}", code="bad-version")
-    if code not in _DTYPE_BY_CODE:
-        raise TensorFileError(f"{path}: unknown dtype code {code}", code="bad-dtype")
-    if rank not in (1, 2):
-        raise TensorFileError(f"{path}: unsupported rank {rank}", code="bad-rank")
-    if data[10:12] != b"\x00\x00":
-        raise TensorFileError(f"{path}: non-zero padding at byte 10", code="bad-padding")
-    dims_end = _HEADER.size + 8 * rank
-    if len(data) < dims_end:
-        raise TensorFileError(
-            f"{path}: dims truncated at byte {len(data)}, expected {dims_end}",
-            code="truncated")
-    dims = struct.unpack_from(f"<{rank}Q", data, _HEADER.size)
-    dtype = _DTYPE_BY_CODE[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
-    actual = len(data) - dims_end
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # rank is at most 2, so this is the longest header a valid file has
+        head = fh.read(_HEADER.size + 16)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise TensorFileError(
+                f"{path}: bad magic at byte 0, expected {MAGIC!r}", code="bad-magic")
+        if size < _HEADER.size:
+            raise TensorFileError(
+                f"{path}: header truncated at byte {size}, expected {_HEADER.size}",
+                code="truncated")
+        _, version, code, rank = _HEADER.unpack_from(head)
+        if version != VERSION:
+            raise TensorFileError(f"{path}: unsupported version {version}", code="bad-version")
+        if code not in _DTYPE_BY_CODE:
+            raise TensorFileError(f"{path}: unknown dtype code {code}", code="bad-dtype")
+        if rank not in (1, 2):
+            raise TensorFileError(f"{path}: unsupported rank {rank}", code="bad-rank")
+        if head[10:12] != b"\x00\x00":
+            raise TensorFileError(f"{path}: non-zero padding at byte 10", code="bad-padding")
+        dims_end = _HEADER.size + 8 * rank
+        if size < dims_end:
+            raise TensorFileError(
+                f"{path}: dims truncated at byte {size}, expected {dims_end}",
+                code="truncated")
+        dims = struct.unpack_from(f"<{rank}Q", head, _HEADER.size)
+        dtype = _DTYPE_BY_CODE[code]
+        _check_payload(path, dims_end, size - dims_end, math.prod(dims) * dtype.itemsize)
+        arr = np.empty(dims, dtype=dtype)
+        fh.seek(dims_end)
+        # the file may shrink between the size check and the read
+        _check_payload(path, dims_end, fh.readinto(arr.reshape(-1).view(np.uint8)), arr.nbytes)
+    return arr
+
+
+def _check_payload(path: Path, start: int, actual: int, expected: int) -> None:
     if actual != expected:
         raise TensorFileError(
-            f"{path}: payload starting at byte {dims_end} has {actual} bytes, "
+            f"{path}: payload starting at byte {start} has {actual} bytes, "
             f"expected {expected}",
             code="truncated")
-    arr = np.frombuffer(data, dtype=dtype, count=int(np.prod(dims)), offset=dims_end)
-    return arr.reshape(dims).copy()
 
 
 def _load_csv(path: Path) -> np.ndarray:
@@ -128,7 +138,9 @@ def load_tensor(path) -> np.ndarray:
     """Load a tensor; '.csv' paths are parsed as text, all others as binary."""
     p = Path(path)
     arr = _load_csv(p) if p.suffix.lower() == ".csv" else _load_binary(p)
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and +-inf, and allocate nothing of the array's size
+    if arr.dtype.kind == "f" and arr.size and not (
+            np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise TensorFileError(
             f"{p}: non-finite value at row {_find_bad_row(arr)}", code="non-finite")
     return arr

@@ -63,6 +63,16 @@ class TestCmdMetrics:
         assert payload["warnings"] == []
         assert len(payload["per_class_fid"]) == 3
 
+    def test_unlabelled_features_need_no_k(self, dataset, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main(["metrics", "--real-features", str(dataset["real_features"]),
+                   "--gen-features", str(dataset["gen_features"]), "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["fid"] == condmetrics.fid(
+            load_tensor(dataset["real_features"]), load_tensor(dataset["gen_features"]))
+        assert payload["bcfid"] is None and payload["is"] is None
+
     def test_byte_identical_across_runs_and_threads(self, dataset, tmp_path):
         outputs = []
         for run in range(4):

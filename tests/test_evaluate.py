@@ -144,6 +144,13 @@ class TestBuildReport:
         assert rep.is_ is None and rep.bcis is None and rep.accuracy is None
         assert rep.fid is not None and rep.cfid_sum is not None
 
+    def test_unlabelled_features_need_no_k(self):
+        x, _ = make_instance(seed=5)
+        g, _ = make_instance(seed=6, shift=0.5)
+        rep = build_report(real_features=x, gen_features=g)
+        assert rep.fid == fid(x, g)
+        assert rep.bcfid is None and rep.per_class_fid is None and rep.is_ is None
+
     def test_feature_inputs_need_no_eigendecomposition(self, monkeypatch):
         # sample covariances are PSD factors by construction: no PSD check, no root
         def forbidden(*_args, **_kwargs):

@@ -14,6 +14,7 @@ from condmetrics import (
     bcfid,
     bcfid_from_stats,
     bcis,
+    build_report,
     cfid_sum,
     class_conditional_stats,
     estimate_gaussian,
@@ -26,7 +27,14 @@ from condmetrics import (
     wcfid_from_stats,
     wcis,
 )
-from condmetrics.metrics import as_probability_matrix, class_index_lists
+from condmetrics import metrics
+from condmetrics.metrics import (
+    PROB_FLOOR,
+    WEIGHTINGS,
+    as_probability_matrix,
+    class_index_lists,
+    class_priors,
+)
 from condmetrics.tensorfile import load_probabilities, save_tensor
 from condmetrics.synth import MixtureSpec, dirichlet_rows, gen_mixture, label_noise, rng_for
 
@@ -78,6 +86,13 @@ class TestProbabilityValidation:
         assert out[0, 1] == 1.0
         assert np.array_equal(out[1], [0.5, 0.5])
         assert probs[0, 0] == -1e-10  # the caller's matrix is left alone
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, value):
+        probs = np.full((3, 4), 0.25)
+        probs[1, 2] = value
+        with pytest.raises(InvalidInputError, match="^probability matrix contains non-finite"):
+            as_probability_matrix(probs)
 
     @pytest.mark.parametrize("rows, code", [
         ([[0.5, 0.5], [0.9, 0.3]], "row-sum"),
@@ -265,6 +280,84 @@ def conditioned_probs(seed):
     probs = dirichlet_rows(rng.uniform(0.2, 3.0, k), n, seed + 1)
     labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
     return rng, probs, labels.astype(np.int64), k
+
+
+def dense_is_family(p, y=None, k=None, weighting="empirical"):
+    """Reference: the IS family from the whole cleaned matrix and its KL rows."""
+    def kl_rows(a, b):
+        return np.sum(a * (np.log(a) - np.log(b)), axis=1)
+
+    clean = np.clip(p, PROB_FLOOR, None)
+    clean = clean / clean.sum(axis=1, keepdims=True)
+    is_ = float(np.exp(np.mean(kl_rows(clean, clean.mean(axis=0)))))
+    if y is None:
+        return is_, None, None, None
+    idx = class_index_lists(y, k, min_count=1, side="conditioned")
+    averages = np.stack([clean[i].mean(axis=0) for i in idx])
+    priors = class_priors(np.array([i.size for i in idx]), weighting)
+    within = np.array(
+        [float(np.mean(kl_rows(clean[i], averages[c]))) for c, i in enumerate(idx)])
+    between = priors @ kl_rows(averages, priors @ averages)
+    return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
+
+
+def assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_IS_BLOCK", block)
+        got = metrics._is_family(probs, labels, k, weighting)
+        unlabelled = metrics._is_family(probs)
+    want = dense_is_family(probs, labels, k, weighting)
+    assert unlabelled[0] == got[0]
+    assert np.allclose(got[:3], want[:3], rtol=1e-12, atol=0.0)
+    assert np.allclose(got[3], want[3], rtol=1e-12, atol=0.0)
+
+
+class TestStreamedISFamily:
+    """The blocked one-log pass equals the dense two-log computation."""
+
+    @given(st.integers(0, 10_000), st.integers(2, 7), st.integers(1, 5),
+           st.sampled_from(WEIGHTINGS), st.integers(1, 60), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_reference(self, seed, width, k, weighting, block, one_hot):
+        rng = rng_for(seed)
+        # unbalanced classes: each conditioned class gets 1 to 12 rows
+        labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 13, k)))
+        probs = dirichlet_rows(rng.uniform(0.1, 3.0, width), labels.size, seed)
+        if one_hot:  # rows at PROB_FLOOR after cleaning
+            probs[::2] = np.eye(width)[rng.integers(0, width, probs[::2].shape[0])]
+        assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block)
+
+    @pytest.mark.parametrize("case", [
+        "block-splits-class", "class-larger-than-block", "one-row-blocks", "ragged-last-block"])
+    def test_block_geometry(self, case):
+        width = 6
+        rows, labels = {
+            # 4-row blocks: class 0 spans the first two blocks
+            "block-splits-class": (4, np.array([1, 0, 0, 2, 0, 0, 1, 2])),
+            # class 1 has 7 rows, more than a 3-row block
+            "class-larger-than-block": (3, np.array([1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 2, 0])),
+            # width 6 exceeds a 5-entry block: each block is one row
+            "one-row-blocks": (None, np.array([0, 1, 2, 0, 1, 2, 2])),
+            # 10 rows in 4-row blocks: the last block has 2
+            "ragged-last-block": (4, np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 2])),
+        }[case]
+        block = 5 if rows is None else rows * width
+        probs = dirichlet_rows(np.linspace(0.3, 2.0, width), labels.size, seed=11)
+        for weighting in WEIGHTINGS:
+            assert_streamed_is_family_matches_dense(probs, labels, 3, weighting, block)
+
+    def test_report_memory_is_bounded_by_the_input(self):
+        rng = rng_for(20000)
+        probs = dirichlet_rows(np.full(500, 0.5), 20000, seed=5)
+        labels = rng.integers(0, 500, 20000)
+        tracemalloc.start()
+        try:
+            report = build_report(probs=probs, gen_labels=labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_ == pytest.approx(report.bcis * report.wcis, rel=1e-9)
+        assert peak <= 0.25 * probs.nbytes
 
 
 def is_family(probs, labels, k, weighting="empirical"):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ class TestRoundTrip:
         assert len(raw) == 12 + 16 + 6 * 8
 
 
+    @pytest.mark.parametrize("array", [
+        np.array([0.5, -2.25, 1e-300]),
+        np.arange(12, dtype=np.float64).reshape(4, 3) / 7,
+        np.array([3, -1, 2**62], dtype=np.int64),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.zeros((0, 3)),
+    ], ids=["float64-rank1", "float64-rank2", "int64-rank1", "int64-rank2", "empty"])
+    def test_round_trip_is_one_writable_contiguous_array(self, tmp_path, array):
+        path = tmp_path / "t.cfm"
+        save_tensor(path, array)
+        loaded = load_tensor(path)
+        assert loaded.dtype == array.dtype and loaded.shape == array.shape
+        assert loaded.tobytes() == array.tobytes()
+        assert loaded.flags.writeable and loaded.flags.c_contiguous
+        assert loaded.flags.owndata
+
+    def test_load_peaks_at_the_payload(self, tmp_path):
+        path = tmp_path / "big.cfm"
+        array = np.random.default_rng(3).standard_normal((2000, 500))
+        save_tensor(path, array)
+        tracemalloc.start()
+        try:
+            loaded = load_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, array)
+        assert peak <= array.nbytes + 2**20
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cfm"
@@ -68,6 +99,32 @@ class TestErrors:
             load_tensor(path)
         assert err.value.code == "truncated"
         assert "120" in str(err.value) and "128" in str(err.value)
+
+    @pytest.mark.parametrize("extra, actual", [(-8, 120), (8, 136)],
+                             ids=["truncated", "over-long"])
+    def test_payload_length_mismatch_names_byte_counts(self, tmp_path, extra, actual):
+        path = tmp_path / "bad.cfm"
+        save_tensor(path, np.zeros((4, 4)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:extra] if extra < 0 else raw + b"\x00" * extra)
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert err.value.code == "truncated"
+        assert str(err.value) == (
+            f"{path}: payload starting at byte 28 has {actual} bytes, expected 128")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("shape, where, row", [((3, 2), (2, 1), 2), ((5,), (3,), 3)],
+                             ids=["rank2", "rank1"])
+    def test_each_non_finite_value_names_row(self, tmp_path, value, shape, where, row):
+        path = tmp_path / "bad.cfm"
+        arr = np.full(shape, 0.5)
+        arr[where] = value
+        save_tensor(path, arr)
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert err.value.code == "non-finite"
+        assert str(err.value) == f"{path}: non-finite value at row {row}"
 
     def test_non_finite_entry_names_row(self, tmp_path):
         path = tmp_path / "nan.cfm"
