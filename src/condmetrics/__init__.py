@@ -8,7 +8,12 @@ from .errors import (
     NotPSDError,
     TensorFileError,
 )
-from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
+from .evaluate import (
+    build_report,
+    subsampled_fid_suite,
+    sweep_label_noise,
+    sweep_mode_collapse,
+)
 from .gaussian import (
     GaussianStats,
     estimate_gaussian,
@@ -36,7 +41,6 @@ from .metrics import (
     inception_score,
     per_class_is,
     pooled_gaussian,
-    subsampled_fid_suite,
     wcfid,
     wcfid_from_stats,
     wcis,

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
-from .matching import _average_class_probabilities, hungarian_max
-from .metrics import _check_rows
+from .matching import average_class_probabilities, hungarian_max
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -34,7 +33,7 @@ from .synth import (
     gen_rings,
     gen_tightness_case,
 )
-from .tensorfile import load_features, load_labels, load_probabilities, save_tensor
+from .tensorfile import load_features, load_labels, save_tensor
 
 
 def _existing(path: str | None, flag: str) -> Path | None:
@@ -57,7 +56,8 @@ def _load_inputs(args) -> dict:
     data["gen_features"] = load_features(gf) if gf else None
     data["real_labels"] = load_labels(rl) if rl else None
     data["gen_labels"] = load_labels(gl) if gl else None
-    data["probs"] = load_probabilities(pp) if pp else None
+    # the library checks the probability matrix, once
+    data["probs"] = load_features(pp) if pp else None
     return data
 
 
@@ -96,20 +96,13 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"unparseable --grid value: {raw!r}") from None
-
-
 def cmd_sweep(args) -> int:
     data = _load_inputs(args)
     common = dict(
         **data, k=args.k, subset_size=args.subset_size, trials=args.trials,
         seed=args.seed, weighting=args.weighting, pairing=args.pairing)
     if args.experiment == "label_noise":
-        grid = _parse_grid(args.grid) if args.grid else [i / 10 for i in range(11)]
+        grid = _parse_list(args.grid, "--grid") if args.grid else [i / 10 for i in range(11)]
         rows = sweep_label_noise(grid=grid, **common)
     else:
         schedule = CollapseSchedule(
@@ -132,11 +125,8 @@ def cmd_match(args) -> int:
     labels_path = _existing(args.gen_labels, "--gen-labels")
     if probs_path is None or labels_path is None:
         raise ConfigError("match needs --probs and --gen-labels")
-    probs = load_probabilities(probs_path)
-    conds = load_labels(labels_path, k=probs.shape[1])
-    _check_rows(conds, probs.shape[0])
-    # the loaders have checked both arrays already
-    averages = _average_class_probabilities(probs, conds)
+    averages = average_class_probabilities(
+        load_features(probs_path), load_labels(labels_path))
     assignment = hungarian_max(averages)
     _write(args.out, assignment_to_json(assignment.mapping, assignment.score, averages))
     return 0

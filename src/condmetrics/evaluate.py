@@ -3,10 +3,11 @@
 These functions take in-memory arrays; the CLI layer handles files.  Every
 path is deterministic given the inputs and the seed.
 
-Each input array is checked and the real side's Gaussians estimated once per
-set of inputs; each report then scores only what its point changes (the
-generated labels, or a row subset of the generated side).  ``build_report`` is
-the one-point case, and a sweep scores every grid point against one preparation.
+One core, ``_evaluation``, checks every option and input once and builds every
+point (a vector of generated labels, on all or some generated rows) before any
+score.  It then estimates each trial's real side once, scores every point's
+generated side against it and drops it, so one trial's real side is held at a
+time.  ``build_report`` and ``subsampled_fid_suite`` are one-point callers.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .metrics import (
     _check_rows,
     _checked_features,
     _column_sets,
+    _fid_scores,
     _fid_side,
     _is_family,
+    _resolve_mapping,
     _score_fid,
     as_label_vector,
     as_probability_matrix,
@@ -32,11 +35,13 @@ from .synth import CollapseSchedule, _label_noise, _mode_collapse_indices, rng_f
 PAIRINGS = ("identity", "hungarian")
 
 
-def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, k,
-                subset_size, trials, seed, weighting, pairing):
-    """Check the configuration and each input, and estimate the real side, once.
-    Returns ``(score, checked gen_labels, k)``; ``score(labels, rows=None)`` reports
-    one point of checked labels, on the generated rows ``rows`` if given."""
+def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels, probs, k,
+                subset_size, trials, seed, weighting, pairing, mapping=None):
+    """One report per point of ``points(checked gen_labels, k)``, an iterable of
+    ``(labels, rows)``: checked generated labels, on the generated rows ``rows``
+    (all of them if None).  ``mapping`` fixes the class pairing of every point,
+    and ``pairing`` is then only the report's label; otherwise "hungarian"
+    discovers each point's pairing from its probabilities."""
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
     if probs is None and real_features is None and gen_features is None:
@@ -48,7 +53,8 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
         raise ConfigError(
             f"metrics bcfid/wcfid need labels on both sides; {missing} is missing")
-    if pairing == "hungarian" and (probs is None or gen_labels is None):
+    discover = pairing == "hungarian" and mapping is None
+    if discover and (probs is None or gen_labels is None):
         missing = "--probs" if probs is None else "--gen-labels"
         raise ConfigError(
             f"metric wcfid with pairing=hungarian needs {missing} "
@@ -73,41 +79,43 @@ def _evaluation(*, real_features, real_labels, gen_features, gen_labels, probs, 
         # labels (unconditional fid) no score needs k
         k = max(int(real_labels.max()), int(gen_labels.max())) + 1
     if real_features is not None:
-        if real_labels is not None:
-            real_counts = np.bincount(real_labels, minlength=k)
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
-        dims_used = rf.shape[1] if subset_size is None else subset_size
-        real_sides = [_fid_side(rf, real_labels, cols, k, weighting, "real")
-                      for cols in column_sets]
+    if gen_labels is not None:
+        mapping = _resolve_mapping(mapping, k)  # identity if None
+    points = list(points(gen_labels, k))
 
-    def score(gen_labels, rows=None) -> MetricReport:
-        report = MetricReport(pairing=pairing, seed=int(seed))
+    reports = [MetricReport(pairing=pairing, seed=int(seed)) for _ in points]
+    mappings = []
+    for report, (labels, rows) in zip(reports, points):
         p = probs if rows is None or probs is None else probs[rows]
         if p is not None:
             report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
-                p, gen_labels, k, weighting)
-            if gen_labels is not None:
-                report.accuracy, report.per_class_accuracy = _accuracy(p, gen_labels)
-
-        mapping = None if pairing == "identity" else hungarian_max(
-            _average_class_probabilities(p, gen_labels)).mapping
-
-        if real_features is None:
-            return report
-        g = gf if rows is None else gf[rows]
-        if gen_labels is not None:
-            paired = real_counts if mapping is None else real_counts[mapping]
-            if np.any(paired != np.bincount(gen_labels, minlength=k)):
+                p, labels, k, weighting)
+            if labels is not None:
+                report.accuracy, report.per_class_accuracy = _accuracy(p, labels)
+        mappings.append(hungarian_max(_average_class_probabilities(p, labels)).mapping
+                        if discover else mapping)
+        if real_features is not None and labels is not None:
+            paired = np.bincount(real_labels, minlength=k)[mappings[-1]]
+            if np.any(paired != np.bincount(labels, minlength=k)):
                 report.warnings.append(
                     "per-class sample counts differ between the real and generated "
                     "sides; the conditional-bound guarantees assume matched counts")
-        report.dims_used = dims_used
-        gen_sides = (_fid_side(g, gen_labels, cols, k, weighting, "generated")
-                     for cols in column_sets)
-        _score_fid(report, real_sides, gen_sides, mapping, scale)
-        return report
+    if real_features is None:
+        return reports
 
-    return score, gen_labels, k
+    scores = [[] for _ in points]
+    for cols in column_sets:
+        real = _fid_side(rf, real_labels, cols, k, weighting, "real")
+        for (labels, rows), point_mapping, trials_of_point in zip(points, mappings, scores):
+            trials_of_point.append(_fid_scores(real, _fid_side(
+                gf if rows is None else gf[rows], labels, cols, k, weighting, "generated"),
+                point_mapping))
+        del real  # before the next trial's real side is estimated
+    for report, trials_of_point in zip(reports, scores):
+        report.dims_used = rf.shape[1] if subset_size is None else subset_size
+        _score_fid(report, trials_of_point, scale)
+    return reports
 
 
 def build_report(
@@ -132,11 +140,40 @@ def build_report(
     is recorded when the per-class sample counts of the two sides differ,
     since the conditional-bound guarantees assume matched counts.
     """
-    score, gen_labels, _ = _evaluation(
+    return _evaluation(
+        lambda labels, _k: [(labels, None)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing)
-    return score(gen_labels)
+        seed=seed, weighting=weighting, pairing=pairing)[0]
+
+
+def subsampled_fid_suite(
+    real_features,
+    real_labels,
+    gen_features,
+    gen_labels,
+    subset_size: int,
+    trials: int,
+    seed: int,
+    *,
+    k: int | None = None,
+    pairing=None,
+    weighting: str = "empirical",
+    pairing_label: str = "identity",
+) -> MetricReport:
+    """Feature-subsampled, per-dimension-normalized FID family (no probabilities).
+
+    Each trial draws ``subset_size`` distinct feature columns, shared by both
+    sides and by fid/bcfid/wcfid, and divides the scores by ``subset_size``; the
+    report holds the mean over trials; without labels it holds fid alone.
+    ``pairing`` is a fixed class mapping (identity if None), reported as
+    ``pairing_label``.
+    """
+    return _evaluation(
+        lambda labels, _k: [(labels, None)],
+        real_features=real_features, real_labels=real_labels, gen_features=gen_features,
+        gen_labels=gen_labels, probs=None, k=k, subset_size=subset_size, trials=trials,
+        seed=seed, weighting=weighting, pairing=pairing_label, mapping=pairing)[0]
 
 
 def sweep_label_noise(
@@ -158,12 +195,14 @@ def sweep_label_noise(
     generated labels with the stream (seed, spawn_key=(i,))."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
-    score, gen_labels, _ = _evaluation(
+    grid = [float(p) for p in grid]
+    reports = _evaluation(
+        lambda labels, _k: [(_label_noise(labels, p, _point_seed(seed, i)), None)
+                            for i, p in enumerate(grid)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
-    return [(float(p), score(_label_noise(gen_labels, float(p), _point_seed(seed, i))))
-            for i, p in enumerate(grid)]
+    return list(zip(grid, reports))
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -190,9 +229,10 @@ def sweep_mode_collapse(
     emitted dataset of the staged pool-shrinking simulation."""
     if gen_features is None or gen_labels is None:
         raise ConfigError("mode_collapse sweep needs generated features and labels")
-    score, gen_labels, k = _evaluation(
+    reports = _evaluation(
+        lambda labels, k: [(labels[idx], idx)
+                           for idx in _mode_collapse_indices(labels, k, schedule, seed)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
-    steps = _mode_collapse_indices(gen_labels, k, schedule, seed)
-    return [(float(step), score(gen_labels[idx], idx)) for step, idx in enumerate(steps)]
+    return [(float(step), report) for step, report in enumerate(reports)]

@@ -36,7 +36,8 @@ def as_feature_matrix(features) -> np.ndarray:
     n, d = x.shape
     if n < 1 or d < 1:
         raise InvalidInputError(f"feature matrix must be non-empty, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    # min and max propagate NaN and +-inf, so they settle finiteness
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise InvalidInputError("feature matrix contains non-finite entries")
     return x
 

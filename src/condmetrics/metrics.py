@@ -142,14 +142,19 @@ def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray
 # probability-based scores
 
 
-def _clean_rows(p: np.ndarray) -> np.ndarray:
-    q = np.clip(p, PROB_FLOOR, None)
-    return q / q.sum(axis=1, keepdims=True)
+def _clean_rows(p: np.ndarray, buf: np.ndarray, index=None) -> np.ndarray:
+    """The floored, renormalized rows of p (or p[index]), in the first rows of buf."""
+    q = buf[:len(p) if index is None else index.size]
+    if index is not None:
+        # the indices are in range: mode "clip" spares the copy take makes of out
+        p = np.take(p, index, axis=0, out=q, mode="clip")
+    np.clip(p, PROB_FLOOR, None, out=q)
+    return np.divide(q, q.sum(axis=1, keepdims=True), out=q)
 
 
-def _neg_entropy_rows(q: np.ndarray) -> np.ndarray:
-    """Row-wise sum_j q_ij log q_ij for strictly positive rows."""
-    return np.sum(q * np.log(q), axis=1)
+def _neg_entropy_rows(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise sum_j q_ij log q_ij of strictly positive rows (products in out)."""
+    return np.sum(np.multiply(q, np.log(q, out=out), out=out), axis=1)
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,11 +173,13 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     """
     n, width = p.shape
     rows = max(1, _IS_BLOCK // width)
+    # reused block buffers: fresh ones are returned to the OS and faulted in per block
+    buf, prod = np.empty((2, min(rows, n), width))
     neg_entropy = np.empty(n)
     col_sum = np.zeros(width)
     for start in range(0, n, rows):
-        q = _clean_rows(p[start:start + rows])
-        neg_entropy[start:start + rows] = _neg_entropy_rows(q)
+        q = _clean_rows(p[start:start + rows], buf)
+        neg_entropy[start:start + rows] = _neg_entropy_rows(q, prod[:len(q)])
         col_sum += q.sum(axis=0)
     marginal = col_sum / n
     is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
@@ -183,7 +190,7 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     # predicted classes is legal.  Every conditioned class must be non-empty.
     idx = class_index_lists(y, k, min_count=1, side="conditioned")
     averages = np.stack([
-        sum(_clean_rows(p[i[s:s + rows]]).sum(axis=0) for s in range(0, i.size, rows))
+        sum(_clean_rows(p, buf, i[s:s + rows]).sum(axis=0) for s in range(0, i.size, rows))
         / i.size for i in idx])
     priors = class_priors(np.array([i.size for i in idx]), weighting)
     within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
@@ -264,10 +271,6 @@ class ClassConditionalStats:
     def k(self) -> int:
         return len(self.per_class)
 
-    @property
-    def dim(self) -> int:
-        return self.between.dim
-
 
 def class_conditional_stats(
     features,
@@ -300,9 +303,7 @@ def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
     return ClassConditionalStats(per_class=per_class, between=between, priors=priors)
 
 
-def class_conditional_from_moments(
-    means, covs, priors, *, counts=None
-) -> ClassConditionalStats:
+def class_conditional_from_moments(means, covs, priors) -> ClassConditionalStats:
     """Build ClassConditionalStats from explicit per-class moments.
 
     Useful for population-level checks where the moments are known
@@ -314,9 +315,7 @@ def class_conditional_from_moments(
         raise InvalidInputError("means must be a K x d matrix matching the priors")
     if np.any(priors < 0) or abs(float(priors.sum()) - 1.0) > 1e-9:
         raise InvalidInputError("priors must be non-negative and sum to 1")
-    counts = np.zeros(priors.size, dtype=np.int64) if counts is None else counts
-    per_class = tuple(
-        GaussianStats(means[c], covs[c], int(counts[c])) for c in range(priors.size))
+    per_class = tuple(GaussianStats(means[c], covs[c]) for c in range(priors.size))
     return _with_between(per_class, priors)
 
 
@@ -392,6 +391,8 @@ def _column_sets(d: int, subset_size, trials: int, seed: int):
     """The FID family's column sets and score divisor: all columns as one trial
     at scale 1, or ``trials`` seeded draws of ``subset_size`` of the d columns."""
     if subset_size is None:
+        if trials != 1:
+            raise InvalidInputError(f"trials must be 1 without subset_size, got {trials}")
         return [slice(None)], 1.0
     if not 1 <= subset_size <= d:
         raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
@@ -411,15 +412,17 @@ def _fid_side(x: np.ndarray, y, cols, k: int | None, weighting: str, side: str):
     return pooled, classes
 
 
-def _score_fid(report: MetricReport, real_sides, gen_sides, pairing, scale: float) -> None:
-    """Set the FID family of ``report`` (fid, and with labels bcfid, wcfid and the
-    per-class vector): each is its mean over the paired trials of prepared
-    sides, divided by ``scale``."""
-    scores = []
-    for (real_pooled, real), (gen_pooled, gen) in zip(real_sides, gen_sides):
-        f = frechet_distance(real_pooled, gen_pooled)
-        scores.append((f,) if real is None else
-                      (f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing)))
+def _fid_scores(real_side, gen_side, pairing) -> tuple:
+    """One trial's (fid,), or with labels (fid, bcfid, wcfid, per-class vector)."""
+    (real_pooled, real), (gen_pooled, gen) = real_side, gen_side
+    f = frechet_distance(real_pooled, gen_pooled)
+    return (f,) if real is None else (
+        f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing))
+
+
+def _score_fid(report: MetricReport, scores, scale: float) -> None:
+    """Set the FID family of ``report``: each score is its mean over the trials'
+    ``_fid_scores``, divided by ``scale``."""
     means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
     report.fid = float(means[0])
     if len(means) > 1:
@@ -486,39 +489,3 @@ class MetricReport:
     seed: int = 0
     warnings: list[str] = field(default_factory=list)
 
-
-def subsampled_fid_suite(
-    real_features,
-    real_labels,
-    gen_features,
-    gen_labels,
-    subset_size: int,
-    trials: int,
-    seed: int,
-    *,
-    k: int | None = None,
-    pairing=None,
-    weighting: str = "empirical",
-    pairing_label: str = "identity",
-) -> MetricReport:
-    """Feature-subsampled, per-dimension-normalized FID family.
-
-    Each trial draws ``subset_size`` distinct feature indices (shared by the
-    real and generated sides and by fid/bcfid/wcfid), computes the scores on
-    the column-restricted matrices, and divides them by ``subset_size``; the
-    report holds the mean over trials.  Labels may be omitted to subsample
-    the unconditional fid alone.
-    """
-    if real_labels is None or gen_labels is None:
-        real_labels = gen_labels = pairing = None
-    elif k is None:
-        raise InvalidInputError("k is required when labels are provided")
-    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
-    column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
-    report = MetricReport(dims_used=subset_size, pairing=pairing_label, seed=int(seed))
-    _score_fid(
-        report,
-        (_fid_side(rf, ry, cols, k, weighting, "real") for cols in column_sets),
-        (_fid_side(gf, gy, cols, k, weighting, "generated") for cols in column_sets),
-        pairing, scale)
-    return report

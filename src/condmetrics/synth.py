@@ -79,12 +79,6 @@ class MixtureSpec:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def population_stats(self, weighting_counts: bool = True) -> ClassConditionalStats:
-        """Analytic class-conditional statistics of the mixture."""
-        priors = self.counts / self.counts.sum() if weighting_counts else (
-            np.full(self.k, 1.0 / self.k))
-        return class_conditional_from_moments(self.means, self.covs, priors)
-
 
 def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     # Eigen factor L with L L^T = cov; unlike Cholesky it accepts singular covs.

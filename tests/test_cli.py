@@ -140,6 +140,31 @@ class TestExitCodes:
         save_tensor(bad, np.array([[0.9, 0.3], [0.5, 0.5]]))
         assert main(["metrics", "--probs", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["metrics", "match"])
+    def test_probability_file_with_bad_row_sum_is_invalid_input(
+            self, dataset, tmp_path, capsys, command):
+        bad = tmp_path / "p.cfm"
+        probs = load_tensor(dataset["probs"])
+        probs[7] *= 0.5
+        save_tensor(bad, probs)
+        rc = main([command, "--probs", str(bad), "--gen-labels", str(dataset["gen_labels"]),
+                   "--out", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert "probability row 7 sums to" in capsys.readouterr().err
+
+    def test_trials_without_subset_size_is_invalid_input(self, dataset, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(metrics_args(dataset, out, ["--trials", "7"])) == 2
+        assert "trials must be 1 without subset_size, got 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trailing_comma_in_grid_is_config_error(self, dataset, tmp_path, capsys):
+        rc = main(["sweep", "--experiment", "label_noise", "--grid", "0,0.5,",
+                   "--gen-labels", str(dataset["gen_labels"]),
+                   "--probs", str(dataset["probs"]), "--out", str(tmp_path / "s.csv")])
+        assert rc == 4
+        assert "unparseable --grid value: '0,0.5,'" in capsys.readouterr().err
+
     def test_empty_label_file_without_k_is_invalid_input(self, dataset, tmp_path, capsys):
         empty = tmp_path / "empty.cfm"
         save_tensor(empty, np.zeros(0, dtype=np.int64))

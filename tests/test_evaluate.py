@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,13 @@ class TestBuildReport:
         with pytest.raises(ConfigError):
             build_report(k=3)
 
+    @pytest.mark.parametrize("trials", [0, 7])
+    def test_trials_without_subset_size_is_invalid_input(self, trials):
+        x, y = make_instance(seed=18)
+        with pytest.raises(InvalidInputError, match=f"trials must be 1 without subset_size, got {trials}"):
+            build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
+                         trials=trials)
+
     def test_integral_float_labels_equal_integer_labels(self):
         x, y = make_instance(seed=34)
         g, gy = make_instance(seed=35)
@@ -283,6 +291,104 @@ class TestBuildReport:
         labels[:4] = np.arange(4)
         rep = build_report(probs=probs, gen_labels=labels, k=4)
         assert abs(math.log(rep.is_) - math.log(rep.bcis) - math.log(rep.wcis)) <= 1e-8
+
+
+class TestSubsampledSuiteFollowsBuildReport:
+    """subsampled_fid_suite is build_report's one-point core with no probabilities."""
+
+    def test_one_sided_labels_are_config_errors(self):
+        x, y = make_instance(seed=60, d=6)
+        g, gy = make_instance(seed=61, d=6)
+        for real_labels, gen_labels, missing in [(y, None, "--gen-labels"),
+                                                 (None, gy, "--real-labels")]:
+            with pytest.raises(ConfigError, match=missing):
+                build_report(real_features=x, real_labels=real_labels, gen_features=g,
+                             gen_labels=gen_labels, k=3, subset_size=4)
+            with pytest.raises(ConfigError, match=missing):
+                subsampled_fid_suite(x, real_labels, g, gen_labels, 4, 2, 0, k=3)
+
+    def test_unequal_counts_give_the_same_warning(self):
+        k, d = 3, 5
+        means = rng_for(62).normal(0.0, 3.0, (k, d))
+        x, y = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [30, 40, 50], seed=63))
+        g, gy = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [50, 40, 30], seed=64))
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                           k=k, subset_size=3, trials=2, seed=4)
+        suite = subsampled_fid_suite(x, y, g, gy, 3, 2, 4, k=k)
+        assert len(suite.warnings) == 1
+        assert suite.warnings == rep.warnings
+        assert report_to_json(suite) == report_to_json(rep)
+
+    def test_omitted_k_is_inferred(self):
+        x, y = make_instance(seed=65, d=6)
+        g, gy = make_instance(seed=66, d=6, shift=0.2)
+        assert report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1)) == \
+            report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1, k=3))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry", ["build_report", "subsampled_fid_suite", "sweep_label_noise"])
+def test_peak_memory_does_not_grow_with_trials(entry):
+    # one trial's real side is held at a time, so 20 trials peak like one
+    rng = rng_for(67)
+    k, n, d, subset = 10, 100, 64, 32
+    y = np.repeat(np.arange(k), n)
+    x = rng.normal(0.0, 1.0, (y.size, d)) + 0.1 * y[:, None]
+    gy = rng.permutation(y)
+    g = rng.normal(0.0, 1.1, (gy.size, d))
+
+    def run(trials):
+        if entry == "subsampled_fid_suite":
+            return subsampled_fid_suite(x, y, g, gy, subset, trials, 0, k=k)
+        inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                      k=k, subset_size=subset, trials=trials)
+        if entry == "build_report":
+            return build_report(**inputs)
+        return sweep_label_noise(grid=[0.0, 1.0], **inputs)
+
+    one, twenty = _traced_peak(lambda: run(1)), _traced_peak(lambda: run(20))
+    assert twenty <= 1.1 * one, (one, twenty)
+
+
+class TestChecksBeforeScores:
+    """Every option and input is checked, and every point built, before any score."""
+
+    @pytest.fixture(autouse=True)
+    def no_score(self, monkeypatch):
+        import condmetrics.evaluate as evaluate_mod
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a score was computed before every check ran")
+
+        for name in ("_is_family", "_fid_side"):
+            monkeypatch.setattr(evaluate_mod, name, forbidden)
+
+    def test_bad_last_grid_point(self):
+        x, y = make_instance(seed=68)
+        probs = one_hot_dominant(y, 3, seed=69)
+        with pytest.raises(InvalidInputError, match="noise fraction must be in"):
+            sweep_label_noise(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
+                              probs=probs, grid=[0.0, 0.5, 1.5])
+
+    def test_subset_larger_than_the_dimension(self):
+        x, y = make_instance(seed=70, d=4)
+        probs = one_hot_dominant(y, 3, seed=71)
+        with pytest.raises(InvalidInputError, match=r"subset_size must be in \[1, 4\]"):
+            build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
+                         probs=probs, subset_size=5, trials=2)
+
+    def test_bad_fixed_pairing(self):
+        x, y = make_instance(seed=72, d=4)
+        with pytest.raises(InvalidInputError, match="pairing must be a permutation"):
+            subsampled_fid_suite(x, y, x, y, 2, 2, 0, pairing=[0, 0, 1])
 
 
 class TestSweeps:
@@ -418,6 +524,23 @@ class TestValidationBoundary:
             wcfid(x, y, g, gy, 4)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
                          "as_probability_matrix": 0}
+
+    def test_cli_metrics_checks_each_matrix_once(self, monkeypatch, tmp_path):
+        from condmetrics import save_tensor
+        from condmetrics.cli import main
+
+        x, y = make_instance(seed=47, k=4, d=5)
+        g, gy = make_instance(seed=48, k=4, d=5, shift=0.3)
+        argv = ["metrics", "--out", str(tmp_path / "report.json")]
+        for flag, arr in [("real-features", x), ("real-labels", y), ("gen-features", g),
+                          ("gen-labels", gy), ("probs", one_hot_dominant(gy, 4, seed=49))]:
+            save_tensor(tmp_path / f"{flag}.cfm", arr)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.cfm")]
+        calls = self._count_checks(monkeypatch)
+        assert main(argv) == 0
+        # the loaders check the label vectors too; the matrices are checked once
+        assert calls["as_probability_matrix"] == 1
+        assert calls["as_feature_matrix"] == 2
 
     def test_mode_collapse_sweep_checks_each_array_once(self, monkeypatch):
         x, y = make_instance(seed=45, k=3, d=4, n_per_class=30)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from condmetrics import (
     frechet_distance_raw,
     sqrtm_psd,
 )
+from condmetrics.gaussian import as_feature_matrix
 
 
 def random_stats(rng, d, scale=1.0):
@@ -24,6 +27,25 @@ def diagonal_frechet(mu1, var1, mu2, var2):
     mu1, mu2 = np.asarray(mu1, float), np.asarray(mu2, float)
     var1, var2 = np.asarray(var1, float), np.asarray(var2, float)
     return float(np.sum((mu1 - mu2) ** 2) + np.sum((np.sqrt(var1) - np.sqrt(var2)) ** 2))
+
+
+class TestAsFeatureMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        x = np.ones((5, 3))
+        x[3, 1] = bad
+        with pytest.raises(InvalidInputError, match="feature matrix contains non-finite entries"):
+            as_feature_matrix(x)
+
+    def test_finiteness_check_allocates_no_matrix_sized_temporary(self):
+        x = np.zeros((20000, 1024))  # 164 MB of untouched pages; reading them maps no memory
+        tracemalloc.start()
+        try:
+            assert as_feature_matrix(x) is x
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEstimateGaussian:
