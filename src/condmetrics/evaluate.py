@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
     MetricReport,
@@ -42,6 +42,9 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
     (all of them if None).  ``mapping`` fixes the class pairing of every point,
     and ``pairing`` is then only the report's label; otherwise "hungarian"
     discovers each point's pairing from its probabilities."""
+    k = None if k is None else int(k)
+    if k is not None and k < 1:
+        raise InvalidInputError(f"class count must be >= 1, got {k}")
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
     if probs is None and real_features is None and gen_features is None:
@@ -49,6 +52,10 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
     if (real_features is None) != (gen_features is None):
         missing = "--gen-features" if gen_features is None else "--real-features"
         raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
+    if real_features is None and (subset_size is not None or trials != 1):
+        option = "--subset-size" if subset_size is not None else "--trials"
+        raise ConfigError(f"option {option} needs features on both sides; "
+                          "--real-features and --gen-features are missing")
     if real_features is not None and (real_labels is None) != (gen_labels is None):
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
         raise ConfigError(
@@ -60,7 +67,6 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
             f"metric wcfid with pairing=hungarian needs {missing} "
             "to discover the class mapping")
 
-    k = None if k is None else int(k)
     if probs is not None:
         probs = as_probability_matrix(probs)
         if k is not None and probs.shape[1] != k:

@@ -11,6 +11,7 @@ optimal completions exactly the perfect matchings of zero-slack edges
 a row's smaller columns are pruned by their slack and the survivors priced
 together by one shortest-path search over the unfixed rows.  Worst case
 O(K^3): Bellman-Ford for the potentials, then one O(K^2) search per row.
+scipy is imported at the first solve, so the scores never load it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .metrics import as_label_vector, as_probability_matrix, class_index_lists
@@ -52,6 +52,13 @@ def average_class_probabilities(probs, conds) -> np.ndarray:
 
 def _assignment_score(value: np.ndarray, mapping: np.ndarray) -> float:
     return float(value[np.arange(value.shape[0]), mapping].sum())
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _solve_max(value: np.ndarray) -> np.ndarray:

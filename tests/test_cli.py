@@ -158,6 +158,35 @@ class TestExitCodes:
         assert "trials must be 1 without subset_size, got 7" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, rc", [
+        (["--subset-size", "5", "--trials", "7"], 4),
+        (["--trials", "7"], 4),
+        ([], 0),
+        (["--trials", "1"], 0),
+    ])
+    def test_subsampling_flags_without_features(self, dataset, tmp_path, capsys, extra, rc):
+        out = tmp_path / "report.json"
+        assert main(["metrics", "--probs", str(dataset["probs"]),
+                     "--gen-labels", str(dataset["gen_labels"]),
+                     "--out", str(out), *extra]) == rc
+        if rc:
+            assert "needs features on both sides" in capsys.readouterr().err
+        assert out.exists() == (rc == 0)
+
+    @pytest.mark.parametrize("inputs", [
+        ["real_features", "gen_features"],
+        ["probs"],
+        ["real_features", "real_labels", "gen_features", "gen_labels"],
+    ])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_non_positive_k_is_invalid_input(self, dataset, tmp_path, capsys, inputs, k):
+        flags = [arg for name in inputs
+                 for arg in ("--" + name.replace("_", "-"), str(dataset[name]))]
+        out = tmp_path / "report.json"
+        assert main(["metrics", *flags, "--k", k, "--out", str(out)]) == 2
+        assert f"class count must be >= 1, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trailing_comma_in_grid_is_config_error(self, dataset, tmp_path, capsys):
         rc = main(["sweep", "--experiment", "label_noise", "--grid", "0,0.5,",
                    "--gen-labels", str(dataset["gen_labels"]),

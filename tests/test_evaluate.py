@@ -269,6 +269,22 @@ class TestBuildReport:
             build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
                          trials=trials)
 
+    @pytest.mark.parametrize("option, message", [
+        (dict(subset_size=5, trials=7), "option --subset-size needs features on both sides"),
+        (dict(subset_size=2), "option --subset-size needs features on both sides"),
+        (dict(trials=7), "option --trials needs features on both sides"),
+    ])
+    def test_subsampling_without_features_is_config_error(self, option, message):
+        _, gy = make_instance(seed=18)
+        with pytest.raises(ConfigError, match=message):
+            build_report(probs=one_hot_dominant(gy, 3), gen_labels=gy, **option)
+
+    def test_default_trials_without_features_is_accepted(self):
+        _, gy = make_instance(seed=18)
+        probs = one_hot_dominant(gy, 3)
+        assert report_to_json(build_report(probs=probs, gen_labels=gy, trials=1)) == \
+            report_to_json(build_report(probs=probs, gen_labels=gy))
+
     def test_integral_float_labels_equal_integer_labels(self):
         x, y = make_instance(seed=34)
         g, gy = make_instance(seed=35)

@@ -1,10 +1,16 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import condmetrics
 import condmetrics.matching as matching
 from condmetrics import (
     InvalidInputError,
@@ -264,3 +270,28 @@ class TestAlignDiscovered:
             assert result.score == best_score
             assert np.array_equal(result.mapping, (np.arange(k) + k // 2) % k)
             assert np.array_equal(result.mapping, np.asarray(best_perm))
+
+
+_STARTUP_CHILD = """
+import json, sys
+import condmetrics, condmetrics.cli
+scipy_at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+mapping = condmetrics.hungarian_max(json.loads(sys.argv[1])).mapping.tolist()
+print(json.dumps({"at_import": scipy_at_import, "after_solve": "scipy" in sys.modules,
+                  "mapping": mapping}))
+"""
+
+
+def test_scipy_is_imported_at_the_first_solve():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    value = rng_for(5).uniform(0.0, 1.0, (4, 4))
+    src = str(Path(condmetrics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD, json.dumps(value.tolist())],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["at_import"] == []
+    assert child["after_solve"]
+    assert child["mapping"] == hungarian_max(value).mapping.tolist()
