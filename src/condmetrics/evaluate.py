@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
+    WEIGHTINGS,
     MetricReport,
     _accuracy,
     _check_rows,
@@ -47,6 +48,8 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
         raise InvalidInputError(f"class count must be >= 1, got {k}")
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
+    if weighting not in WEIGHTINGS:
+        raise InvalidInputError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     if probs is None and real_features is None and gen_features is None:
         raise ConfigError("no inputs given; nothing to compute")
     if (real_features is None) != (gen_features is None):

@@ -261,8 +261,10 @@ class CollapseSchedule:
             raise InvalidInputError("shrink_factor must be in (0, 1)")
         if self.per_class_sample < 1:
             raise InvalidInputError("per_class_sample must be >= 1")
-        object.__setattr__(
-            self, "collapsed_classes", tuple(int(c) for c in self.collapsed_classes))
+        classes = tuple(int(c) for c in self.collapsed_classes)
+        if len(set(classes)) != len(classes) or min(classes, default=0) < 0:
+            raise InvalidInputError(f"collapsed_classes must be distinct and >= 0, got {classes}")
+        object.__setattr__(self, "collapsed_classes", classes)
 
 
 def collapse_pool_sizes(initial: int, schedule: CollapseSchedule) -> list[int]:

@@ -6,8 +6,8 @@ Binary layout (authoritative format, byte-exact round trips):
     | u8 rank (1 or 2) | 2 zero bytes | rank x u64 LE dims
     | row-major little-endian payload
 
-Files ending in ``.csv`` are parsed as comma-separated text instead (optional
-header row, '.' decimals); every other path is read as binary.
+Paths ending in ``.csv`` are read by ``numpy.loadtxt`` in about one array of memory,
+skipping blank lines and a header (a first row with no number in it); others are binary.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +30,22 @@ _DTYPE_BY_CODE = {1: np.dtype("<f8"), 2: np.dtype("<i8")}
 _CODE_BY_KIND = {"f": 1, "i": 2}
 
 
-def save_tensor(path, array) -> None:
-    """Write a float64 or int64 tensor of rank 1 or 2."""
-    a = np.ascontiguousarray(array)
-    code = _CODE_BY_KIND.get(a.dtype.kind)
-    if code is None:
+def _writable(array) -> np.ndarray:
+    a = np.asarray(array)
+    if a.dtype.kind not in _CODE_BY_KIND:
         raise TensorFileError(f"unsupported dtype {a.dtype}", code="bad-dtype")
-    a = a.astype(_DTYPE_BY_CODE[code], copy=False)
     if a.ndim not in (1, 2):
         raise TensorFileError(f"unsupported rank {a.ndim}", code="bad-rank")
+    return a.astype(_DTYPE_BY_CODE[_CODE_BY_KIND[a.dtype.kind]], copy=False)
+
+
+def save_tensor(path, array) -> None:
+    """Write a float64 or int64 tensor of rank 1 or 2."""
+    a = _writable(array)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, code, a.ndim))
+        fh.write(_HEADER.pack(MAGIC, VERSION, _CODE_BY_KIND[a.dtype.kind], a.ndim))
         fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-        fh.write(a.tobytes(order="C"))
+        a.tofile(fh)  # row-major whatever the array's memory order
 
 
 def save_csv(path, array) -> None:
@@ -49,13 +53,8 @@ def save_csv(path, array) -> None:
 
     Rank-1 tensors become one value per line so labels round-trip as columns.
     """
-    a = np.asarray(array)
-    a = a.reshape(-1, 1) if a.ndim == 1 else a
-    integral = a.dtype.kind == "i"
-    with open(path, "w", newline="\n") as fh:
-        for row in a:
-            fh.write(",".join(str(int(v)) if integral else format(v, ".17g") for v in row))
-            fh.write("\n")
+    a = _writable(array)
+    np.savetxt(path, a, fmt="%d" if a.dtype.kind == "i" else "%.17g", delimiter=",")
 
 
 def _find_bad_row(a: np.ndarray) -> int:
@@ -107,31 +106,26 @@ def _check_payload(path: Path, start: int, actual: int, expected: int) -> None:
             code="truncated")
 
 
-def _load_csv(path: Path) -> np.ndarray:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise TensorFileError(f"{path}: empty CSV file", code="truncated")
-    start = 0
+def _is_number(cell: str) -> bool:
     try:
-        [float(tok) for tok in lines[0].split(",")]
+        float(cell)
     except ValueError:
-        start = 1  # header row
-    rows = []
-    width = None
-    for i, line in enumerate(lines[start:]):
-        toks = line.split(",")
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise TensorFileError(
-                f"{path}: row {i} has {len(toks)} columns, expected {width}",
-                code="bad-value")
+        return False
+    return True
+
+
+def _load_csv(path: Path) -> np.ndarray:
+    with open(path) as fh:
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is not None and not any(map(_is_number, first.split(","))):
+            first = next(lines, None)  # a header row
+        if first is None:
+            raise TensorFileError(f"{path}: CSV file has no data rows", code="truncated")
         try:
-            rows.append([float(tok) for tok in toks])
-        except ValueError:
-            raise TensorFileError(
-                f"{path}: unparseable number at row {i}", code="bad-value") from None
-    return np.asarray(rows, dtype=np.float64)
+            return np.loadtxt(chain([first], lines), delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise TensorFileError(f"{path}: {exc}", code="bad-value") from None
 
 
 def load_tensor(path) -> np.ndarray:

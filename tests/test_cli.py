@@ -215,6 +215,17 @@ class TestExitCodes:
         assert rc == 4
         assert "--collapsed-classes" in capsys.readouterr().err
 
+    def test_repeated_collapsed_class_is_invalid_input(self, dataset, tmp_path, capsys):
+        rc = main(["sweep", "--experiment", "mode_collapse", "--collapsed-classes", "0,0",
+                   "--real-features", str(dataset["real_features"]),
+                   "--real-labels", str(dataset["real_labels"]),
+                   "--gen-features", str(dataset["gen_features"]),
+                   "--gen-labels", str(dataset["gen_labels"]),
+                   "--k", "3", "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "collapsed_classes must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_mode_collapse_labels_longer_than_features_is_invalid_input(
             self, dataset, tmp_path, capsys, monkeypatch):
         import condmetrics.evaluate as evaluate_mod

@@ -406,6 +406,19 @@ class TestChecksBeforeScores:
         with pytest.raises(InvalidInputError, match="pairing must be a permutation"):
             subsampled_fid_suite(x, y, x, y, 2, 2, 0, pairing=[0, 0, 1])
 
+    @pytest.mark.parametrize("inputs", ["probs", "features", "everything"])
+    def test_unknown_weighting(self, inputs):
+        x, y = make_instance(seed=73, d=4)
+        probs = one_hot_dominant(y, 3, seed=74)
+        given = {
+            "probs": dict(probs=probs),
+            "features": dict(real_features=x, gen_features=x),
+            "everything": dict(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
+                               probs=probs),
+        }[inputs]
+        with pytest.raises(InvalidInputError, match="unknown weighting 'bogus', expected one of"):
+            build_report(weighting="bogus", **given)
+
 
 class TestSweeps:
     def test_zero_noise_row_equals_plain_report(self):

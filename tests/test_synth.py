@@ -231,6 +231,12 @@ class TestModeCollapse:
         with pytest.raises(InvalidInputError):
             mode_collapse_indices(y, 2, schedule, seed=0)
 
+    @pytest.mark.parametrize("classes", [(0, 0), (1, 0, 1), (-1,), (0, -2)],
+                             ids=["repeated", "repeated-later", "negative", "negative-later"])
+    def test_repeated_or_negative_collapsed_classes_rejected(self, classes):
+        with pytest.raises(InvalidInputError, match="distinct and >= 0"):
+            CollapseSchedule(collapsed_classes=classes)
+
 
 class TestDirichletRows:
     def test_rows_sum_to_one(self):
