@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
 from .matching import average_class_probabilities, hungarian_max
@@ -153,12 +151,7 @@ def cmd_synth(args) -> int:
             raise ConfigError("synth mixture needs --spec")
         try:
             raw = json.loads(spec_path.read_text())
-            spec = MixtureSpec(
-                np.asarray(raw["means"], dtype=np.float64),
-                [np.asarray(c, dtype=np.float64) for c in raw["covs"]],
-                np.asarray(raw["counts"]),
-                seed=args.seed,
-            )
+            spec = MixtureSpec(raw["means"], raw["covs"], raw["counts"], seed=args.seed)
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad mixture spec {spec_path}: {exc}") from None
         features, labels = gen_mixture(spec)

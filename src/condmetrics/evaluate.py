@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
+from .gaussian import _as_finite
 from .matching import _average_class_probabilities, hungarian_max
 from .metrics import (
     WEIGHTINGS,
@@ -204,7 +205,7 @@ def sweep_label_noise(
     generated labels with the stream (seed, spawn_key=(i,))."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
-    grid = [float(p) for p in grid]
+    grid = _as_finite(grid, "grid")[0].reshape(-1).tolist()
     reports = _evaluation(
         lambda labels, _k: [(_label_noise(labels, p, _point_seed(seed, i)), None)
                             for i, p in enumerate(grid)],

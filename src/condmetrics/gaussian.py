@@ -7,7 +7,8 @@ or sqrt(pi_c) (mu_c - mu) for the Gaussian over class means), so r is at most
 min(N, d), memory is O(min(N, d) * d) per Gaussian, and the covariance is PSD
 by construction.  An explicitly supplied covariance keeps its PSD square
 root, whose eigendecomposition is the only place a non-PSD matrix raises
-NotPSDError (the CLI's exit code 3).
+NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
+array input of the package (tensor files aside) for numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -28,17 +29,36 @@ from .errors import InvalidInputError, NotPSDError
 EIG_TOL = 1e-8
 
 
+def _as_array(x, what: str, kinds: str = "biuf") -> np.ndarray:
+    """x as an array of a dtype kind in ``kinds``: never ragged, text, complex or object."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise InvalidInputError(f"{what} is ragged: its rows differ in length") from None
+    if a.dtype.kind not in kinds:
+        raise InvalidInputError(f"{what} has unsupported dtype {a.dtype}")
+    return a
+
+
+def _as_finite(x, what: str) -> tuple[np.ndarray, float, float]:
+    """x as a float64 array of finite values, with its min and max ((0, 0) if
+    empty).  min and max propagate NaN and +-inf, so they settle finiteness
+    with no temporary of the array's size."""
+    a = _as_array(x, what).astype(np.float64, copy=False)
+    lo, hi = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InvalidInputError(f"{what} contains non-finite entries")
+    return a, lo, hi
+
+
 def as_feature_matrix(features) -> np.ndarray:
     """Validate and return an N x d float64 feature matrix (N, d >= 1, finite)."""
-    x = np.asarray(features, dtype=np.float64)
+    x = _as_finite(features, "feature matrix")[0]
     if x.ndim != 2:
         raise InvalidInputError(f"feature matrix must be 2-D, got shape {x.shape}")
     n, d = x.shape
     if n < 1 or d < 1:
         raise InvalidInputError(f"feature matrix must be non-empty, got shape {x.shape}")
-    # min and max propagate NaN and +-inf, so they settle finiteness
-    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        raise InvalidInputError("feature matrix contains non-finite entries")
     return x
 
 
@@ -57,16 +77,14 @@ class GaussianStats:
     count: int = 0
 
     def __init__(self, mean, cov, count: int = 0):
-        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        cov = np.asarray(cov, dtype=np.float64)
+        mean = _as_finite(mean, "mean vector")[0].reshape(-1)
+        cov = _as_finite(cov, "covariance")[0]
         if mean.size < 1:
             raise InvalidInputError("mean vector must be non-empty")
         if cov.shape != (mean.size, mean.size):
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InvalidInputError("Gaussian statistics contain non-finite entries")
         self.__dict__.update(mean=mean, factor=sqrtm_psd(0.5 * (cov + cov.T)), count=count)
 
     @classmethod
@@ -99,31 +117,30 @@ def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
 def sqrtm_psd(m) -> np.ndarray:
     """Symmetric PSD square root via the symmetric eigendecomposition.
 
-    Returns V diag(sqrt(max(w, 0))) V^T.  Eigenvalues within
-    -EIG_TOL * max(1, spectral radius) of zero are clamped; lower ones raise
-    :class:`NotPSDError`.  Input asymmetry beyond round-off is rejected.
+    Returns V diag(sqrt(max(w, 0))) V^T.  Eigenvalues within -EIG_TOL * max(1,
+    spectral radius) of zero are clamped; lower ones raise :class:`NotPSDError`.
+    Empty, non-finite or asymmetric (beyond round-off) input is rejected.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix contains non-finite entries")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    a, lo, hi = _as_finite(m, "matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise InvalidInputError(f"expected a non-empty square matrix, got shape {a.shape}")
     asym = float(np.abs(a - a.T).max())
-    if asym > 1e-8 * (1.0 + scale):
+    if asym > 1e-8 * (1.0 + max(abs(lo), abs(hi))):
         raise InvalidInputError(
             f"matrix is not symmetric: max |a - a^T| = {asym:.6e}"
         )
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
-    radius = float(np.abs(w).max()) if w.size else 0.0
-    floor = -EIG_TOL * max(1.0, radius)
-    if float(w[0]) < floor:
-        raise NotPSDError(
-            f"matrix has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}"
-        )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    w, v = _eigh_psd(0.5 * (a + a.T))
+    root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
+
+
+def _eigh_psd(a: np.ndarray, what: str = "matrix", error=NotPSDError):
+    """Eigenvalues clamped to >= 0 and eigenvectors of symmetric a; ``error`` below the floor."""
+    w, v = np.linalg.eigh(a)
+    floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
+    if float(w[0]) < floor:
+        raise error(f"{what} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
+    return np.clip(w, 0.0, None), v
 
 
 def frechet_distance_raw(a: GaussianStats, b: GaussianStats) -> float:

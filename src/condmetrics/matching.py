@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import as_label_vector, as_probability_matrix, class_index_lists
+from .gaussian import _as_finite
+from .metrics import _resolve_mapping, as_label_vector, as_probability_matrix, class_index_lists
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,7 @@ class ClassAssignment:
     score: float
 
     def __post_init__(self):
-        mapping = np.asarray(self.mapping, dtype=np.int64)
-        if mapping.ndim != 1 or sorted(mapping.tolist()) != list(range(mapping.size)):
-            raise InvalidInputError("mapping must be a permutation of [0, K)")
-        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "mapping", _resolve_mapping(self.mapping))
 
 
 def _average_class_probabilities(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,16 +178,11 @@ def _lex_smallest_optimal(value: np.ndarray, match: np.ndarray, best: float) -> 
 
 def hungarian_max(value) -> ClassAssignment:
     """Optimal (not greedy) assignment maximizing the total selected value."""
-    v = np.asarray(value, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise InvalidInputError(f"value matrix must be square, got shape {v.shape}")
-    if v.size == 0:
-        raise InvalidInputError("value matrix is empty")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("value matrix contains non-finite entries")
+    v, lo, hi = _as_finite(value, "value matrix")
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
+        raise InvalidInputError(f"value matrix must be square and non-empty, got shape {v.shape}")
     k = v.shape[0]
-    spread = float(v.max()) - float(v.min())
-    if not np.isfinite(k * spread) or not np.isfinite(k * float(np.abs(v).max())):
+    if not np.isfinite(k * (hi - lo)) or not np.isfinite(k * max(abs(lo), abs(hi))):
         raise InvalidInputError(
             "value matrix entries are too large: a sum of K entries or of K "
             "differences overflows float64")

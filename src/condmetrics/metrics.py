@@ -33,6 +33,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussian import (
     GaussianStats,
+    _as_array,
+    _as_finite,
     _estimate_gaussian,
     as_feature_matrix,
     frechet_distance,
@@ -54,7 +56,7 @@ _IS_BLOCK = 2**15
 
 def as_probability_matrix(probs) -> np.ndarray:
     """Validate an N x K probability matrix (entries in [0,1], rows sum to 1)."""
-    p = np.asarray(probs, dtype=np.float64)
+    p, lo, hi = _as_finite(probs, "probability matrix")
     if p.ndim != 2:
         raise InvalidInputError(f"probability matrix must be 2-D, got shape {p.shape}")
     n, k = p.shape
@@ -62,10 +64,6 @@ def as_probability_matrix(probs) -> np.ndarray:
         raise InvalidInputError("probability matrix has no rows")
     if k < 2:
         raise InvalidInputError(f"probability matrix needs at least 2 classes, got {k}")
-    # min and max propagate NaN and +-inf, so they also settle finiteness
-    lo, hi = float(p.min()), float(p.max())
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InvalidInputError("probability matrix contains non-finite entries")
     if lo < -1e-9 or hi > 1.0 + 1e-9:
         bad = int(np.argmax((p < -1e-9) | (p > 1.0 + 1e-9), axis=None) // k)
         raise InvalidInputError(f"probability entries outside [0, 1] at row {bad}")
@@ -82,17 +80,9 @@ def as_probability_matrix(probs) -> np.ndarray:
 
 def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarray:
     """Validate a vector of class indices in [0, k); k=None skips the upper bound."""
-    y = np.asarray(labels)
-    if y.ndim != 1:
-        raise InvalidInputError(f"label vector must be 1-D, got shape {y.shape}")
+    y = _as_int_vector(labels, "label vector")
     if y.size < 1:
         raise InvalidInputError("label vector is empty")
-    if not np.issubdtype(y.dtype, np.integer):
-        y = np.asarray(labels, dtype=np.float64)
-        bad = ~np.isfinite(y) | (y != np.floor(y))
-        if bad.any():
-            raise InvalidInputError(f"labels must be integers (row {int(np.argmax(bad))} is not)")
-    y = y.astype(np.int64)
     if y.min() < 0:
         raise InvalidInputError(f"labels must be non-negative, got {y.min()}")
     if k is not None:
@@ -105,6 +95,19 @@ def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarra
     if n is not None:
         _check_rows(y, n)
     return y
+
+
+def _as_int_vector(values, what: str) -> np.ndarray:
+    """values as a 1-D int64 vector: integers, or floats with integral values."""
+    y = _as_array(values, what, "iuf")
+    if y.ndim != 1:
+        raise InvalidInputError(f"{what} must be 1-D, got shape {y.shape}")
+    if y.dtype.kind == "f":
+        y = _as_finite(y, what)[0]
+        bad = (y != np.floor(y)) | (np.abs(y) >= 2.0**63)  # not an int64 value
+        if bad.any():
+            raise InvalidInputError(f"{what} must be integers (row {int(np.argmax(bad))} is not)")
+    return y.astype(np.int64, copy=False)
 
 
 def _check_rows(labels: np.ndarray, n: int) -> None:
@@ -130,7 +133,6 @@ def class_index_lists(
 
 
 def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.float64)
     if weighting == "empirical":
         return counts / counts.sum()
     if weighting == "uniform":
@@ -309,8 +311,8 @@ def class_conditional_from_moments(means, covs, priors) -> ClassConditionalStats
     Useful for population-level checks where the moments are known
     analytically rather than estimated from samples.
     """
-    means = np.asarray(means, dtype=np.float64)
-    priors = np.asarray(priors, dtype=np.float64)
+    means = _as_finite(means, "means")[0]
+    priors = _as_finite(priors, "priors")[0]
     if means.ndim != 2 or means.shape[0] != priors.size:
         raise InvalidInputError("means must be a K x d matrix matching the priors")
     if np.any(priors < 0) or abs(float(priors.sum()) - 1.0) > 1e-9:
@@ -327,12 +329,13 @@ def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
     return GaussianStats._from_rows(stats.between.mean, rows, count)
 
 
-def _resolve_mapping(pairing, k: int) -> np.ndarray:
+def _resolve_mapping(pairing, k: int | None = None) -> np.ndarray:
+    """pairing (None, a ClassAssignment or a sequence) as a permutation of [0, k or its length)."""
     if pairing is None:
         return np.arange(k, dtype=np.int64)
-    mapping = getattr(pairing, "mapping", pairing)
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if mapping.shape != (k,) or sorted(mapping.tolist()) != list(range(k)):
+    mapping = _as_int_vector(getattr(pairing, "mapping", pairing), "pairing")
+    k = mapping.size if k is None else k
+    if mapping.size != k or not np.array_equal(np.sort(mapping), np.arange(k)):
         raise InvalidInputError(f"pairing must be a permutation of [0, {k})")
     return mapping
 

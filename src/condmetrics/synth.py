@@ -16,9 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import EIG_TOL, as_feature_matrix
+from .gaussian import _as_finite, _eigh_psd, as_feature_matrix
 from .metrics import (
     ClassConditionalStats,
+    _as_int_vector,
     as_label_vector,
     class_conditional_from_moments,
     class_index_lists,
@@ -48,9 +49,9 @@ class MixtureSpec:
     _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
+        means = np.atleast_2d(_as_finite(self.means, "means")[0])
         k, d = means.shape
-        covs_in = [np.asarray(c, dtype=np.float64) for c in self.covs]
+        covs_in = [_as_finite(cov, f"covariance {c}")[0] for c, cov in enumerate(self.covs)]
         if len(covs_in) != k:
             raise InvalidInputError(f"expected {k} covariances, got {len(covs_in)}")
         covs = np.empty((k, d, d))
@@ -62,7 +63,7 @@ class MixtureSpec:
             if cov.shape != (d, d):
                 raise InvalidInputError(f"covariance {c} has shape {cov.shape}, expected ({d}, {d})")
             covs[c] = 0.5 * (cov + cov.T)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _as_int_vector(self.counts, "counts")
         if counts.shape != (k,) or np.any(counts < 2):
             raise InvalidInputError("each class needs a sample count >= 2")
         object.__setattr__(self, "means", means)
@@ -82,10 +83,16 @@ class MixtureSpec:
 
 def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     # Eigen factor L with L L^T = cov; unlike Cholesky it accepts singular covs.
-    w, v = np.linalg.eigh(cov)
-    if float(w[0]) < -EIG_TOL * max(1.0, float(np.abs(w).max())):
-        raise InvalidInputError(f"{name} is not PSD")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    w, v = _eigh_psd(cov, name, InvalidInputError)
+    return v * np.sqrt(w)
+
+
+def _sigmas(sigma, size: int = 2, name: str = "sigma") -> np.ndarray:
+    """sigma as ``size`` finite non-negative standard deviations."""
+    s = _as_finite(sigma, name)[0].reshape(-1)
+    if s.size != size or np.any(s < 0):
+        raise InvalidInputError(f"{name} must be {size} non-negative real(s), got {s.tolist()}")
+    return s
 
 
 def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +117,10 @@ def gen_rings(
     only; per-axis class variance is (R^2 + sigma^2) / 2 and per-class means
     tend to the origin.
     """
-    radii = np.asarray(radii, dtype=np.float64).reshape(-1)
+    radii = _as_finite(radii, "radii")[0].reshape(-1)
     if radii.size < 1 or np.any(radii <= 0):
         raise InvalidInputError("radii must be positive")
-    if radial_sigma < 0:
-        raise InvalidInputError("radial_sigma must be >= 0")
+    radial_sigma = _sigmas(radial_sigma, 1, "radial_sigma")[0]
     if n_per_class < 1:
         raise InvalidInputError("n_per_class must be >= 1")
     rng = rng_for(seed)
@@ -180,9 +186,7 @@ def gen_matched_moments(seed: int, n_per_class: int) -> LabeledPair:
 
 def tightness_population(sigma) -> ClassConditionalStats:
     """Population statistics of one side of the bound-tightness construction."""
-    s = np.asarray(sigma, dtype=np.float64).reshape(-1)
-    if s.size != 2 or np.any(s < 0):
-        raise InvalidInputError("sigma must be two non-negative reals")
+    s = _sigmas(sigma)
     means = np.array([[1.0, 1.0], [1.0, 1.0]])
     covs = [np.diag([0.0, s[0] ** 2]), np.diag([s[1] ** 2, 0.0])]
     return class_conditional_from_moments(means, covs, np.array([0.5, 0.5]))
@@ -203,9 +207,7 @@ def gen_tightness_case(
     sides = []
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
     for side, sigma in enumerate((sigma_real, sigma_gen)):
-        s = np.asarray(sigma, dtype=np.float64).reshape(-1)
-        if s.size != 2 or np.any(s < 0):
-            raise InvalidInputError("sigma must be two non-negative reals")
+        s = _sigmas(sigma)
         rng = rng_for(seed, side)
         class0 = np.column_stack([
             np.ones(n_per_class),
@@ -325,7 +327,7 @@ def mode_collapse_run(
 
 def dirichlet_rows(alpha, n: int, seed: int) -> np.ndarray:
     """n seeded Dirichlet(alpha) rows; valid probability rows by construction."""
-    a = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    a = _as_finite(alpha, "alpha")[0].reshape(-1)
     if a.size < 2 or np.any(a <= 0):
         raise InvalidInputError("alpha must have length >= 2 with positive entries")
     if n < 1:

@@ -8,14 +8,16 @@ Binary layout (authoritative format, byte-exact round trips):
 
 Paths ending in ``.csv`` are read by ``numpy.loadtxt`` in about one array of memory,
 skipping blank lines and a header (a first row with no number in it); others are binary.
+A malformed CSV row is reported by its 1-based line in the file.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import struct
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -118,14 +120,32 @@ def _load_csv(path: Path) -> np.ndarray:
     with open(path) as fh:
         lines = (line for line in fh if line.strip())
         first = next(lines, None)
-        if first is not None and not any(map(_is_number, first.split(","))):
-            first = next(lines, None)  # a header row
+        header = first is not None and not any(map(_is_number, first.split(",")))
+        if header:
+            first = next(lines, None)
         if first is None:
             raise TensorFileError(f"{path}: CSV file has no data rows", code="truncated")
         try:
             return np.loadtxt(chain([first], lines), delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            raise TensorFileError(f"{path}: {exc}", code="bad-value") from None
+            message = _at_file_line(path, str(exc), header)
+            raise TensorFileError(f"{path}: {message}", code="bad-value") from None
+
+
+def _at_file_line(path: Path, message: str, header: bool) -> str:
+    """numpy's loadtxt message with its row number replaced by the file's line.
+
+    numpy counts only the lines it was given (no blank lines, no header), from
+    0 for a bad cell and from 1 for a change in the column count.
+    """
+    found = re.search(r"at row (\d+)", message)
+    if found is None:
+        return message
+    row = int(found[1]) - message.startswith("the number of columns changed")
+    with open(path) as fh:
+        nonblank = (number for number, line in enumerate(fh, 1) if line.strip())
+        line = next(islice(nonblank, row + header, None))
+    return f"{message[:found.start()]}at line {line}{message[found.end():]}"
 
 
 def load_tensor(path) -> np.ndarray:

@@ -116,7 +116,7 @@ class TestCmdMetrics:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "report.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "condmetrics", *metrics_args(dataset, out)],
+            [sys.executable, "-W", "error", "-m", "condmetrics", *metrics_args(dataset, out)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["fid"] >= 0
@@ -185,6 +185,29 @@ class TestExitCodes:
         out = tmp_path / "report.json"
         assert main(["metrics", *flags, "--k", k, "--out", str(out)]) == 2
         assert f"class count must be >= 1, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probability_columns_other_than_k_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["metrics", "--probs", str(dataset["probs"]), "--k", "5",
+                     "--out", str(out)]) == 4
+        assert "probability matrix has 3 classes, expected k=5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, flags, message", [
+        ("label_noise", ["probs"], "label_noise sweep needs generated labels"),
+        ("mode_collapse", ["probs", "gen_labels"],
+         "mode_collapse sweep needs generated features and labels"),
+        ("mode_collapse", ["real_features", "real_labels", "gen_features"],
+         "mode_collapse sweep needs generated features and labels"),
+    ], ids=["label-noise-no-gen-labels", "collapse-no-gen-features", "collapse-no-gen-labels"])
+    def test_sweep_without_its_generated_inputs_is_config_error(
+            self, dataset, tmp_path, capsys, experiment, flags, message):
+        args = [arg for name in flags
+                for arg in ("--" + name.replace("_", "-"), str(dataset[name]))]
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--experiment", experiment, *args, "--out", str(out)]) == 4
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trailing_comma_in_grid_is_config_error(self, dataset, tmp_path, capsys):
@@ -387,6 +410,14 @@ class TestCmdSweep:
 
 
 class TestCmdMatch:
+    @pytest.mark.parametrize("given", ["probs", "gen_labels"])
+    def test_missing_input_is_config_error(self, dataset, tmp_path, capsys, given):
+        out = tmp_path / "match.json"
+        assert main(["match", "--" + given.replace("_", "-"), str(dataset[given]),
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "config error: match needs --probs and --gen-labels\n"
+        assert not out.exists()
+
     def test_identity_clusters(self, tmp_path):
         k = 4
         conds = np.repeat(np.arange(k), 10)
@@ -501,3 +532,40 @@ class TestCmdSynth:
 
     def test_mixture_without_spec_is_config_error(self, tmp_path):
         assert main(["synth", "mixture", "--out-dir", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("text, detail", [
+        ("{not json", "Expecting property name"),
+        ('{"means": [[0, 0]], "covs": [[1, 1]]}', "'counts'"),
+    ], ids=["not-json", "missing-key"])
+    def test_unreadable_spec_is_config_error(self, tmp_path, capsys, text, detail):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out_dir = tmp_path / "mix"
+        assert main(["synth", "mixture", "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad mixture spec {spec_path}: ") and detail in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"means": [[0, "a"], [4, 4]], "covs": [[1, 1], [2, 1]], "counts": [20, 30]},
+         "means has unsupported dtype <U21"),
+        ({"means": [[0, 0], [4]], "covs": [[1, 1], [2, 1]], "counts": [20, 30]},
+         "means is ragged: its rows differ in length"),
+        ({"means": [[0, 0], [4, 4]], "covs": [[1, float("nan")], [2, 1]], "counts": [20, 30]},
+         "covariance 0 contains non-finite entries"),
+    ], ids=["non-numeric", "ragged", "nan"])
+    def test_malformed_mixture_spec_is_invalid_input(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "mix"
+        assert main(["synth", "mixture", "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_nan_dirichlet_alpha_is_invalid_input(self, tmp_path, capsys):
+        out_dir = tmp_path / "dir"
+        assert main(["synth", "dirichlet", "--alpha", "nan,1", "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "invalid input: alpha contains non-finite entries\n"
+        assert list(out_dir.iterdir()) == []

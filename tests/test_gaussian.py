@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,12 @@ class TestSqrtmPsd:
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
             sqrtm_psd(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)], ids=["empty", "rank1", "oblong"])
+    def test_empty_or_non_square_rejected(self, shape):
+        message = f"expected a non-empty square matrix, got shape {shape}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            sqrtm_psd(np.zeros(shape))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPSDError):

@@ -133,6 +133,8 @@ class TestHungarianMax:
             hungarian_max(np.zeros((2, 3)))
         with pytest.raises(InvalidInputError):
             hungarian_max(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInputError, match=r"non-empty, got shape \(0, 0\)"):
+            hungarian_max(np.zeros((0, 0)))
 
     def test_overflowing_finite_matrix_is_typed_error(self):
         with warnings.catch_warnings():
@@ -180,6 +182,25 @@ class TestLexicographicTieBreak:
             value = np.ones((2, 2))
             value[0, 0] -= f * 1e-9 * 3.0
             assert np.array_equal(hungarian_max(value).mapping, expected)
+
+    def test_loss_inside_the_search_margin_is_rejected_by_the_exact_sum(self, monkeypatch):
+        # [0, 1] loses (1 + f / 1024) * tol against [1, 0]: the search keeps
+        # tol / 1024 beyond the tolerance, so it proposes [0, 1], and the
+        # row-order sum of the proposal must turn it down
+        priced = []
+        score = matching._assignment_score
+
+        def recorded(value, mapping):
+            priced.append(mapping.tolist())
+            return score(value, mapping)
+
+        monkeypatch.setattr(matching, "_assignment_score", recorded)
+        for f in (0.25, 0.5, 0.75):
+            priced.clear()
+            value = np.ones((2, 2))
+            value[0, 0] -= (1.0 + f / 1024) * 1e-9 * 3.0
+            assert hungarian_max(value).mapping.tolist() == [1, 0]
+            assert [0, 1] in priced
 
     @staticmethod
     def _tight_blocks(n):
@@ -288,7 +309,7 @@ def test_scipy_is_imported_at_the_first_solve():
     src = str(Path(condmetrics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHILD, json.dumps(value.tolist())],
+        [sys.executable, "-W", "error", "-c", _STARTUP_CHILD, json.dumps(value.tolist())],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)

@@ -93,6 +93,36 @@ class TestErrors:
             load_tensor(path)
         assert err.value.code == "bad-magic"
 
+    @staticmethod
+    def _header(version=1, code=1, rank=2, padding=b"\x00\x00", dims=(2, 2)):
+        return (MAGIC + struct.pack("<IBB", version, code, rank) + padding
+                + struct.pack(f"<{len(dims)}Q", *dims))
+
+    @pytest.mark.parametrize("fields, cut, code, message", [
+        ({}, 7, "truncated", "header truncated at byte 7, expected 12"),
+        ({"version": 2}, None, "bad-version", "unsupported version 2"),
+        ({"code": 3}, None, "bad-dtype", "unknown dtype code 3"),
+        ({"rank": 0, "dims": ()}, None, "bad-rank", "unsupported rank 0"),
+        ({"rank": 3, "dims": (1, 1, 1)}, None, "bad-rank", "unsupported rank 3"),
+        ({"padding": b"\x00\x01"}, None, "bad-padding", "non-zero padding at byte 10"),
+        ({}, 20, "truncated", "dims truncated at byte 20, expected 28"),
+    ], ids=["short-header", "version", "dtype", "rank0", "rank3", "padding", "short-dims"])
+    def test_header_errors(self, tmp_path, fields, cut, code, message):
+        path = tmp_path / "h.cfm"
+        path.write_bytes(self._header(**fields)[:cut] + b"\x00" * 32 * (cut is None))
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert err.value.code == code
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_integer_matrix_is_not_features(self, tmp_path):
+        path = tmp_path / "i.cfm"
+        save_tensor(path, np.arange(4, dtype=np.int64).reshape(2, 2))
+        with pytest.raises(TensorFileError) as err:
+            load_features(path)
+        assert err.value.code == "bad-dtype"
+        assert str(err.value) == f"{path}: features must be float64"
+
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = tmp_path / "trunc.cfm"
         save_tensor(path, np.zeros((4, 4)))
@@ -235,6 +265,23 @@ class TestCSV:
             load_tensor(path)
         assert err.value.code == "bad-value"
         assert str(err.value).startswith(f"{path}: could not convert string {bad} to float64")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n\n3\n", "the number of columns changed from 2 to 1 at line 4;"),
+        ("1,2\n\n3,x\n", "could not convert string 'x' to float64 at line 3, column 2."),
+        ("1,x\n3,4\n", "could not convert string 'x' to float64 at line 1, column 2."),
+        ("\nf0,f1\n\n1,2\n \n3,x\n",
+         "could not convert string 'x' to float64 at line 6, column 2."),
+        ("\nf0,f1\n\n1,2\n\t\n3,4,5\n", "the number of columns changed from 2 to 3 at line 6;"),
+    ], ids=["columns-after-header", "cell-after-blank", "cell-first-line", "cell-after-both",
+            "columns-after-both"])
+    def test_malformed_row_names_its_file_line(self, tmp_path, text, message):
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert err.value.code == "bad-value"
+        assert str(err.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("text", ["", "\n \n\t\n", "f0,f1\n", "\nf0,f1\n  \n"],
                              ids=["empty", "blank-lines", "header-only", "header-and-blanks"])

@@ -1,0 +1,199 @@
+"""Every public entry point rejects malformed arrays with InvalidInputError.
+
+Text, ragged, complex and non-finite input is substituted for one array
+argument of an otherwise valid call.  Warnings are errors under this
+directory (see conftest.py), so a check that lets numpy warn first, as a
+complex-to-float cast does, fails here too.
+"""
+
+import numpy as np
+import pytest
+
+from condmetrics import (
+    ClassAssignment,
+    CollapseSchedule,
+    GaussianStats,
+    InvalidInputError,
+    MixtureSpec,
+    accuracy,
+    align_discovered,
+    average_class_probabilities,
+    bcfid,
+    bcis,
+    build_report,
+    cfid_sum,
+    class_conditional_from_moments,
+    class_conditional_stats,
+    dirichlet_rows,
+    estimate_gaussian,
+    fid,
+    gen_rings,
+    gen_tightness_case,
+    hungarian_max,
+    inception_score,
+    label_noise,
+    mode_collapse_indices,
+    per_class_is,
+    sqrtm_psd,
+    subsampled_fid_suite,
+    sweep_label_noise,
+    sweep_mode_collapse,
+    tightness_population,
+    wcfid,
+    wcfid_from_stats,
+    wcis,
+)
+from condmetrics.synth import rng_for
+
+K = 2
+LABELS = np.array([0, 1, 0, 1, 0, 1])
+FEATURES = rng_for(1).normal(0.0, 1.0, (6, 2))
+GEN_FEATURES = FEATURES + 0.5
+PROBS = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6], [0.6, 0.4], [0.1, 0.9]])
+SCHEDULE = CollapseSchedule(steps=2, per_class_sample=2)
+
+
+def feature_args(**extra):
+    return dict(real_features=FEATURES, real_labels=LABELS, gen_features=GEN_FEATURES,
+                gen_labels=LABELS, **extra)
+
+
+# name -> (function, valid keyword arguments, the array arguments to corrupt)
+CALLS = {
+    "inception_score": (inception_score, dict(probs=PROBS), ["probs"]),
+    "bcis": (bcis, dict(probs=PROBS, labels=LABELS), ["probs", "labels"]),
+    "wcis": (wcis, dict(probs=PROBS, labels=LABELS), ["probs", "labels"]),
+    "per_class_is": (per_class_is, dict(probs=PROBS, labels=LABELS), ["probs", "labels"]),
+    "accuracy": (accuracy, dict(probs=PROBS, labels=LABELS), ["probs", "labels"]),
+    "fid": (fid, dict(real_features=FEATURES, gen_features=GEN_FEATURES),
+            ["real_features", "gen_features"]),
+    "bcfid": (bcfid, feature_args(k=K),
+              ["real_features", "real_labels", "gen_features", "gen_labels"]),
+    "wcfid": (wcfid, feature_args(k=K),
+              ["real_features", "real_labels", "gen_features", "gen_labels"]),
+    "cfid_sum": (cfid_sum, feature_args(k=K),
+                 ["real_features", "real_labels", "gen_features", "gen_labels"]),
+    "build_report": (build_report, feature_args(probs=PROBS),
+                     ["real_features", "real_labels", "gen_features", "gen_labels", "probs"]),
+    "subsampled_fid_suite": (
+        subsampled_fid_suite, feature_args(subset_size=1, trials=2, seed=0),
+        ["real_features", "real_labels", "gen_features", "gen_labels"]),
+    "sweep_label_noise": (sweep_label_noise, feature_args(probs=PROBS, grid=[0.0, 0.5]),
+                          ["real_features", "real_labels", "gen_features", "gen_labels",
+                           "probs", "grid"]),
+    "sweep_mode_collapse": (sweep_mode_collapse, feature_args(probs=PROBS, schedule=SCHEDULE),
+                            ["real_features", "real_labels", "gen_features", "gen_labels",
+                             "probs"]),
+    "estimate_gaussian": (estimate_gaussian, dict(features=FEATURES), ["features"]),
+    "GaussianStats": (GaussianStats, dict(mean=[0.0, 1.0], cov=[[2.0, 0.5], [0.5, 1.0]]),
+                      ["mean", "cov"]),
+    "sqrtm_psd": (sqrtm_psd, dict(m=[[2.0, 0.5], [0.5, 1.0]]), ["m"]),
+    "class_conditional_stats": (class_conditional_stats,
+                                dict(features=FEATURES, labels=LABELS, k=K),
+                                ["features", "labels"]),
+    "class_conditional_from_moments": (
+        class_conditional_from_moments,
+        dict(means=[[0.0, 1.0], [1.0, 0.0]], covs=[np.eye(2), 2.0 * np.eye(2)],
+             priors=[0.25, 0.75]),
+        ["means", "covs", "priors"]),
+    "hungarian_max": (hungarian_max, dict(value=[[0.2, 0.8], [0.6, 0.4]]), ["value"]),
+    "average_class_probabilities": (average_class_probabilities,
+                                    dict(probs=PROBS, conds=LABELS), ["probs", "conds"]),
+    "align_discovered": (align_discovered, dict(probs=PROBS, conds=LABELS),
+                         ["probs", "conds"]),
+    "MixtureSpec": (MixtureSpec,
+                    dict(means=[[0.0, 0.0], [1.0, 2.0]], covs=[np.eye(2), 2.0 * np.eye(2)],
+                         counts=[3, 4]),
+                    ["means", "covs", "counts"]),
+    "gen_rings": (gen_rings, dict(radii=[1.0, 3.0], radial_sigma=0.1, n_per_class=3, seed=0),
+                  ["radii", "radial_sigma"]),
+    "tightness_population": (tightness_population, dict(sigma=[1.0, 2.0]), ["sigma"]),
+    "gen_tightness_case": (gen_tightness_case,
+                           dict(sigma_real=[1.0, 2.0], sigma_gen=[2.0, 1.0], n_per_class=3,
+                                seed=0),
+                           ["sigma_real", "sigma_gen"]),
+    "dirichlet_rows": (dirichlet_rows, dict(alpha=[1.0, 2.0], n=3, seed=0), ["alpha"]),
+    "label_noise": (label_noise, dict(labels=LABELS, p=0.5, seed=0), ["labels"]),
+    "mode_collapse_indices": (mode_collapse_indices,
+                              dict(labels=LABELS, k=K, schedule=SCHEDULE, seed=0), ["labels"]),
+}
+
+
+def _ragged(a: np.ndarray):
+    """a as nested lists whose innermost last list is one entry short."""
+    x = a.tolist()
+    if a.ndim < 2:
+        return [x, [x]]
+    inner = x
+    for _ in range(a.ndim - 2):
+        inner = inner[-1]
+    inner[-1] = inner[-1][:-1]
+    return x
+
+
+def _with_first(a: np.ndarray, value):
+    """A copy of a whose first entry is value; nested lists for a text value."""
+    out = a.astype(object if isinstance(value, str) else np.float64)
+    out.flat[0] = value
+    return out.tolist() if isinstance(value, str) else out
+
+
+BAD = {
+    "text": lambda a: _with_first(a, "abc"),
+    "ragged": _ragged,
+    "complex": lambda a: a + 1j,
+    "nan": lambda a: _with_first(a, np.nan),
+    "inf": lambda a: _with_first(a, np.inf),
+    "-inf": lambda a: _with_first(a, -np.inf),
+}
+
+CASES = [(name, arg) for name, (_, _, args) in CALLS.items() for arg in args]
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_valid_call_passes(name):
+    fn, kwargs, _ = CALLS[name]
+    fn(**kwargs)
+
+
+@pytest.mark.parametrize("bad", list(BAD))
+@pytest.mark.parametrize("name, arg", CASES, ids=[f"{n}-{a}" for n, a in CASES])
+def test_malformed_array_is_invalid_input(name, arg, bad):
+    fn, kwargs, _ = CALLS[name]
+    corrupted = BAD[bad](np.asarray(kwargs[arg], dtype=np.float64))
+    with pytest.raises(InvalidInputError):
+        fn(**{**kwargs, arg: corrupted})
+
+
+def _stats_pair():
+    return (class_conditional_stats(FEATURES, LABELS, K),
+            class_conditional_stats(GEN_FEATURES, LABELS, K))
+
+
+PAIRING_CALLS = {
+    "wcfid": lambda pairing: wcfid(**feature_args(k=K), pairing=pairing),
+    "wcfid_from_stats": lambda pairing: wcfid_from_stats(*_stats_pair(), pairing),
+    "subsampled_fid_suite": lambda pairing: subsampled_fid_suite(
+        **feature_args(subset_size=1, trials=1, seed=0), pairing=pairing),
+    "ClassAssignment": lambda pairing: ClassAssignment(mapping=pairing, score=0.0),
+}
+
+
+@pytest.mark.parametrize("pairing", [[0.5, 1.5], [1.9, 0.2], [True, False], ["1", "0"]],
+                         ids=["fractional", "truncates-to-permutation", "bool", "text"])
+@pytest.mark.parametrize("name", list(PAIRING_CALLS))
+def test_non_integral_pairing_is_invalid_input(name, pairing):
+    with pytest.raises(InvalidInputError):
+        PAIRING_CALLS[name](pairing)
+
+
+@pytest.mark.parametrize("name", list(PAIRING_CALLS))
+def test_integral_float_pairing_equals_integer_pairing(name):
+    swapped = PAIRING_CALLS[name]([1, 0])
+    assert repr(PAIRING_CALLS[name]([1.0, 0.0])) == repr(swapped)
+
+
+@pytest.mark.parametrize("labels", [[1e30, 0.0], [2.0**63, 0.0]], ids=["1e30", "2^63"])
+def test_integral_float_beyond_int64_is_not_a_label(labels):
+    with pytest.raises(InvalidInputError, match=r"label vector must be integers \(row 0 is not\)"):
+        label_noise(labels, 0.0, 0)
