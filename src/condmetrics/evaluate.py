@@ -21,6 +21,7 @@ from .metrics import (
     WEIGHTINGS,
     MetricReport,
     _accuracy,
+    _as_int,
     _check_rows,
     _checked_features,
     _column_sets,
@@ -44,7 +45,7 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
     (all of them if None).  ``mapping`` fixes the class pairing of every point,
     and ``pairing`` is then only the report's label; otherwise "hungarian"
     discovers each point's pairing from its probabilities."""
-    k = None if k is None else int(k)
+    k = None if k is None else _as_int(k, "class count")
     if k is not None and k < 1:
         raise InvalidInputError(f"class count must be >= 1, got {k}")
     if pairing not in PAIRINGS:

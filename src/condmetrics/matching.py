@@ -1,17 +1,18 @@
 """Alignment of discovered (unlabelled-condition) classes to real classes.
 
-The assignment maximizes the total average prediction probability.  One call
-to scipy's linear_sum_assignment, run as min-cost on the complemented matrix
-(max(value) - value), gives an optimal mapping M.  Ties between permutations
-whose scores lie within the tolerance of the optimum are broken toward the
-lexicographically smallest mapping so repeated runs agree, without solving
-again: dual potentials u, v (u_i + v_j >= value_ij, equality on M) make the
-optimal completions exactly the perfect matchings of zero-slack edges
-(Burkard, Dell'Amico & Martello, Assignment Problems, SIAM 2009, ch. 4), so
-a row's smaller columns are pruned by their slack and the survivors priced
-together by one shortest-path search over the unfixed rows.  Worst case
-O(K^3): Bellman-Ford for the potentials, then one O(K^2) search per row.
-scipy is imported at the first solve, so the scores never load it.
+The assignment maximizes the total average prediction probability.  The
+in-package solver adds one row at a time by a shortest augmenting path
+(Jonker & Volgenant, Computing 38, 1987; Crouse, IEEE TAES 52, 2016) on the
+complemented matrix max(value) - value, and returns an optimal mapping M
+with dual potentials u, v (u_i + v_j >= value_ij, equality on M).  Ties
+between permutations whose scores lie within the tolerance of the optimum are
+broken toward the lexicographically smallest mapping so repeated runs agree,
+without solving again: the potentials make the optimal completions exactly
+the perfect matchings of zero-slack edges (Burkard, Dell'Amico & Martello,
+Assignment Problems, SIAM 2009, ch. 4), so a row's smaller columns are
+pruned by their slack and the survivors priced together by one shortest-path
+search over the unfixed rows.  Worst case O(K^3): one O(K^2) search per row,
+both in the solver and in the tie-break.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -52,37 +53,62 @@ def _assignment_score(value: np.ndarray, mapping: np.ndarray) -> float:
     return float(value[np.arange(value.shape[0]), mapping].sum())
 
 
-def linear_sum_assignment(cost: np.ndarray):
-    """scipy.optimize.linear_sum_assignment, imported on the first call."""
-    from scipy.optimize import linear_sum_assignment as solve
+def linear_sum_assignment(value: np.ndarray):
+    """Optimal mapping of a square value matrix with its dual certificate.
 
-    return solve(cost)
-
-
-def _solve_max(value: np.ndarray) -> np.ndarray:
-    cost = float(value.max()) - value
-    _, cols = linear_sum_assignment(cost)
-    return cols
-
-
-def _dual_potentials(value: np.ndarray, match: np.ndarray, eps: float):
-    """Potentials u, v with u_i + v_j >= value_ij, tight on the optimal `match`.
-
-    v solves v_M(i) <= v_j + value_iM(i) - value_ij, a shortest-path system
-    over columns with no negative cycle because `match` is optimal; it runs
-    as Bellman-Ford (every row relaxed at once) until no column drops by more
-    than `eps`, which keeps rounding on zero-weight cycles from looping.
+    Solves min-cost on cost = max(value) - value.  Row r enters by a Dijkstra
+    search over the columns, with the reduced costs cost_ij - u_i - v_j >= 0
+    as lengths, from r to the nearest free column; at equal distance a free
+    column is taken first.  The distances then shift the potentials, so they
+    stay feasible and tight on the matched edges, and the path is flipped.
+    Returns (mapping, u, v) in value form: u_i + v_j >= value_ij, with
+    equality on the mapping.
     """
     k = value.shape[0]
-    own = value[np.arange(k), match]
-    v = np.zeros(k)
-    for _ in range(k):
-        bound = own - (value - v).max(axis=1)
-        lower = bound < v[match] - eps
-        if not lower.any():
-            break
-        v[match[lower]] = bound[lower]
-    return (value - v).max(axis=1), v
+    top = float(value.max())
+    cost = top - value
+    u, v = np.zeros(k), np.zeros(k)
+    col4row = np.full(k, -1, dtype=np.int64)
+    row4col = np.full(k, -1, dtype=np.int64)  # -1: the column is free
+    pred = np.empty(k, dtype=np.int64)
+    front = np.empty(k)  # tentative distances; a scanned column is held at inf
+    unscanned = np.empty(k, dtype=bool)
+    for start in range(k):
+        front.fill(np.inf)
+        unscanned.fill(True)
+        free_cols = np.flatnonzero(row4col < 0)
+        scanned, dist = [], []
+        row, base = start, 0.0
+        while True:
+            reach = cost[row] - v
+            reach += base - u[row]
+            better = reach < front
+            better &= unscanned
+            np.putmask(front, better, reach)
+            np.putmask(pred, better, row)
+            col = int(front.argmin())
+            base = float(front[col])
+            if row4col[col] >= 0:
+                at_free = front[free_cols]
+                i = int(at_free.argmin())
+                col = int(free_cols[i]) if at_free[i] == base else col
+            scanned.append(col)
+            dist.append(base)
+            front[col] = np.inf
+            unscanned[col] = False
+            row = row4col[col]
+            if row < 0:
+                break
+        cols, gain = np.array(scanned), base - np.array(dist)
+        u[row4col[cols[:-1]]] += gain[:-1]
+        u[start] += base
+        v[cols] -= gain
+        while True:  # flip the path from the free column back to `start`
+            row = row4col[col] = pred[col]
+            col4row[row], col = col, col4row[row]
+            if row == start:
+                break
+    return col4row, top - u, -v
 
 
 def _cheapest_forcing(value, u, v, owner, live, target, slack, allowance, candidate):
@@ -126,16 +152,17 @@ def _cheapest_forcing(value, u, v, owner, live, target, slack, allowance, candid
     return best, nxt, reseat, settled
 
 
-def _lex_smallest_optimal(value: np.ndarray, match: np.ndarray, best: float) -> np.ndarray:
+def _lex_smallest_optimal(value, match, best: float, u, v) -> np.ndarray:
     """Lexicographically smallest mapping whose score is within tol of `best`.
 
-    `match` is an optimal mapping.  Rows are fixed in order to their smallest
-    column that keeps the optimum of the rest within the tolerance.  Column
-    match[row] always does; a smaller live column c costs its slack plus the
-    cheapest re-seating of the row holding c.  Slacks are exact to within
-    `margin`, so the search keeps that much extra and the row-order sum of the
-    re-seated mapping decides.  Accepting c shifts the potentials by the
-    search distances, so `match` stays optimal for the unfixed rows and tight.
+    `match` is an optimal mapping and u, v its potentials.  Rows are fixed in
+    order to their smallest column that keeps the optimum of the rest within
+    the tolerance.  Column match[row] always does; a smaller live column c
+    costs its slack plus the cheapest re-seating of the row holding c.  Slacks
+    are exact to within `margin`, so the search keeps that much extra and the
+    row-order sum of the re-seated mapping decides.  Accepting c shifts the
+    potentials by the search distances, so `match` stays optimal for the
+    unfixed rows and tight.
     """
     k = value.shape[0]
     tol = 1e-9 * (1.0 + abs(best))
@@ -143,7 +170,6 @@ def _lex_smallest_optimal(value: np.ndarray, match: np.ndarray, best: float) -> 
     margin = tol / 1024
     owner = np.empty(k, dtype=np.int64)
     owner[match] = np.arange(k)
-    u, v = _dual_potentials(value, match, margin / k)
     total = best
     for row in range(k):
         target = match[row]
@@ -186,8 +212,8 @@ def hungarian_max(value) -> ClassAssignment:
         raise InvalidInputError(
             "value matrix entries are too large: a sum of K entries or of K "
             "differences overflows float64")
-    match = _solve_max(v)
-    mapping = _lex_smallest_optimal(v, match, _assignment_score(v, match))
+    match, u, w = linear_sum_assignment(v)
+    mapping = _lex_smallest_optimal(v, match, _assignment_score(v, match), u, w)
     return ClassAssignment(mapping=mapping, score=_assignment_score(v, mapping))
 
 

@@ -110,6 +110,17 @@ def _as_int_vector(values, what: str) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int: the scalar twin of ``_as_int_vector``."""
+    a = _as_array(value, what, "iuf")
+    if a.ndim:
+        raise InvalidInputError(f"{what} must be one integer, got shape {a.shape}")
+    try:
+        return int(_as_int_vector(a.reshape(1), what)[0])
+    except InvalidInputError:  # not finite, or not integral
+        raise InvalidInputError(f"{what} must be an integer, got {a.item()!r}") from None
+
+
 def _check_rows(labels: np.ndarray, n: int) -> None:
     if labels.size != n:
         raise InvalidInputError(f"label count {labels.size} does not match row count {n}")
@@ -202,9 +213,9 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
 
 def _checked_is_family(probs, labels, weighting: str, class_count: int | None):
     p = as_probability_matrix(probs)
-    y = as_label_vector(labels, class_count, n=p.shape[0])
-    k = int(y.max()) + 1 if class_count is None else int(class_count)
-    return _is_family(p, y, k, weighting)
+    k = None if class_count is None else _as_int(class_count, "class count")
+    y = as_label_vector(labels, k, n=p.shape[0])
+    return _is_family(p, y, int(y.max()) + 1 if k is None else k, weighting)
 
 
 def inception_score(probs) -> float:
@@ -285,6 +296,7 @@ def class_conditional_stats(
 ) -> ClassConditionalStats:
     """Estimate per-class and between-class Gaussian statistics from samples."""
     x = as_feature_matrix(features)
+    k = _as_int(k, "class count")
     y = as_label_vector(labels, k, n=x.shape[0])
     return _class_conditional_stats(x, y, k, weighting, min_count, side)
 
@@ -331,7 +343,7 @@ def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
 
 def _resolve_mapping(pairing, k: int | None = None) -> np.ndarray:
     """pairing (None, a ClassAssignment or a sequence) as a permutation of [0, k or its length)."""
-    if pairing is None:
+    if pairing is None and k is not None:
         return np.arange(k, dtype=np.int64)
     mapping = _as_int_vector(getattr(pairing, "mapping", pairing), "pairing")
     k = mapping.size if k is None else k
@@ -385,6 +397,7 @@ def wcfid_from_stats(
 
 def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
                 weighting: str, min_count: int = 2):
+    k = _as_int(k, "class count")
     rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
     return (_class_conditional_stats(rf, ry, k, weighting, min_count, "real"),
             _class_conditional_stats(gf, gy, k, weighting, min_count, "generated"))

@@ -19,6 +19,7 @@ from .errors import InvalidInputError
 from .gaussian import _as_finite, _eigh_psd, as_feature_matrix
 from .metrics import (
     ClassConditionalStats,
+    _as_int,
     _as_int_vector,
     as_label_vector,
     class_conditional_from_moments,
@@ -50,6 +51,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         means = np.atleast_2d(_as_finite(self.means, "means")[0])
+        if means.ndim != 2:
+            raise InvalidInputError(f"means must be a K x d matrix, got shape {means.shape}")
         k, d = means.shape
         covs_in = [_as_finite(cov, f"covariance {c}")[0] for c, cov in enumerate(self.covs)]
         if len(covs_in) != k:
@@ -121,6 +124,7 @@ def gen_rings(
     if radii.size < 1 or np.any(radii <= 0):
         raise InvalidInputError("radii must be positive")
     radial_sigma = _sigmas(radial_sigma, 1, "radial_sigma")[0]
+    n_per_class = _as_int(n_per_class, "n_per_class")
     if n_per_class < 1:
         raise InvalidInputError("n_per_class must be >= 1")
     rng = rng_for(seed)
@@ -168,6 +172,7 @@ def matched_moments_population() -> tuple[ClassConditionalStats, ClassConditiona
 
 def gen_matched_moments(seed: int, n_per_class: int) -> LabeledPair:
     """Sample the matched-moment pair (A as 'real', B as 'generated')."""
+    n_per_class = _as_int(n_per_class, "n_per_class")
     if n_per_class < 2:
         raise InvalidInputError("n_per_class must be >= 2")
     sides = []
@@ -202,6 +207,7 @@ def gen_tightness_case(
     the between-class part vanishes and the within-class part carries the
     whole distance.
     """
+    n_per_class = _as_int(n_per_class, "n_per_class")
     if n_per_class < 2:
         raise InvalidInputError("n_per_class must be >= 2")
     sides = []
@@ -257,13 +263,15 @@ class CollapseSchedule:
     collapsed_classes: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        for name in ("steps", "per_class_sample"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.steps < 1:
             raise InvalidInputError("steps must be >= 1")
         if not 0.0 < self.shrink_factor < 1.0:
             raise InvalidInputError("shrink_factor must be in (0, 1)")
         if self.per_class_sample < 1:
             raise InvalidInputError("per_class_sample must be >= 1")
-        classes = tuple(int(c) for c in self.collapsed_classes)
+        classes = tuple(_as_int_vector(self.collapsed_classes, "collapsed_classes").tolist())
         if len(set(classes)) != len(classes) or min(classes, default=0) < 0:
             raise InvalidInputError(f"collapsed_classes must be distinct and >= 0, got {classes}")
         object.__setattr__(self, "collapsed_classes", classes)
@@ -287,6 +295,7 @@ def mode_collapse_indices(
     Each step then draws ``per_class_sample`` rows per class from the current
     pool, switching to with-replacement once a pool is smaller than the draw.
     """
+    k = _as_int(k, "class count")
     return _mode_collapse_indices(as_label_vector(labels, None), k, schedule, seed)
 
 
@@ -330,6 +339,7 @@ def dirichlet_rows(alpha, n: int, seed: int) -> np.ndarray:
     a = _as_finite(alpha, "alpha")[0].reshape(-1)
     if a.size < 2 or np.any(a <= 0):
         raise InvalidInputError("alpha must have length >= 2 with positive entries")
+    n = _as_int(n, "n")
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     return rng_for(seed).dirichlet(a, size=n)

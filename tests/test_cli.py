@@ -530,6 +530,14 @@ class TestCmdSynth:
         assert probs.shape == (25, 3)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
+    def test_mixture_spec_with_rank_3_means_is_invalid_input(self, tmp_path, capsys):
+        spec = {"means": [[[0, 0]], [[1, 1]]], "covs": [[1, 1], [1, 1]], "counts": [5, 5]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", "mixture", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "mix")]) == 2
+        assert "means must be a K x d matrix, got shape (2, 1, 2)" in capsys.readouterr().err
+
     def test_mixture_without_spec_is_config_error(self, tmp_path):
         assert main(["synth", "mixture", "--out-dir", str(tmp_path)]) == 4
 

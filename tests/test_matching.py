@@ -19,6 +19,7 @@ from condmetrics import (
     hungarian_max,
 )
 from condmetrics.synth import dirichlet_rows, rng_for
+from condmetrics.tensorfile import save_tensor
 
 
 def brute_force_max(value):
@@ -244,17 +245,51 @@ class TestLexicographicTieBreak:
         np.ones((50, 50)),  # every permutation ties
     ], ids=["unique-k200", "all-ties-k50"])
     def test_one_assignment_solve_per_call(self, monkeypatch, value):
-        _, optimum = linear_sum_assignment(value.max() - value)
+        _, optimum = linear_sum_assignment(value.max() - value)  # scipy as the oracle
         solves = []
+        solve = matching.linear_sum_assignment
 
-        def counted(cost):
-            solves.append(cost.shape)
-            return linear_sum_assignment(cost)
+        def counted(matrix):
+            solves.append(matrix.shape)
+            return solve(matrix)
 
         monkeypatch.setattr(matching, "linear_sum_assignment", counted)
         result = hungarian_max(value)
         assert solves == [value.shape]
         assert result.score == float(value[np.arange(value.shape[0]), optimum].sum())
+
+
+def _certificate_cases():
+    rng = rng_for(77)
+    cases = {f"uniform-k{k}": rng.uniform(0.0, 1.0, (k, k)) for k in (1, 2, 8, 60, 200)}
+    cases["integers-012"] = rng.integers(0, 3, (40, 40)).astype(np.float64)
+    cases["all-ties"] = np.ones((50, 50))
+    cases["tight-blocks"] = TestLexicographicTieBreak._tight_blocks(30)
+    cases["negative"] = rng.uniform(-5.0, 5.0, (30, 30))
+    cases["signs-1e150"] = 1e150 * rng.choice([-1.0, 1.0], (20, 20))
+    cases["uniform-1e150"] = 1e150 * rng.uniform(-1.0, 1.0, (20, 20))
+    return cases
+
+
+_CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("name", list(_CERTIFICATE_CASES))
+def test_solver_returns_an_optimum_with_its_dual_certificate(name):
+    # u_i + v_j >= value_ij everywhere, with equality on the mapping, proves
+    # the mapping optimal; scipy serves only as an independent oracle here
+    value = _CERTIFICATE_CASES[name]
+    k = value.shape[0]
+    rows = np.arange(k)
+    mapping, u, v = matching.linear_sum_assignment(value)
+    assert np.array_equal(np.sort(mapping), rows)
+    _, optimum = linear_sum_assignment(value, maximize=True)
+    best = float(value[rows, optimum].sum())
+    assert abs(float(value[rows, mapping].sum()) - best) <= 1e-12 * abs(best)
+    slack = u[:, None] + v[None, :] - value
+    tol = 1e-12 * (1.0 + float(np.abs(value).max()))
+    assert slack.min() >= -tol
+    assert np.abs(slack[rows, mapping]).max() <= tol
 
 
 class TestAlignDiscovered:
@@ -293,26 +328,47 @@ class TestAlignDiscovered:
             assert np.array_equal(result.mapping, np.asarray(best_perm))
 
 
-_STARTUP_CHILD = """
+_NO_SCIPY_CHILD = """
 import json, sys
-import condmetrics, condmetrics.cli
-scipy_at_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import condmetrics
+from condmetrics import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 mapping = condmetrics.hungarian_max(json.loads(sys.argv[1])).mapping.tolist()
-print(json.dumps({"at_import": scipy_at_import, "after_solve": "scipy" in sys.modules,
-                  "mapping": mapping}))
+after_solve = scipy_modules()
+code = cli.main(sys.argv[2:])
+print(json.dumps({"mapping": mapping, "after_solve": after_solve,
+                  "code": code, "after_sweep": scipy_modules()}))
 """
 
 
-def test_scipy_is_imported_at_the_first_solve():
+def test_alignment_never_imports_scipy(tmp_path):
     # a fresh interpreter, so modules loaded by other tests do not count
     value = rng_for(5).uniform(0.0, 1.0, (4, 4))
+    k, n = 4, 40
+    labels = np.repeat(np.arange(k), n // k)
+    features = rng_for(6).normal(0.0, 1.0, (n, 3)) + labels[:, None]
+    probs = np.full((n, k), 0.1 / (k - 1))
+    probs[np.arange(n), (labels + 1) % k] = 0.9
+    paths = {}
+    for name, arr in [("features", features), ("labels", labels), ("probs", probs)]:
+        paths[name] = str(tmp_path / f"{name}.cfm")
+        save_tensor(paths[name], arr)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--experiment", "label_noise", "--grid", "0,0.5", "--pairing", "hungarian",
+            "--real-features", paths["features"], "--real-labels", paths["labels"],
+            "--gen-features", paths["features"], "--gen-labels", paths["labels"],
+            "--probs", paths["probs"], "--out", str(out)]
     src = str(Path(condmetrics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _STARTUP_CHILD, json.dumps(value.tolist())],
+        [sys.executable, "-W", "error", "-c", _NO_SCIPY_CHILD, json.dumps(value.tolist()), *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
-    assert child["at_import"] == []
-    assert child["after_solve"]
     assert child["mapping"] == hungarian_max(value).mapping.tolist()
+    assert child["after_solve"] == []
+    assert child["code"] == 0 and out.is_file()
+    assert child["after_sweep"] == []

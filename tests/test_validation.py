@@ -197,3 +197,21 @@ def test_integral_float_pairing_equals_integer_pairing(name):
 def test_integral_float_beyond_int64_is_not_a_label(labels):
     with pytest.raises(InvalidInputError, match=r"label vector must be integers \(row 0 is not\)"):
         label_noise(labels, 0.0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: class_conditional_stats(FEATURES, LABELS, k="2"),
+    lambda: bcfid(**feature_args(k=2.5)),
+    lambda: per_class_is(PROBS, LABELS, class_count="2"),
+    lambda: mode_collapse_indices(LABELS, "2", SCHEDULE, seed=0),
+    lambda: gen_rings([1.0, 3.0], 0.1, n_per_class="3", seed=0),
+    lambda: dirichlet_rows([1.0, 2.0], n=2.5, seed=0),
+    lambda: dirichlet_rows([1.0, 2.0], n=[3], seed=0),
+    lambda: CollapseSchedule(collapsed_classes=("a",)),
+    lambda: CollapseSchedule(steps="2"),
+    lambda: ClassAssignment(mapping=None, score=0.0),
+], ids=["k-text", "k-fraction", "class_count-text", "mode-collapse-k-text", "n_per_class-text",
+        "n-fraction", "n-vector", "collapsed-classes-text", "steps-text", "mapping-none"])
+def test_non_integer_count_or_index_is_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
