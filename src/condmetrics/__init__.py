@@ -64,7 +64,6 @@ from .synth import (
 from .tensorfile import (
     load_features,
     load_labels,
-    load_probabilities,
     load_tensor,
     save_csv,
     save_tensor,
@@ -88,7 +87,7 @@ __all__ = [
     "gen_matched_moments", "gen_mixture", "gen_rings", "gen_tightness_case",
     "label_noise", "matched_moments_population", "mode_collapse_indices",
     "mode_collapse_run", "rng_for", "tightness_population",
-    "load_features", "load_labels", "load_probabilities", "load_tensor",
+    "load_features", "load_labels", "load_tensor",
     "save_csv", "save_tensor",
     "build_report", "sweep_label_noise", "sweep_mode_collapse",
 ]

@@ -21,7 +21,7 @@ class TensorFileError(InvalidInputError):
     """A tensor file is malformed; ``code`` identifies the failure class.
 
     Codes: bad-magic, bad-version, bad-dtype, bad-rank, bad-padding,
-    truncated, non-finite, bad-value, row-sum.
+    truncated, non-finite, bad-value.
     """
 
     def __init__(self, message: str, *, code: str):

@@ -7,7 +7,10 @@ One core, ``_evaluation``, checks every option and input once and builds every
 point (a vector of generated labels, on all or some generated rows) before any
 score.  It then estimates each trial's real side once, scores every point's
 generated side against it and drops it, so one trial's real side is held at a
-time.  ``build_report`` and ``subsampled_fid_suite`` are one-point callers.
+time.  ``build_report`` is its one-point caller.  Under feature subsampling each
+trial draws ``subset_size`` distinct columns from ``rng_for(seed)``, shared by
+both sides and fid/bcfid/wcfid; the report holds each score's mean over trials,
+divided by ``subset_size``.
 """
 
 from __future__ import annotations
@@ -24,30 +27,56 @@ from .metrics import (
     _as_int,
     _check_rows,
     _checked_features,
-    _column_sets,
     _fid_scores,
     _fid_side,
     _is_family,
-    _resolve_mapping,
-    _score_fid,
     as_label_vector,
     as_probability_matrix,
 )
-from .synth import CollapseSchedule, _label_noise, _mode_collapse_indices, rng_for
+from .synth import CollapseSchedule, _as_seed, _label_noise, _mode_collapse_indices, rng_for
 
 PAIRINGS = ("identity", "hungarian")
 
 
+def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
+    """The FID family's column sets and score divisor: all columns as one trial
+    at scale 1, or ``trials`` draws of ``subset_size`` of the d columns."""
+    if subset_size is None:
+        if trials != 1:
+            raise InvalidInputError(f"trials must be 1 without subset_size, got {trials}")
+        return [slice(None)], 1.0
+    if not 1 <= subset_size <= d:
+        raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    rng = rng_for(seed)
+    cols = [np.sort(rng.choice(d, size=subset_size, replace=False)) for _ in range(trials)]
+    return cols, float(subset_size)
+
+
+def _score_fid(report: MetricReport, scores, scale: float) -> None:
+    """Set the FID family of ``report``: each score is its mean over the trials'
+    ``_fid_scores``, divided by ``scale``."""
+    means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
+    report.fid = float(means[0])
+    if len(means) > 1:
+        report.bcfid, report.wcfid = float(means[1]), float(means[2])
+        report.cfid_sum = report.bcfid + report.wcfid
+        report.per_class_fid = means[3]
+
+
 def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels, probs, k,
-                subset_size, trials, seed, weighting, pairing, mapping=None):
+                subset_size, trials, seed, weighting, pairing):
     """One report per point of ``points(checked gen_labels, k)``, an iterable of
     ``(labels, rows)``: checked generated labels, on the generated rows ``rows``
-    (all of them if None).  ``mapping`` fixes the class pairing of every point,
-    and ``pairing`` is then only the report's label; otherwise "hungarian"
-    discovers each point's pairing from its probabilities."""
+    (all of them if None).  Pairing "identity" compares class c with real class
+    c; "hungarian" discovers each point's pairing from its probabilities."""
     k = None if k is None else _as_int(k, "class count")
     if k is not None and k < 1:
         raise InvalidInputError(f"class count must be >= 1, got {k}")
+    seed = _as_seed(seed)
+    trials = _as_int(trials, "trials")
+    subset_size = None if subset_size is None else _as_int(subset_size, "subset_size")
     if pairing not in PAIRINGS:
         raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
     if weighting not in WEIGHTINGS:
@@ -65,7 +94,7 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
         raise ConfigError(
             f"metrics bcfid/wcfid need labels on both sides; {missing} is missing")
-    discover = pairing == "hungarian" and mapping is None
+    discover = pairing == "hungarian"
     if discover and (probs is None or gen_labels is None):
         missing = "--probs" if probs is None else "--gen-labels"
         raise ConfigError(
@@ -91,11 +120,10 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
         k = max(int(real_labels.max()), int(gen_labels.max())) + 1
     if real_features is not None:
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
-    if gen_labels is not None:
-        mapping = _resolve_mapping(mapping, k)  # identity if None
+    identity = None if k is None else np.arange(k, dtype=np.int64)
     points = list(points(gen_labels, k))
 
-    reports = [MetricReport(pairing=pairing, seed=int(seed)) for _ in points]
+    reports = [MetricReport(pairing=pairing, seed=seed) for _ in points]
     mappings = []
     for report, (labels, rows) in zip(reports, points):
         p = probs if rows is None or probs is None else probs[rows]
@@ -105,7 +133,7 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
             if labels is not None:
                 report.accuracy, report.per_class_accuracy = _accuracy(p, labels)
         mappings.append(hungarian_max(_average_class_probabilities(p, labels)).mapping
-                        if discover else mapping)
+                        if discover else identity)
         if real_features is not None and labels is not None:
             paired = np.bincount(real_labels, minlength=k)[mappings[-1]]
             if np.any(paired != np.bincount(labels, minlength=k)):
@@ -168,23 +196,14 @@ def subsampled_fid_suite(
     seed: int,
     *,
     k: int | None = None,
-    pairing=None,
     weighting: str = "empirical",
-    pairing_label: str = "identity",
 ) -> MetricReport:
-    """Feature-subsampled, per-dimension-normalized FID family (no probabilities).
-
-    Each trial draws ``subset_size`` distinct feature columns, shared by both
-    sides and by fid/bcfid/wcfid, and divides the scores by ``subset_size``; the
-    report holds the mean over trials; without labels it holds fid alone.
-    ``pairing`` is a fixed class mapping (identity if None), reported as
-    ``pairing_label``.
-    """
-    return _evaluation(
-        lambda labels, _k: [(labels, None)],
+    """Feature-subsampled, per-dimension-normalized FID family (no probabilities):
+    ``build_report`` with ``subset_size``; without labels it holds fid alone."""
+    return build_report(
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, probs=None, k=k, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing_label, mapping=pairing)[0]
+        gen_labels=gen_labels, k=k, subset_size=subset_size, trials=trials, seed=seed,
+        weighting=weighting)
 
 
 def sweep_label_noise(
@@ -203,7 +222,8 @@ def sweep_label_noise(
     pairing: str = "identity",
 ) -> list[tuple[float, MetricReport]]:
     """One report per noise fraction p; the point at index i noises the
-    generated labels with the stream (seed, spawn_key=(i,))."""
+    generated labels with the stream of one integer drawn from
+    ``rng_for(seed, i)``."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
     grid = _as_finite(grid, "grid")[0].reshape(-1).tolist()

@@ -185,6 +185,12 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     docstring for the identities).
     """
     n, width = p.shape
+    if y is not None:
+        # Conditioned classes live in their own index space: usually it matches
+        # the probability columns, but e.g. one condition covering several
+        # predicted classes is legal.  Every conditioned class must be non-empty.
+        idx = class_index_lists(y, k, min_count=1, side="conditioned")
+        priors = class_priors(np.array([i.size for i in idx]), weighting)
     rows = max(1, _IS_BLOCK // width)
     # reused block buffers: fresh ones are returned to the OS and faulted in per block
     buf, prod = np.empty((2, min(rows, n), width))
@@ -198,14 +204,9 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
     if y is None:
         return is_, None, None, None
-    # Conditioned classes live in their own index space: usually it matches
-    # the probability columns, but e.g. one condition covering several
-    # predicted classes is legal.  Every conditioned class must be non-empty.
-    idx = class_index_lists(y, k, min_count=1, side="conditioned")
     averages = np.stack([
         sum(_clean_rows(p, buf, i[s:s + rows]).sum(axis=0) for s in range(0, i.size, rows))
         / i.size for i in idx])
-    priors = class_priors(np.array([i.size for i in idx]), weighting)
     within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
     between = priors @ _kl_rows(averages, priors @ averages)
     return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
@@ -291,21 +292,18 @@ def class_conditional_stats(
     k: int,
     *,
     weighting: str = "empirical",
-    min_count: int = 1,
-    side: str = "",
 ) -> ClassConditionalStats:
     """Estimate per-class and between-class Gaussian statistics from samples."""
     x = as_feature_matrix(features)
     k = _as_int(k, "class count")
     y = as_label_vector(labels, k, n=x.shape[0])
-    return _class_conditional_stats(x, y, k, weighting, min_count, side)
+    return _class_conditional_stats(x, y, k, weighting, 1, "")
 
 
 def _class_conditional_stats(x, y, k: int, weighting: str, min_count: int, side: str):
     idx = class_index_lists(y, k, min_count=min_count, side=side)
-    per_class = tuple(_estimate_gaussian(x[i]) for i in idx)
     priors = class_priors(np.array([i.size for i in idx]), weighting)
-    return _with_between(per_class, priors)
+    return _with_between(tuple(_estimate_gaussian(x[i]) for i in idx), priors)
 
 
 def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
@@ -403,22 +401,6 @@ def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
             _class_conditional_stats(gf, gy, k, weighting, min_count, "generated"))
 
 
-def _column_sets(d: int, subset_size, trials: int, seed: int):
-    """The FID family's column sets and score divisor: all columns as one trial
-    at scale 1, or ``trials`` seeded draws of ``subset_size`` of the d columns."""
-    if subset_size is None:
-        if trials != 1:
-            raise InvalidInputError(f"trials must be 1 without subset_size, got {trials}")
-        return [slice(None)], 1.0
-    if not 1 <= subset_size <= d:
-        raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    cols = [np.sort(rng.choice(d, size=subset_size, replace=False)) for _ in range(trials)]
-    return cols, float(subset_size)
-
-
 def _fid_side(x: np.ndarray, y, cols, k: int | None, weighting: str, side: str):
     """Pooled Gaussian of the checked x[:, cols] and, with labels in [0, k),
     its class-conditional statistics (None without labels)."""
@@ -434,17 +416,6 @@ def _fid_scores(real_side, gen_side, pairing) -> tuple:
     f = frechet_distance(real_pooled, gen_pooled)
     return (f,) if real is None else (
         f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing))
-
-
-def _score_fid(report: MetricReport, scores, scale: float) -> None:
-    """Set the FID family of ``report``: each score is its mean over the trials'
-    ``_fid_scores``, divided by ``scale``."""
-    means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
-    report.fid = float(means[0])
-    if len(means) > 1:
-        report.bcfid, report.wcfid = float(means[1]), float(means[2])
-        report.cfid_sum = report.bcfid + report.wcfid
-        report.per_class_fid = means[3]
 
 
 def bcfid(

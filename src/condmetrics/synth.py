@@ -1,10 +1,9 @@
 """Seeded synthetic datasets: Gaussian mixtures, analytic counterexamples,
 label noising, and staged mode collapse.
 
-All randomness flows from one explicit 64-bit seed through numpy's PCG64.
-Independent pieces (collapse steps, sweep points) draw from
-``SeedSequence(seed, spawn_key=(index,))`` so they are reproducible and
-order-independent.
+All randomness flows from one explicit seed, an integer in [0, 2^63), through
+``rng_for``.  Independent pieces (collapse steps, sweep points) draw from
+``rng_for(seed, index)`` so they are reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -29,9 +28,20 @@ from .metrics import (
 TWO_PI = 2.0 * math.pi
 
 
+def _as_seed(seed) -> int:
+    """seed as an integer in [0, 2^63) by the ``_as_int`` rule; an integer is
+    taken exactly, so one beyond int64 fails on the range, by name."""
+    exact = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    value = int(seed) if exact else _as_int(seed, "seed")
+    if not 0 <= value < 2**63:
+        raise InvalidInputError(f"seed must be an integer in [0, 2^63), got {value}")
+    return value
+
+
 def rng_for(seed: int, *key: int) -> np.random.Generator:
-    """PCG64 generator for (seed, key...); the documented derivation rule."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key))
+    """PCG64 generator of ``SeedSequence(seed, spawn_key=key)``: the one place a
+    seed becomes a stream."""
+    ss = np.random.SeedSequence(_as_seed(seed), spawn_key=tuple(int(x) for x in key))
     return np.random.default_rng(ss)
 
 
@@ -111,14 +121,12 @@ def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_rings(
-    radii, radial_sigma: float, n_per_class: int, seed: int,
-    *, fixed_angle: float | None = None,
+    radii, radial_sigma: float, n_per_class: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concentric 2-D rings: radius R_c plus Gaussian jitter, uniform angle.
 
-    ``fixed_angle`` pins every angle (test hook).  Qualitative illustration
-    only; per-axis class variance is (R^2 + sigma^2) / 2 and per-class means
-    tend to the origin.
+    Qualitative illustration only; per-axis class variance is
+    (R^2 + sigma^2) / 2 and per-class means tend to the origin.
     """
     radii = _as_finite(radii, "radii")[0].reshape(-1)
     if radii.size < 1 or np.any(radii <= 0):
@@ -132,8 +140,7 @@ def gen_rings(
     for radius in radii:
         r = radius + rng.normal(0.0, radial_sigma, n_per_class) if radial_sigma > 0 \
             else np.full(n_per_class, radius)
-        theta = np.full(n_per_class, float(fixed_angle)) if fixed_angle is not None \
-            else rng.uniform(0.0, TWO_PI, n_per_class)
+        theta = rng.uniform(0.0, TWO_PI, n_per_class)
         blocks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
     features = np.concatenate(blocks, axis=0)
     labels = np.repeat(np.arange(radii.size, dtype=np.int64), n_per_class)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, TensorFileError
-from .metrics import as_label_vector, as_probability_matrix
+from .metrics import as_label_vector
 
 MAGIC = b"CFM1"
 VERSION = 1
@@ -170,17 +170,6 @@ def load_features(path) -> np.ndarray:
     return arr
 
 
-def load_probabilities(path) -> np.ndarray:
-    """Load a probability matrix, enforcing row sums and the [0, 1] range."""
-    arr = load_features(path)
-    try:
-        return as_probability_matrix(arr)
-    except InvalidInputError as exc:
-        # only the row-sum check words its failure "sums to"
-        code = "row-sum" if "sums to" in str(exc) else "bad-value"
-        raise TensorFileError(f"{path}: {exc}", code=code) from None
-
-
 def load_labels(path, k: int | None = None) -> np.ndarray:
     """Load a rank-1 integer label vector; CSV labels must be integral."""
     arr = load_tensor(path)
@@ -189,5 +178,6 @@ def load_labels(path, k: int | None = None) -> np.ndarray:
     try:
         return as_label_vector(arr, k)
     except InvalidInputError as exc:
-        code = "bad-rank" if "1-D" in str(exc) else "bad-value"
+        # a vector fails on its values; any other rank fails as not 1-D
+        code = "bad-value" if arr.ndim == 1 else "bad-rank"
         raise TensorFileError(f"{path}: {exc}", code=code) from None

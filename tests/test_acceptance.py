@@ -244,7 +244,7 @@ def _write_cli_dataset(tmp_path):
     return paths
 
 
-def test_c09_determinism(tmp_path, monkeypatch):
+def test_c09_determinism(tmp_path):
     paths = _write_cli_dataset(tmp_path)
     flags = [
         "--real-features", str(paths["real_features"]),
@@ -255,8 +255,7 @@ def test_c09_determinism(tmp_path, monkeypatch):
         "--k", "3", "--seed", "5", "--subset-size", "3", "--trials", "8",
     ]
     metrics_outputs, sweep_outputs = [], []
-    for run, threads in enumerate(["1", "4", "1", "4"]):
-        monkeypatch.setenv("CONDMETRICS_THREADS", threads)
+    for run in range(4):
         m_out = tmp_path / f"metrics{run}.json"
         s_out = tmp_path / f"sweep{run}.csv"
         assert main(["metrics", *flags, "--out", str(m_out)]) == 0

@@ -187,6 +187,22 @@ class TestExitCodes:
         assert f"class count must be >= 1, got {k}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra, seed", [
+        ("metrics", ["--subset-size", "3"], "-1"),
+        ("metrics", [], "-1"),
+        ("sweep", ["--experiment", "label_noise"], "-2"),
+        ("sweep", ["--experiment", "mode_collapse", "--steps", "2"], "-2"),
+        ("metrics", [], str(2**63)),
+    ], ids=["metrics-subset", "metrics", "label-noise", "mode-collapse", "2^63"])
+    def test_seed_outside_the_rule_is_invalid_input(
+            self, dataset, tmp_path, capsys, command, extra, seed):
+        out = tmp_path / "out"
+        flags = metrics_args(dataset, out)[1:]
+        assert main([command, *flags, *extra, "--seed", seed]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: seed must be an integer in [0, 2^63), got {seed}\n")
+        assert not out.exists()
+
     def test_probability_columns_other_than_k_is_config_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["metrics", "--probs", str(dataset["probs"]), "--k", "5",
@@ -449,7 +465,6 @@ class TestCmdMatch:
 
     def test_validates_probabilities_once(self, tmp_path, monkeypatch):
         import condmetrics.matching as matching_mod
-        import condmetrics.tensorfile as tensorfile_mod
         from condmetrics import average_class_probabilities, hungarian_max
         from condmetrics.report import assignment_to_json
 
@@ -472,8 +487,8 @@ class TestCmdMatch:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (matching_mod, tensorfile_mod):
-            monkeypatch.setattr(mod, "as_probability_matrix", counted(mod.as_probability_matrix))
+        monkeypatch.setattr(matching_mod, "as_probability_matrix",
+                            counted(matching_mod.as_probability_matrix))
         out = tmp_path / "match.json"
         assert main(["match", "--probs", str(probs_path),
                      "--gen-labels", str(conds_path), "--out", str(out)]) == 0
@@ -570,6 +585,15 @@ class TestCmdSynth:
         assert main(["synth", "mixture", "--spec", str(spec_path),
                      "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"invalid input: {message}\n"
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("generator", ["rings", "matched-moments", "tightness", "dirichlet"])
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys, generator):
+        out_dir = tmp_path / "dir"
+        assert main(["synth", generator, "--n-per-class", "5", "--seed", "-3",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == \
+            "invalid input: seed must be an integer in [0, 2^63), got -3\n"
         assert list(out_dir.iterdir()) == []
 
     def test_nan_dirichlet_alpha_is_invalid_input(self, tmp_path, capsys):

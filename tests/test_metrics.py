@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from condmetrics import (
     InvalidInputError,
-    TensorFileError,
     accuracy,
     bcfid,
     bcfid_from_stats,
@@ -35,7 +34,6 @@ from condmetrics.metrics import (
     class_index_lists,
     class_priors,
 )
-from condmetrics.tensorfile import load_probabilities, save_tensor
 from condmetrics.synth import MixtureSpec, dirichlet_rows, gen_mixture, label_noise, rng_for
 
 
@@ -93,18 +91,6 @@ class TestProbabilityValidation:
         probs[1, 2] = value
         with pytest.raises(InvalidInputError, match="^probability matrix contains non-finite"):
             as_probability_matrix(probs)
-
-    @pytest.mark.parametrize("rows, code", [
-        ([[0.5, 0.5], [0.9, 0.3]], "row-sum"),
-        ([[0.5, 0.5], [1.2, -0.2]], "bad-value"),
-    ])
-    def test_file_errors_keep_their_codes(self, tmp_path, rows, code):
-        path = tmp_path / "p.cfm"
-        save_tensor(path, np.array(rows))
-        with pytest.raises(TensorFileError) as err:
-            load_probabilities(path)
-        assert err.value.code == code
-        assert str(path) in str(err.value) and "row 1" in str(err.value)
 
 
 class TestClassIndexLists:
@@ -599,6 +585,27 @@ class TestClassConditionalStats:
             gx, gy = draw(2 * seed + 1)
             total = cfid_sum(rx, ry, gx, gy, k)
             assert fid(rx, gx) <= total + 1e-6
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, y, x, g: bcis(p, y, "bogus"),
+    lambda p, y, x, g: wcis(p, y, "bogus"),
+    lambda p, y, x, g: bcfid(x, y, g, y, 3, weighting="bogus"),
+    lambda p, y, x, g: wcfid(x, y, g, y, 3, weighting="bogus"),
+    lambda p, y, x, g: cfid_sum(x, y, g, y, 3, weighting="bogus"),
+    lambda p, y, x, g: class_conditional_stats(x, y, 3, weighting="bogus"),
+], ids=["bcis", "wcis", "bcfid", "wcfid", "cfid_sum", "class_conditional_stats"])
+def test_unknown_weighting_fails_before_any_row_pass_or_estimate(call, monkeypatch):
+    probs, labels, _ = random_instance(14, k=3, n=60, balanced=True)
+    x = rng_for(15).standard_normal((60, 2))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("work was done before the weighting was checked")
+
+    for name in ("_neg_entropy_rows", "_estimate_gaussian"):
+        monkeypatch.setattr(metrics, name, forbidden)
+    with pytest.raises(InvalidInputError, match="unknown weighting 'bogus'"):
+        call(probs, labels, x, x + 1.0)
 
 
 class TestSubsampledSuite:

@@ -59,10 +59,10 @@ class TestGenMixture:
 
 
 class TestGenRings:
-    def test_fixed_angle_hook(self):
-        x, y = gen_rings([2.5], radial_sigma=0.0, n_per_class=1, seed=0, fixed_angle=0.0)
-        assert np.allclose(x, [[2.5, 0.0]])
-        assert np.array_equal(y, [0])
+    def test_zero_sigma_points_lie_on_their_radius(self):
+        x, y = gen_rings([2.5, 4.0], radial_sigma=0.0, n_per_class=50, seed=0)
+        assert np.allclose(np.hypot(x[:, 0], x[:, 1]), np.repeat([2.5, 4.0], 50))
+        assert np.array_equal(y, np.repeat([0, 1], 50))
 
     def test_class_means_near_origin(self):
         n = 20_000

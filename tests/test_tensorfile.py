@@ -11,11 +11,11 @@ from condmetrics import (
     TensorFileError,
     load_features,
     load_labels,
-    load_probabilities,
     load_tensor,
     save_csv,
     save_tensor,
 )
+from condmetrics.metrics import as_probability_matrix
 from condmetrics.tensorfile import MAGIC
 
 
@@ -169,14 +169,6 @@ class TestErrors:
         assert err.value.code == "non-finite"
         assert "row 2" in str(err.value)
 
-    def test_row_sum_violation(self, tmp_path):
-        path = tmp_path / "p.cfm"
-        save_tensor(path, np.array([[0.5, 0.5], [0.9, 0.3]]))
-        with pytest.raises(TensorFileError) as err:
-            load_probabilities(path)
-        assert err.value.code == "row-sum"
-        assert "row 1" in str(err.value)
-
     def test_labels_must_be_integral(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("0\n1.5\n")
@@ -228,8 +220,8 @@ class TestCSV:
     def test_probabilities_from_csv(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0.25,0.75\n1,0\n")
-        probs = load_probabilities(path)
-        assert probs.shape == (2, 2)
+        probs = as_probability_matrix(load_features(path))
+        assert np.array_equal(probs, [[0.25, 0.75], [1.0, 0.0]])
 
     def test_labels_single_column(self, tmp_path):
         path = tmp_path / "l.csv"

@@ -173,8 +173,6 @@ def _stats_pair():
 PAIRING_CALLS = {
     "wcfid": lambda pairing: wcfid(**feature_args(k=K), pairing=pairing),
     "wcfid_from_stats": lambda pairing: wcfid_from_stats(*_stats_pair(), pairing),
-    "subsampled_fid_suite": lambda pairing: subsampled_fid_suite(
-        **feature_args(subset_size=1, trials=1, seed=0), pairing=pairing),
     "ClassAssignment": lambda pairing: ClassAssignment(mapping=pairing, score=0.0),
 }
 
@@ -197,6 +195,55 @@ def test_integral_float_pairing_equals_integer_pairing(name):
 def test_integral_float_beyond_int64_is_not_a_label(labels):
     with pytest.raises(InvalidInputError, match=r"label vector must be integers \(row 0 is not\)"):
         label_noise(labels, 0.0, 0)
+
+
+SEED_RULE = r"seed must be an integer in \[0, 2\^63\), got "
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(seed=-1), SEED_RULE + "-1$"),
+    (dict(seed=2**70), SEED_RULE + f"{2**70}$"),
+    (dict(seed=np.uint64(2**63)), SEED_RULE + f"{2**63}$"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed="3"), "seed has unsupported dtype"),
+    (dict(seed=True), "seed has unsupported dtype bool"),
+    (dict(subset_size=2.5), "subset_size must be an integer, got 2.5"),
+    (dict(subset_size="1"), "subset_size has unsupported dtype"),
+    (dict(subset_size=True), "subset_size has unsupported dtype bool"),
+    (dict(subset_size=1, trials=2.5), "trials must be an integer, got 2.5"),
+    (dict(subset_size=1, trials="2"), "trials has unsupported dtype"),
+    (dict(subset_size=1, trials=True), "trials has unsupported dtype bool"),
+], ids=["seed-negative", "seed-2^70", "seed-uint64-2^63", "seed-fraction", "seed-text",
+        "seed-bool", "subset-fraction", "subset-text", "subset-bool", "trials-fraction",
+        "trials-text", "trials-bool"])
+def test_seed_and_subsampling_counts_follow_the_integer_rule(options, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build_report(**feature_args(), **options)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rng_for(-1),
+    lambda: rng_for(2**63),
+    lambda: rng_for(1.5),
+    lambda: rng_for("3"),
+    lambda: label_noise(LABELS, 0.5, seed=-1),
+    lambda: dirichlet_rows([1.0, 2.0], 3, seed=-3),
+    lambda: gen_rings([1.0], 0.1, 3, seed=2.5),
+    lambda: mode_collapse_indices(LABELS, K, SCHEDULE, seed=-2),
+    lambda: sweep_label_noise(**feature_args(), grid=[0.5], seed=-2),
+], ids=["rng_for-negative", "rng_for-2^63", "rng_for-fraction", "rng_for-text",
+        "label_noise", "dirichlet_rows", "gen_rings", "mode_collapse_indices",
+        "sweep_label_noise"])
+def test_every_seed_follows_the_integer_rule(call):
+    with pytest.raises(InvalidInputError, match="^seed "):
+        call()
+
+
+def test_integral_float_seed_equals_integer_seed():
+    options = dict(subset_size=1.0, trials=2.0)
+    assert repr(build_report(**feature_args(), seed=3.0, **options)) == \
+        repr(build_report(**feature_args(), seed=3, subset_size=1, trials=2))
+    assert np.array_equal(rng_for(np.int64(3)).random(4), rng_for(3.0).random(4))
 
 
 @pytest.mark.parametrize("call", [
