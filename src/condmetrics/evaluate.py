@@ -5,7 +5,12 @@ path is deterministic given the inputs and the seed.
 
 One core, ``_evaluation``, checks every option and input once and builds every
 point (a vector of generated labels, on all or some generated rows) before any
-score.  It then estimates each trial's real side once, scores every point's
+score.  Points on the same generated rows (every label-noise point, and
+``build_report``'s one point) share the work that does not depend on labels:
+the IS row pass once per run, and the generated pooled Gaussian and fid once
+per trial.  Each point adds only its labelled work: class averages, bcis/wcis,
+accuracy, its pairing, the per-class and between-class Gaussians and wcfid.
+The core estimates each trial's real side once, scores every point's
 generated side against it and drops it, so one trial's real side is held at a
 time.  ``build_report`` is its one-point caller.  Under feature subsampling each
 trial draws ``subset_size`` distinct columns from ``rng_for(seed)``, shared by
@@ -27,9 +32,11 @@ from .metrics import (
     _as_int,
     _check_rows,
     _checked_features,
-    _fid_scores,
+    _class_split,
+    _fid_row_set,
     _fid_side,
-    _is_family,
+    _is_classes,
+    _is_rows,
     as_label_vector,
     as_probability_matrix,
 )
@@ -56,7 +63,7 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
 
 def _score_fid(report: MetricReport, scores, scale: float) -> None:
     """Set the FID family of ``report``: each score is its mean over the trials'
-    ``_fid_scores``, divided by ``scale``."""
+    ``_fid_row_set`` scores, divided by ``scale``."""
     means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
     report.fid = float(means[0])
     if len(means) > 1:
@@ -65,12 +72,15 @@ def _score_fid(report: MetricReport, scores, scale: float) -> None:
         report.per_class_fid = means[3]
 
 
-def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels, probs, k,
+def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_labels, probs, k,
                 subset_size, trials, seed, weighting, pairing):
-    """One report per point of ``points(checked gen_labels, k)``, an iterable of
-    ``(labels, rows)``: checked generated labels, on the generated rows ``rows``
-    (all of them if None).  Pairing "identity" compares class c with real class
-    c; "hungarian" discovers each point's pairing from its probabilities."""
+    """One report per point of ``row_sets(checked gen_labels, k)``, an iterable
+    of ``(rows, label vectors)``: the generated rows ``rows`` (all of them if
+    None) and the checked generated labels of each point scored on them.  The
+    label-independent work (the IS row pass, the generated pooled Gaussian and
+    fid) is done once per row set.  Pairing "identity" compares class c with
+    real class c; "hungarian" discovers each point's pairing from its
+    probabilities."""
     k = None if k is None else _as_int(k, "class count")
     if k is not None and k < 1:
         raise InvalidInputError(f"class count must be >= 1, got {k}")
@@ -121,37 +131,43 @@ def _evaluation(points, *, real_features, real_labels, gen_features, gen_labels,
     if real_features is not None:
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
     identity = None if k is None else np.arange(k, dtype=np.int64)
-    points = list(points(gen_labels, k))
+    row_sets = list(row_sets(gen_labels, k))
 
-    reports = [MetricReport(pairing=pairing, seed=seed) for _ in points]
-    mappings = []
-    for report, (labels, rows) in zip(reports, points):
+    reports, prepared = [], []  # per row set: its rows and its points' (labels, mapping)
+    for rows, labelled in row_sets:
         p = probs if rows is None or probs is None else probs[rows]
-        if p is not None:
-            report.is_, report.bcis, report.wcis, report.per_class_is = _is_family(
-                p, labels, k, weighting)
-            if labels is not None:
+        neg_entropy, is_ = (None, None) if p is None else _is_rows(p)
+        points = []
+        prepared.append((rows, points))
+        for labels in labelled:
+            report = MetricReport(is_=is_, pairing=pairing, seed=seed)
+            if p is not None and labels is not None:
+                report.bcis, report.wcis, report.per_class_is = _is_classes(
+                    p, neg_entropy, *_class_split(labels, k, weighting, 1, "conditioned"))
                 report.accuracy, report.per_class_accuracy = _accuracy(p, labels)
-        mappings.append(hungarian_max(_average_class_probabilities(p, labels)).mapping
-                        if discover else identity)
-        if real_features is not None and labels is not None:
-            paired = np.bincount(real_labels, minlength=k)[mappings[-1]]
-            if np.any(paired != np.bincount(labels, minlength=k)):
-                report.warnings.append(
-                    "per-class sample counts differ between the real and generated "
-                    "sides; the conditional-bound guarantees assume matched counts")
+            mapping = (hungarian_max(_average_class_probabilities(p, labels)).mapping
+                       if discover else identity)
+            if real_features is not None and labels is not None:
+                paired = np.bincount(real_labels, minlength=k)[mapping]
+                if np.any(paired != np.bincount(labels, minlength=k)):
+                    report.warnings.append(
+                        "per-class sample counts differ between the real and generated "
+                        "sides; the conditional-bound guarantees assume matched counts")
+            reports.append(report)
+            points.append((labels, mapping))
+    p = neg_entropy = None  # hold no row set's arrays through the FID family
     if real_features is None:
         return reports
 
-    scores = [[] for _ in points]
+    trials_scores = []
     for cols in column_sets:
         real = _fid_side(rf, real_labels, cols, k, weighting, "real")
-        for (labels, rows), point_mapping, trials_of_point in zip(points, mappings, scores):
-            trials_of_point.append(_fid_scores(real, _fid_side(
-                gf if rows is None else gf[rows], labels, cols, k, weighting, "generated"),
-                point_mapping))
+        trials_scores.append([
+            scores for rows, points in prepared
+            for scores in _fid_row_set(real, gf if rows is None else gf[rows], cols, points,
+                                       k, weighting)])
         del real  # before the next trial's real side is estimated
-    for report, trials_of_point in zip(reports, scores):
+    for report, trials_of_point in zip(reports, zip(*trials_scores)):
         report.dims_used = rf.shape[1] if subset_size is None else subset_size
         _score_fid(report, trials_of_point, scale)
     return reports
@@ -180,7 +196,7 @@ def build_report(
     since the conditional-bound guarantees assume matched counts.
     """
     return _evaluation(
-        lambda labels, _k: [(labels, None)],
+        lambda labels, _k: [(None, [labels])],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)[0]
@@ -228,8 +244,8 @@ def sweep_label_noise(
         raise ConfigError("label_noise sweep needs generated labels")
     grid = _as_finite(grid, "grid")[0].reshape(-1).tolist()
     reports = _evaluation(
-        lambda labels, _k: [(_label_noise(labels, p, _point_seed(seed, i)), None)
-                            for i, p in enumerate(grid)],
+        lambda labels, _k: [(None, [_label_noise(labels, p, _point_seed(seed, i))
+                                    for i, p in enumerate(grid)])],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
@@ -261,7 +277,7 @@ def sweep_mode_collapse(
     if gen_features is None or gen_labels is None:
         raise ConfigError("mode_collapse sweep needs generated features and labels")
     reports = _evaluation(
-        lambda labels, k: [(labels[idx], idx)
+        lambda labels, k: [(idx, [labels[idx]])
                            for idx in _mode_collapse_indices(labels, k, schedule, seed)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,

@@ -1,14 +1,18 @@
 """Gaussian population statistics and the Fréchet distance between Gaussians.
 
 Each Gaussian is held as its mean and one row factor F (r x d, r <= d) with
-covariance F^T F, built once.  Estimates keep the triangular QR factor of
-rows whose Gram matrix is the covariance (the centred samples over sqrt(N),
-or sqrt(pi_c) (mu_c - mu) for the Gaussian over class means), so r is at most
-min(N, d), memory is O(min(N, d) * d) per Gaussian, and the covariance is PSD
-by construction.  An explicitly supplied covariance keeps its PSD square
-root, whose eigendecomposition is the only place a non-PSD matrix raises
-NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
-array input of the package (tensor files aside) for numbers and finiteness.
+covariance F^T F, built once.  Estimates start from rows whose Gram matrix is
+the covariance (the centred samples over sqrt(N), or sqrt(pi_c) (mu_c - mu)
+for the Gaussian over class means).  N <= d rows are kept as the factor
+itself; more rows are reduced to the d x d triangular factor of their QR.
+Either way r is at most min(N, d), memory is O(min(N, d) * d) per Gaussian,
+and the covariance is PSD by construction.  The Fréchet cross-term reads only
+the singular values of Fa Fb^T, which a left rotation of either factor leaves
+unchanged, so the QR is worth running only where it makes the factor smaller.
+An explicitly supplied covariance keeps its PSD square root, whose
+eigendecomposition is the only place a non-PSD matrix raises NotPSDError (the
+CLI's exit code 3).  ``_as_finite`` coerces and checks every array input of
+the package (tensor files aside) for numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -89,9 +93,13 @@ class GaussianStats:
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
-        """Gaussian with covariance rows^T rows, kept as the QR factor R of rows."""
+        """Gaussian with covariance rows^T rows, for a fresh array of rows.  A QR
+        runs only where it shrinks the factor: more rows than columns keep the
+        d x d R, and otherwise the rows themselves are the factor."""
+        if rows.shape[0] > rows.shape[1]:
+            rows = np.linalg.qr(rows, mode="r")
         stats = cls.__new__(cls)
-        stats.__dict__.update(mean=mean, factor=np.linalg.qr(rows, mode="r"), count=count)
+        stats.__dict__.update(mean=mean, factor=rows, count=count)
         return stats
 
     @property

@@ -10,8 +10,11 @@ Score families
   renormalized rows q: each row's negative entropy h_i = sum_j q_ij log q_ij
   and the class averages a_c.  Then log IS = mean(h) - m . log m for the
   marginal m, the log per-class score is mean_{i in c} h_i - a_c . log a_c,
-  and BCIS needs only the K x K averages; rows are cleaned in fixed-size
-  blocks, so no second array of the matrix's size is made.
+  and BCIS needs only the K x K averages.  So the work splits into a row pass
+  (h, m and IS), which does not depend on the labels and runs once per
+  probability matrix, and a labelled pass (a_c, BCIS, WCIS and the per-class
+  scores) per label vector.  Rows are cleaned in fixed-size blocks, so no
+  second array of the matrix's size is made.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.
@@ -46,7 +49,7 @@ PROB_FLOOR = 1e-12
 
 WEIGHTINGS = ("empirical", "uniform")
 
-# Entries per row block of the IS family's passes (see ``_is_family``).
+# Entries per row block of the IS family's passes (see ``_blocks``).
 _IS_BLOCK = 2**15
 
 
@@ -107,6 +110,9 @@ def _as_int_vector(values, what: str) -> np.ndarray:
         bad = (y != np.floor(y)) | (np.abs(y) >= 2.0**63)  # not an int64 value
         if bad.any():
             raise InvalidInputError(f"{what} must be integers (row {int(np.argmax(bad))} is not)")
+    elif y.dtype == np.uint64 and y.size and y.max() > np.iinfo(np.int64).max:
+        # the int64 cast would wrap these to negative numbers
+        raise InvalidInputError(f"{what} must be below 2^63, got {int(y.max())}")
     return y.astype(np.int64, copy=False)
 
 
@@ -117,7 +123,9 @@ def _as_int(value, what: str) -> int:
         raise InvalidInputError(f"{what} must be one integer, got shape {a.shape}")
     try:
         return int(_as_int_vector(a.reshape(1), what)[0])
-    except InvalidInputError:  # not finite, or not integral
+    except InvalidInputError:
+        if a.dtype.kind != "f":  # an unsigned value beyond int64, already named
+            raise
         raise InvalidInputError(f"{what} must be an integer, got {a.item()!r}") from None
 
 
@@ -141,6 +149,12 @@ def class_index_lists(
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(counts)
     return [order[end - n:end] for n, end in zip(counts, ends)]
+
+
+def _class_split(y: np.ndarray, k: int, weighting: str, min_count: int, side: str):
+    """Per-class row indices of labels in [0, k) and the class priors."""
+    idx = class_index_lists(y, k, min_count=min_count, side=side)
+    return idx, class_priors(np.array([i.size for i in idx]), weighting)
 
 
 def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray:
@@ -179,37 +193,54 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     """IS, BCIS, WCIS and the per-class IS vector of a checked probability
     matrix and checked labels in [0, k); without labels the last three are None.
 
-    One pass over row blocks of about ``_IS_BLOCK`` entries gives each row's
-    negative entropy and the marginal; labels add one pass over each class's
-    rows, in blocks of the same size, for its average (see the module
-    docstring for the identities).
+    The row pass (``_is_rows``) is label-independent; labels add the labelled
+    pass (``_is_classes``).  The classes are split first, so an empty class or
+    an unknown weighting fails before any pass.
     """
-    n, width = p.shape
-    if y is not None:
-        # Conditioned classes live in their own index space: usually it matches
-        # the probability columns, but e.g. one condition covering several
-        # predicted classes is legal.  Every conditioned class must be non-empty.
-        idx = class_index_lists(y, k, min_count=1, side="conditioned")
-        priors = class_priors(np.array([i.size for i in idx]), weighting)
-    rows = max(1, _IS_BLOCK // width)
-    # reused block buffers: fresh ones are returned to the OS and faulted in per block
-    buf, prod = np.empty((2, min(rows, n), width))
+    # Conditioned classes live in their own index space: usually it matches
+    # the probability columns, but e.g. one condition covering several
+    # predicted classes is legal.  Every conditioned class must be non-empty.
+    classes = None if y is None else _class_split(y, k, weighting, 1, "conditioned")
+    neg_entropy, is_ = _is_rows(p)
+    if classes is None:
+        return is_, None, None, None
+    return (is_, *_is_classes(p, neg_entropy, *classes))
+
+
+def _is_rows(p: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each row's negative entropy and IS: one pass over row blocks of about
+    ``_IS_BLOCK`` entries, which also sums the marginal."""
+    n = p.shape[0]
+    rows, (buf, prod) = _blocks(p, 2)
     neg_entropy = np.empty(n)
-    col_sum = np.zeros(width)
+    col_sum = np.zeros(p.shape[1])
     for start in range(0, n, rows):
         q = _clean_rows(p[start:start + rows], buf)
         neg_entropy[start:start + rows] = _neg_entropy_rows(q, prod[:len(q)])
         col_sum += q.sum(axis=0)
     marginal = col_sum / n
-    is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
-    if y is None:
-        return is_, None, None, None
+    return neg_entropy, float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
+
+
+def _is_classes(p: np.ndarray, neg_entropy: np.ndarray, idx, priors: np.ndarray):
+    """BCIS, WCIS and the per-class IS vector from the row pass's negative
+    entropies and the classes' row indices and priors: one pass over each
+    class's rows, in blocks, for its average."""
+    rows, (buf,) = _blocks(p, 1)
     averages = np.stack([
         sum(_clean_rows(p, buf, i[s:s + rows]).sum(axis=0) for s in range(0, i.size, rows))
         / i.size for i in idx])
     within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
     between = priors @ _kl_rows(averages, priors @ averages)
-    return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
+    return float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
+
+
+def _blocks(p: np.ndarray, count: int):
+    """Rows per block of p and ``count`` reused block buffers: fresh ones are
+    returned to the OS and faulted in again at every block."""
+    n, width = p.shape
+    rows = max(1, _IS_BLOCK // width)
+    return rows, np.empty((count, min(rows, n), width))
 
 
 def _checked_is_family(probs, labels, weighting: str, class_count: int | None):
@@ -301,8 +332,7 @@ def class_conditional_stats(
 
 
 def _class_conditional_stats(x, y, k: int, weighting: str, min_count: int, side: str):
-    idx = class_index_lists(y, k, min_count=min_count, side=side)
-    priors = class_priors(np.array([i.size for i in idx]), weighting)
+    idx, priors = _class_split(y, k, weighting, min_count, side)
     return _with_between(tuple(_estimate_gaussian(x[i]) for i in idx), priors)
 
 
@@ -410,12 +440,23 @@ def _fid_side(x: np.ndarray, y, cols, k: int | None, weighting: str, side: str):
     return pooled, classes
 
 
-def _fid_scores(real_side, gen_side, pairing) -> tuple:
-    """One trial's (fid,), or with labels (fid, bcfid, wcfid, per-class vector)."""
-    (real_pooled, real), (gen_pooled, gen) = real_side, gen_side
-    f = frechet_distance(real_pooled, gen_pooled)
-    return (f,) if real is None else (
-        f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing))
+def _fid_row_set(real_side, x: np.ndarray, cols, labelled, k: int | None, weighting: str):
+    """One trial's scores against ``real_side`` (a ``_fid_side``) of each
+    ``(labels, pairing)`` in ``labelled`` on the checked generated rows x:
+    (fid,), or with labels (fid, bcfid, wcfid, per-class vector).  The pooled
+    Gaussian of x[:, cols] and fid do not depend on the labels, so they are
+    computed once for all of them."""
+    real_pooled, real = real_side
+    x = x[:, cols]
+    f = frechet_distance(real_pooled, _estimate_gaussian(x))
+
+    def scores(labels, pairing):  # one point's class statistics live only in this call
+        if labels is None:
+            return (f,)
+        gen = _class_conditional_stats(x, labels, k, weighting, 2, "generated")
+        return f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing)
+
+    return [scores(labels, pairing) for labels, pairing in labelled]
 
 
 def bcfid(

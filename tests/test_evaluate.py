@@ -385,7 +385,7 @@ class TestChecksBeforeScores:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a score was computed before every check ran")
 
-        for name in ("_is_family", "_fid_side"):
+        for name in ("_is_rows", "_is_classes", "_fid_side", "_fid_row_set"):
             monkeypatch.setattr(evaluate_mod, name, forbidden)
 
     def test_bad_last_grid_point(self):
@@ -491,8 +491,60 @@ class TestSweeps:
         probs = one_hot_dominant(gy, 3, seed=33)
         sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                           probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
-        # real side once (pooled + 3 classes), generated side at each of 4 points
-        assert calls == {"validate": 1, "estimate": 4 + 4 * 4}
+        # real side once (pooled + 3 classes), the generated pooled Gaussian once,
+        # the generated classes at each of 4 points
+        assert calls == {"validate": 1, "estimate": 4 + 1 + 4 * 3}
+
+    @staticmethod
+    def _record_preparation(monkeypatch):
+        """The row counts of every Gaussian estimate and every IS row pass."""
+        import condmetrics.evaluate as evaluate_mod
+        import condmetrics.metrics as metrics_mod
+
+        estimated, row_passes = [], []
+
+        def recorded(rows, fn):
+            def wrapper(x, *args):
+                rows.append(x.shape[0])
+                return fn(x, *args)
+            return wrapper
+
+        monkeypatch.setattr(metrics_mod, "_estimate_gaussian",
+                            recorded(estimated, metrics_mod._estimate_gaussian))
+        monkeypatch.setattr(evaluate_mod, "_is_rows", recorded(row_passes, evaluate_mod._is_rows))
+        return estimated, row_passes
+
+    @pytest.mark.parametrize("subset", [{}, dict(subset_size=3, trials=3)],
+                             ids=["all-columns", "subset-3-trials"])
+    @pytest.mark.parametrize("pairing", ["identity", "hungarian"])
+    def test_label_noise_points_share_the_generated_rows(self, monkeypatch, pairing, subset):
+        x, y = make_instance(seed=34, k=3, d=5, n_per_class=60)
+        g, gy = make_instance(seed=35, k=3, d=5, n_per_class=40)
+        probs = one_hot_dominant(gy, 3, seed=36)
+        estimated, row_passes = self._record_preparation(monkeypatch)
+        grid = [0.0, 0.3, 0.6, 1.0]
+        sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                          probs=probs, k=3, grid=grid, pairing=pairing, **subset)
+        # per column set: the real side (pooled + 3 classes), the generated pooled
+        # Gaussian once, then each point's 3 generated classes
+        per_trial = [180, 60, 60, 60, 120] + [40, 40, 40] * len(grid)
+        assert estimated == per_trial * subset.get("trials", 1)
+        assert row_passes == [120]
+
+    def test_mode_collapse_steps_keep_their_own_rows(self, monkeypatch):
+        x, y = make_instance(seed=37, k=3, d=4, n_per_class=40)
+        g, gy = make_instance(seed=38, k=3, d=4, n_per_class=40, shift=0.2)
+        probs = one_hot_dominant(gy, 3, strength=0.6, seed=39)
+        schedule = CollapseSchedule(steps=4, shrink_factor=0.5, per_class_sample=12,
+                                    collapsed_classes=(1,))
+        estimated, row_passes = self._record_preparation(monkeypatch)
+        sweep_mode_collapse(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                            probs=probs, k=3, schedule=schedule, seed=2)
+        steps = mode_collapse_indices(gy, 3, schedule, 2)
+        # the real side once; each step's pooled Gaussian and classes on its own rows
+        assert estimated == [120, 40, 40, 40] + [
+            n for idx in steps for n in [idx.size, *np.bincount(gy[idx], minlength=3)]]
+        assert row_passes == [idx.size for idx in steps]
 
 
 class TestValidationBoundary:

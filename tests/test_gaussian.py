@@ -300,3 +300,51 @@ class TestFactorKernel:
         stats = estimate_gaussian(x)
         assert stats.factor.shape == (min(n, d), d)
         assert np.allclose(stats.cov, covariance_moments(x)[1], rtol=0, atol=1e-12 * d)
+
+
+def with_qr_factor(stats):
+    # the same Gaussian held as the triangular QR factor of its rows
+    twin = GaussianStats.__new__(GaussianStats)
+    twin.__dict__.update(mean=stats.mean, factor=np.linalg.qr(stats.factor, mode="r"),
+                         count=stats.count)
+    return twin
+
+
+class TestFactorRule:
+    """A QR runs only where it shrinks the factor: n <= d rows are the factor."""
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (5, 12), (12, 12)])
+    def test_rows_up_to_the_dimension_are_the_factor(self, n, d):
+        x = feature_sample(np.random.default_rng([n, d, 1]), n, d, "plain")
+        centred = (x - x.mean(axis=0)) / np.sqrt(n)
+        assert np.array_equal(estimate_gaussian(x).factor, centred)
+
+    def test_report_with_every_n_up_to_d_runs_no_qr(self, monkeypatch):
+        from condmetrics import build_report, class_conditional_stats, pooled_gaussian
+
+        k, n_c, d = 3, 8, 48  # per class 8, pooled 24, between 3, stacked 27 rows: all <= d
+        rng = np.random.default_rng(5)
+        y = np.repeat(np.arange(k), n_c)
+        x = rng.standard_normal((y.size, d)) + y[:, None]
+        g = rng.standard_normal((y.size, d)) * 1.2
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a QR ran on a factor it cannot shrink")
+
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=y)
+        pooled = pooled_gaussian(class_conditional_stats(x, y, k))
+        assert rep.fid > 0.0 and rep.wcfid > 0.0 and pooled.factor.shape == (k + k * n_c, d)
+
+    # n < d and n = d; the QR twin is what the factor was before the rule
+    @pytest.mark.parametrize("kind", ["plain", "constant", "duplicated", "offset"])
+    @pytest.mark.parametrize("na,nb,d", [(5, 5, 12), (3, 9, 12), (50, 50, 256), (12, 12, 12)])
+    def test_distances_match_the_qr_factor(self, kind, na, nb, d):
+        rng = np.random.default_rng([na, nb, d, len(kind), 2])
+        for _ in range(3):
+            a = estimate_gaussian(feature_sample(rng, na, d, kind))
+            b = estimate_gaussian(feature_sample(rng, nb, d, kind))
+            want = frechet_distance_raw(with_qr_factor(a), with_qr_factor(b))
+            assert frechet_distance_raw(a, b) == pytest.approx(want, rel=1e-12)
+            assert frechet_distance_raw(a, with_qr_factor(b)) == pytest.approx(want, rel=1e-12)
+            assert np.allclose(a.cov, with_qr_factor(a).cov, rtol=0, atol=1e-12 * d)

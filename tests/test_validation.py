@@ -43,6 +43,7 @@ from condmetrics import (
     wcfid_from_stats,
     wcis,
 )
+from condmetrics.metrics import _as_int, as_label_vector
 from condmetrics.synth import rng_for
 
 K = 2
@@ -195,6 +196,26 @@ def test_integral_float_pairing_equals_integer_pairing(name):
 def test_integral_float_beyond_int64_is_not_a_label(labels):
     with pytest.raises(InvalidInputError, match=r"label vector must be integers \(row 0 is not\)"):
         label_noise(labels, 0.0, 0)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: _as_int(np.uint64(2**64 - 1), "n"), 2**64 - 1),
+    (lambda: _as_int(np.uint64(2**63), "n"), 2**63),
+    (lambda: as_label_vector(np.array([2**64 - 1, 0], dtype=np.uint64), 3), 2**64 - 1),
+    (lambda: label_noise(np.array([2**63, 1], dtype=np.uint64), 0.0, 0), 2**63),
+    (lambda: per_class_is(PROBS, LABELS, class_count=np.uint64(2**64 - 1)), 2**64 - 1),
+], ids=["_as_int-2^64-1", "_as_int-2^63", "as_label_vector", "label_noise", "class_count"])
+def test_unsigned_value_beyond_int64_is_named_not_wrapped(call, value):
+    # an int64 cast would read these as negative numbers
+    with pytest.raises(InvalidInputError, match=rf" must be below 2\^63, got {value}$"):
+        call()
+
+
+def test_unsigned_values_within_int64_equal_signed_ones():
+    assert _as_int(np.uint64(2**63 - 1), "n") == 2**63 - 1
+    labels = np.array([2, 0, 1], dtype=np.uint64)
+    assert np.array_equal(as_label_vector(labels, 3), [2, 0, 1])
+    assert np.array_equal(label_noise(labels, 1.0, 4), label_noise([2, 0, 1], 1.0, 4))
 
 
 SEED_RULE = r"seed must be an integer in \[0, 2\^63\), got "
