@@ -7,9 +7,10 @@ One core, ``_evaluation``, checks every option and input once and builds every
 point (a vector of generated labels, on all or some generated rows) before any
 score.  Points on the same generated rows (every label-noise point, and
 ``build_report``'s one point) share the work that does not depend on labels:
-the IS row pass once per run, and the generated pooled Gaussian and fid once
-per trial.  Each point adds only its labelled work: class averages, bcis/wcis,
-accuracy, its pairing, the per-class and between-class Gaussians and wcfid.
+the IS row pass (with each row's argmax) once per run, and the generated pooled
+Gaussian and fid once per trial.  Each point adds only its labelled work: class
+averages, bcis/wcis, accuracy against the argmaxes, its pairing, the per-class
+and between-class Gaussians and wcfid.
 The core estimates each trial's real side once, scores every point's
 generated side against it and drops it, so one trial's real side is held at a
 time.  ``build_report`` is its one-point caller.  Under feature subsampling each
@@ -136,7 +137,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     reports, prepared = [], []  # per row set: its rows and its points' (labels, mapping)
     for rows, labelled in row_sets:
         p = probs if rows is None or probs is None else probs[rows]
-        neg_entropy, is_ = (None, None) if p is None else _is_rows(p)
+        neg_entropy, predicted, is_ = (None, None, None) if p is None else _is_rows(p)
         points = []
         prepared.append((rows, points))
         for labels in labelled:
@@ -144,7 +145,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
             if p is not None and labels is not None:
                 report.bcis, report.wcis, report.per_class_is = _is_classes(
                     p, neg_entropy, *_class_split(labels, k, weighting, 1, "conditioned"))
-                report.accuracy, report.per_class_accuracy = _accuracy(p, labels)
+                report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
             mapping = (hungarian_max(_average_class_probabilities(p, labels)).mapping
                        if discover else identity)
             if real_features is not None and labels is not None:
@@ -155,7 +156,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
                         "sides; the conditional-bound guarantees assume matched counts")
             reports.append(report)
             points.append((labels, mapping))
-    p = neg_entropy = None  # hold no row set's arrays through the FID family
+    p = neg_entropy = predicted = None  # hold no row set's arrays through the FID family
     if real_features is None:
         return reports
 

@@ -3,12 +3,28 @@
 Each Gaussian is held as its mean and one row factor F (r x d, r <= d) with
 covariance F^T F, built once.  Estimates start from rows whose Gram matrix is
 the covariance (the centred samples over sqrt(N), or sqrt(pi_c) (mu_c - mu)
-for the Gaussian over class means).  N <= d rows are kept as the factor
-itself; more rows are reduced to the d x d triangular factor of their QR.
-Either way r is at most min(N, d), memory is O(min(N, d) * d) per Gaussian,
-and the covariance is PSD by construction.  The Fréchet cross-term reads only
-the singular values of Fa Fb^T, which a left rotation of either factor leaves
-unchanged, so the QR is worth running only where it makes the factor smaller.
+for the Gaussian over class means).  Three regimes, by the row count N:
+
+* N <= d: the rows are the factor itself.
+* d < N < 4d: the factor is the d x d triangular R of the rows' QR.
+* N >= 4d (``GRAM_ROWS_PER_DIM``): the factor is diag(sqrt(w)) V^T from one
+  ``eigh`` of the d x d Gram matrix V diag(w) V^T, which a sample estimate
+  accumulates over centred blocks of ``_GRAM_BLOCK`` rows in one reused
+  buffer, so no centred N x d copy is made.  Eigenvalues below zero are
+  round-off and clamp to zero.
+
+In every regime r is at most min(N, d), memory is O(min(N, d) * d) per
+Gaussian, and the covariance is PSD by construction.  The Fréchet cross-term
+reads only the singular values of Fa Fb^T, which a left rotation of either
+factor leaves unchanged, so the three factors give the same distance up to
+round-off.  The QR is worth running only where it makes the factor smaller,
+and the Gram matrix only where it is cheaper: it takes about N d^2 flops
+against the QR's 2 N d^2, plus one eigh of O(d^3), so it wins once N is a few
+times d.  Measured, that is from 4d at Inception-scale d >= 128; at d = 64
+only from 8d and at d = 32 not even at 16d, where either takes under a
+millisecond.  A plain N > d rule would put many small per-class estimates
+(say 50 rows at d = 32) on the slower path.
+
 An explicitly supplied covariance keeps its PSD square root, whose
 eigendecomposition is the only place a non-PSD matrix raises NotPSDError (the
 CLI's exit code 3).  ``_as_finite`` coerces and checks every array input of
@@ -31,6 +47,14 @@ from .errors import InvalidInputError, NotPSDError
 # Negative eigenvalues within -EIG_TOL * max(1, scale) are round-off and get
 # clamped to zero; anything lower is treated as genuinely non-PSD input.
 EIG_TOL = 1e-8
+
+# Estimates with at least this many rows per column take their factor from the
+# Gram matrix rather than a QR (see the module docstring).
+GRAM_ROWS_PER_DIM = 4
+
+# Rows per centred block of a sample estimate's Gram accumulation: large
+# enough that each block is one efficient BLAS call at any d.
+_GRAM_BLOCK = 4096
 
 
 def _as_array(x, what: str, kinds: str = "biuf") -> np.ndarray:
@@ -93,10 +117,14 @@ class GaussianStats:
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
-        """Gaussian with covariance rows^T rows, for a fresh array of rows.  A QR
-        runs only where it shrinks the factor: more rows than columns keep the
-        d x d R, and otherwise the rows themselves are the factor."""
-        if rows.shape[0] > rows.shape[1]:
+        """Gaussian with covariance rows^T rows, for a fresh array of rows.  Up
+        to d rows are the factor itself; below ``GRAM_ROWS_PER_DIM * d`` the
+        factor is the d x d R of their QR, and from there ``_gram_factor`` of
+        rows^T rows."""
+        n, d = rows.shape
+        if n >= GRAM_ROWS_PER_DIM * d:
+            rows = _gram_factor(rows.T @ rows)
+        elif n > d:
             rows = np.linalg.qr(rows, mode="r")
         stats = cls.__new__(cls)
         stats.__dict__.update(mean=mean, factor=rows, count=count)
@@ -117,9 +145,34 @@ def estimate_gaussian(features) -> GaussianStats:
 
 
 def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
-    n = x.shape[0]
+    n, d = x.shape
     mean = x.mean(axis=0)
-    return GaussianStats._from_rows(mean, (x - mean) / np.sqrt(n), n)
+    if n < GRAM_ROWS_PER_DIM * d:
+        rows = (x - mean) / np.sqrt(n)
+    else:  # d rows, which _from_rows keeps: no centred n x d copy is made
+        rows = _gram_factor(_centred_gram(x, mean) / n)
+    return GaussianStats._from_rows(mean, rows, n)
+
+
+def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """(x - mean)^T (x - mean), accumulated over row blocks of ``_GRAM_BLOCK``
+    centred in one reused buffer."""
+    n, d = x.shape
+    buf = np.empty((min(_GRAM_BLOCK, n), d))
+    gram, prod = np.zeros((d, d)), np.empty((d, d))
+    for start in range(0, n, _GRAM_BLOCK):
+        block = x[start:start + _GRAM_BLOCK]
+        c = np.subtract(block, mean, out=buf[:len(block)])
+        gram += np.matmul(c.T, c, out=prod)  # c^T c runs as one symmetric rank-k update
+    return gram
+
+
+def _gram_factor(gram: np.ndarray) -> np.ndarray:
+    """The d x d factor diag(sqrt(w)) V^T of a Gram matrix V diag(w) V^T.
+    Negative eigenvalues are round-off of a PSD matrix and clamp to zero: an
+    estimate never raises NotPSDError."""
+    w, v = np.linalg.eigh(gram)
+    return np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
 
 
 def sqrtm_psd(m) -> np.ndarray:

@@ -11,7 +11,8 @@ Score families
   and the class averages a_c.  Then log IS = mean(h) - m . log m for the
   marginal m, the log per-class score is mean_{i in c} h_i - a_c . log a_c,
   and BCIS needs only the K x K averages.  So the work splits into a row pass
-  (h, m and IS), which does not depend on the labels and runs once per
+  (h, m, IS and each row's argmax, which accuracy compares with every label
+  vector), which does not depend on the labels and runs once per
   probability matrix, and a labelled pass (a_c, BCIS, WCIS and the per-class
   scores) per label vector.  Rows are cleaned in fixed-size blocks, so no
   second array of the matrix's size is made.
@@ -201,25 +202,29 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
     classes = None if y is None else _class_split(y, k, weighting, 1, "conditioned")
-    neg_entropy, is_ = _is_rows(p)
+    neg_entropy, _, is_ = _is_rows(p)
     if classes is None:
         return is_, None, None, None
     return (is_, *_is_classes(p, neg_entropy, *classes))
 
 
-def _is_rows(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each row's negative entropy and IS: one pass over row blocks of about
-    ``_IS_BLOCK`` entries, which also sums the marginal."""
+def _is_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each row's negative entropy, each raw row's argmax and IS: one pass over
+    row blocks of about ``_IS_BLOCK`` entries, which also sums the marginal."""
     n = p.shape[0]
     rows, (buf, prod) = _blocks(p, 2)
     neg_entropy = np.empty(n)
+    predicted = np.empty(n, dtype=np.intp)
     col_sum = np.zeros(p.shape[1])
     for start in range(0, n, rows):
-        q = _clean_rows(p[start:start + rows], buf)
+        block = p[start:start + rows]
+        np.argmax(block, axis=1, out=predicted[start:start + rows])
+        q = _clean_rows(block, buf)
         neg_entropy[start:start + rows] = _neg_entropy_rows(q, prod[:len(q)])
         col_sum += q.sum(axis=0)
     marginal = col_sum / n
-    return neg_entropy, float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
+    is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
+    return neg_entropy, predicted, is_
 
 
 def _is_classes(p: np.ndarray, neg_entropy: np.ndarray, idx, priors: np.ndarray):
@@ -276,9 +281,10 @@ def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
     return _checked_is_family(probs, labels, "empirical", class_count)[3]
 
 
-def _accuracy(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    k = p.shape[1]
-    hits = np.argmax(p, axis=1) == y
+def _accuracy(predicted: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """Overall and per-class accuracy of labels y in [0, k) against each row's
+    predicted class."""
+    hits = predicted == y
     counts = np.bincount(y, minlength=k)
     per = np.divide(np.bincount(y, weights=hits, minlength=k), counts,
                     out=np.full(k, np.nan), where=counts > 0)
@@ -292,7 +298,8 @@ def accuracy(probs, labels) -> tuple[float, np.ndarray]:
     vector; classes with no members get NaN.
     """
     p = as_probability_matrix(probs)
-    return _accuracy(p, as_label_vector(labels, p.shape[1], n=p.shape[0]))
+    y = as_label_vector(labels, p.shape[1], n=p.shape[0])
+    return _accuracy(np.argmax(p, axis=1), y, p.shape[1])
 
 
 # ---------------------------------------------------------------------------

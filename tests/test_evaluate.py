@@ -531,6 +531,27 @@ class TestSweeps:
         assert estimated == per_trial * subset.get("trials", 1)
         assert row_passes == [120]
 
+    def test_label_noise_points_share_the_row_argmax(self, monkeypatch):
+        # accuracy compares each point's labels with the row pass's one argmax
+        # vector, taken on the raw rows
+        shapes = []
+        argmax = np.argmax
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return argmax(a, *args, **kwargs)
+
+        _, gy = make_instance(seed=40, k=3)
+        probs = one_hot_dominant(gy, 3, strength=0.4, seed=41)
+        monkeypatch.setattr(np, "argmax", recorded)
+        rows = sweep_label_noise(gen_labels=gy, probs=probs, grid=[0.0, 0.5, 1.0], seed=3)
+        assert shapes == [probs.shape]
+        for i, (p, rep) in enumerate(rows):
+            noised = label_noise(gy, p, _point_seed(3, i))
+            assert (rep.accuracy, *rep.per_class_accuracy) == (
+                np.mean(argmax(probs, axis=1) == noised),
+                *[np.mean(argmax(probs[noised == c], axis=1) == c) for c in range(3)])
+
     def test_mode_collapse_steps_keep_their_own_rows(self, monkeypatch):
         x, y = make_instance(seed=37, k=3, d=4, n_per_class=40)
         g, gy = make_instance(seed=38, k=3, d=4, n_per_class=40, shift=0.2)

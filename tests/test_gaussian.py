@@ -15,7 +15,7 @@ from condmetrics import (
     frechet_distance_raw,
     sqrtm_psd,
 )
-from condmetrics.gaussian import as_feature_matrix
+from condmetrics.gaussian import GRAM_ROWS_PER_DIM, as_feature_matrix
 
 
 def random_stats(rng, d, scale=1.0):
@@ -310,8 +310,83 @@ def with_qr_factor(stats):
     return twin
 
 
+def qr_estimate(x):
+    # the sample estimate as a QR of its centred rows over sqrt(n), whatever n is
+    rows = GaussianStats.__new__(GaussianStats)
+    mean = x.mean(axis=0)
+    rows.__dict__.update(mean=mean, factor=(x - mean) / np.sqrt(len(x)), count=len(x))
+    return with_qr_factor(rows)
+
+
+def spectrum_sample(rng, n, d, cond):
+    # rows of a Gaussian whose covariance has log-spaced eigenvalues 1 .. 1/cond
+    # along random directions
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    scale = np.sqrt(np.logspace(0.0, -np.log10(cond), d))
+    return (rng.standard_normal((n, d)) * scale) @ q.T + rng.normal(0.0, 1.0, d)
+
+
+def trace(stats):
+    return float(np.vdot(stats.factor, stats.factor))
+
+
+class TestGramFactor:
+    """Estimates of at least GRAM_ROWS_PER_DIM * d rows against their QR twins."""
+
+    # (9000, 4100, 8): both sides span several accumulation blocks
+    @pytest.mark.parametrize("kind", ["plain", "constant", "duplicated", "offset", 1e8, 1e12])
+    @pytest.mark.parametrize("na,nb,d", [(48, 60, 12), (300, 200, 32), (9000, 4100, 8)])
+    def test_distances_match_the_qr_factor(self, kind, na, nb, d):
+        rng = np.random.default_rng([na, nb, d, 3])
+        for _ in range(3):
+            if isinstance(kind, str):
+                xa, xb = feature_sample(rng, na, d, kind), feature_sample(rng, nb, d, kind)
+            else:
+                xa, xb = spectrum_sample(rng, na, d, kind), spectrum_sample(rng, nb, d, kind)
+            a, b = estimate_gaussian(xa), estimate_gaussian(xb)
+            qa, qb = qr_estimate(xa), qr_estimate(xb)
+            assert a.factor.shape == b.factor.shape == (d, d)
+            scale = 1e-12 * (trace(qa) + trace(qb))
+            want = frechet_distance_raw(qa, qb)
+            assert abs(frechet_distance_raw(a, b) - want) <= scale
+            assert abs(frechet_distance_raw(a, qb) - want) <= scale
+            assert abs(frechet_distance_raw(a, a)) <= 1e-12 * trace(a)
+            assert np.allclose(a.cov, qa.cov, rtol=0, atol=scale)
+
+    def test_rows_of_the_class_means_match_the_qr_factor(self):
+        # K = 40 class means at d = 8: the between-class and pooled Gaussians
+        # take the Gram path through _from_rows
+        from condmetrics import class_conditional_stats, pooled_gaussian
+
+        k, d = 40, 8
+        rng = np.random.default_rng(4)
+        y = np.repeat(np.arange(k), 3)
+        x = rng.standard_normal((y.size, d)) + 3.0 * rng.standard_normal((k, d))[y]
+        stats = class_conditional_stats(x, y, k)
+        means = np.stack([s.mean for s in stats.per_class])
+        twin = qr_estimate(means)  # equal priors: the rows sqrt(1/k)(mu_c - mu)
+        assert stats.between.factor.shape == (d, d)
+        assert abs(frechet_distance_raw(stats.between, twin)) <= 1e-12 * trace(twin)
+        pooled = pooled_gaussian(stats)
+        assert abs(frechet_distance_raw(pooled, qr_estimate(x))) <= 1e-12 * trace(pooled)
+
+    def test_tall_estimate_makes_no_centred_copy(self):
+        # one block buffer (1 MB) and d x d matrices; a QR of the centred rows
+        # would hold the centred copy and the QR's own copy, about 20 MB
+        x = np.random.default_rng(6).standard_normal((40000, 32))
+        tracemalloc.start()
+        try:
+            stats = estimate_gaussian(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.factor.shape == (32, 32)
+        assert peak < 2 * 2**20
+
+
 class TestFactorRule:
-    """A QR runs only where it shrinks the factor: n <= d rows are the factor."""
+    """Up to d rows are the factor, a QR reduces d < n < GRAM_ROWS_PER_DIM * d
+    rows, and one eigh of the Gram matrix factors any more."""
 
     @pytest.mark.parametrize("n,d", [(1, 4), (5, 12), (12, 12)])
     def test_rows_up_to_the_dimension_are_the_factor(self, n, d):
@@ -348,3 +423,47 @@ class TestFactorRule:
             assert frechet_distance_raw(a, b) == pytest.approx(want, rel=1e-12)
             assert frechet_distance_raw(a, with_qr_factor(b)) == pytest.approx(want, rel=1e-12)
             assert np.allclose(a.cov, with_qr_factor(a).cov, rtol=0, atol=1e-12 * d)
+
+    @staticmethod
+    def _count_decompositions(monkeypatch):
+        calls = {"qr": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("extra,want", [(-1, {"qr": 1, "eigh": 0}), (0, {"qr": 0, "eigh": 1})],
+                             ids=["4d-1", "4d"])
+    def test_four_rows_per_column_select_the_gram_path(self, monkeypatch, d, extra, want):
+        x = feature_sample(np.random.default_rng([d, 1 + extra]), GRAM_ROWS_PER_DIM * d + extra,
+                           d, "plain")
+        calls = self._count_decompositions(monkeypatch)
+        assert estimate_gaussian(x).factor.shape == (d, d)
+        assert calls == want
+
+    def test_report_runs_one_eigh_per_tall_estimate(self, monkeypatch):
+        import condmetrics.gaussian as gaussian_mod
+        from condmetrics import build_report
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a PSD root on the feature path")
+
+        # d = 4: pooled 60 and 36 rows and the real classes' 20 rows reach 16,
+        # the generated classes' 12 rows do not, the 3 class means stay rows
+        k, d = 3, 4
+        rng = np.random.default_rng(8)
+        y, gy = np.repeat(np.arange(k), 20), np.repeat(np.arange(k), 12)
+        x = rng.standard_normal((y.size, d)) + y[:, None]
+        g = rng.standard_normal((gy.size, d)) * 1.2 + gy[:, None]
+        monkeypatch.setattr(gaussian_mod, "sqrtm_psd", forbidden)
+        calls = self._count_decompositions(monkeypatch)
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
+        assert calls == {"eigh": 2 + k, "qr": k}
+        assert rep.fid > 0.0 and rep.wcfid > 0.0
