@@ -65,6 +65,7 @@ from .tensorfile import (
     load_features,
     load_labels,
     load_tensor,
+    open_probabilities,
     save_csv,
     save_tensor,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "gen_matched_moments", "gen_mixture", "gen_rings", "gen_tightness_case",
     "label_noise", "matched_moments_population", "mode_collapse_indices",
     "mode_collapse_run", "rng_for", "tightness_population",
-    "load_features", "load_labels", "load_tensor",
+    "load_features", "load_labels", "load_tensor", "open_probabilities",
     "save_csv", "save_tensor",
     "build_report", "sweep_label_noise", "sweep_mode_collapse",
 ]

@@ -31,7 +31,7 @@ from .synth import (
     gen_rings,
     gen_tightness_case,
 )
-from .tensorfile import load_features, load_labels, save_tensor
+from .tensorfile import load_features, load_labels, open_probabilities, save_tensor
 
 
 def _existing(path: str | None, flag: str) -> Path | None:
@@ -54,8 +54,8 @@ def _load_inputs(args) -> dict:
     data["gen_features"] = load_features(gf) if gf else None
     data["real_labels"] = load_labels(rl) if rl else None
     data["gen_labels"] = load_labels(gl) if gl else None
-    # the library checks the probability matrix, once
-    data["probs"] = load_features(pp) if pp else None
+    # the library reads and checks a binary probability file in row blocks
+    data["probs"] = open_probabilities(pp) if pp else None
     return data
 
 
@@ -124,7 +124,7 @@ def cmd_match(args) -> int:
     if probs_path is None or labels_path is None:
         raise ConfigError("match needs --probs and --gen-labels")
     averages = average_class_probabilities(
-        load_features(probs_path), load_labels(labels_path))
+        open_probabilities(probs_path), load_labels(labels_path))
     assignment = hungarian_max(averages)
     _write(args.out, assignment_to_json(assignment.mapping, assignment.score, averages))
     return 0

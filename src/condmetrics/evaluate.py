@@ -1,16 +1,19 @@
 """End-to-end metric computation and the sweep experiments.
 
-These functions take in-memory arrays; the CLI layer handles files.  Every
-path is deterministic given the inputs and the seed.
+These functions take in-memory arrays, and probabilities also as
+``ProbabilityRows``: the CLI hands them a binary probability file as a
+``tensorfile.ProbabilityFile``, which is read in checked row blocks and never
+held whole.  Every path is deterministic given the inputs and the seed.
 
 One core, ``_evaluation``, checks every option and input once and builds every
 point (a vector of generated labels, on all or some generated rows) before any
 score.  Points on the same generated rows (every label-noise point, and
 ``build_report``'s one point) share the work that does not depend on labels:
-the IS row pass (with each row's argmax) once per run, and the generated pooled
-Gaussian and fid once per trial.  Each point adds only its labelled work: class
-averages, bcis/wcis, accuracy against the argmaxes, its pairing, the per-class
-and between-class Gaussians and wcfid.
+one IS pass over the rows per run, which computes each row's negative entropy
+and argmax once and adds the rows into every point's class sums, and the
+generated pooled Gaussian and fid once per trial.  Each point adds only its
+labelled work: bcis/wcis from its class sums, accuracy against the argmaxes,
+its pairing, the per-class and between-class Gaussians and wcfid.
 The core estimates each trial's real side once, scores every point's
 generated side against it and drops it, so one trial's real side is held at a
 time.  ``build_report`` is its one-point caller.  Under feature subsampling each
@@ -25,10 +28,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .gaussian import _as_finite
-from .matching import _average_class_probabilities, hungarian_max
+from .matching import hungarian_max
 from .metrics import (
     WEIGHTINGS,
     MetricReport,
+    ProbabilityRows,
     _accuracy,
     _as_int,
     _check_rows,
@@ -37,7 +41,7 @@ from .metrics import (
     _fid_row_set,
     _fid_side,
     _is_classes,
-    _is_rows,
+    _is_pass,
     as_label_vector,
     as_probability_matrix,
 )
@@ -78,10 +82,12 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     """One report per point of ``row_sets(checked gen_labels, k)``, an iterable
     of ``(rows, label vectors)``: the generated rows ``rows`` (all of them if
     None) and the checked generated labels of each point scored on them.  The
-    label-independent work (the IS row pass, the generated pooled Gaussian and
-    fid) is done once per row set.  Pairing "identity" compares class c with
-    real class c; "hungarian" discovers each point's pairing from its
-    probabilities."""
+    label-independent work (the IS row quantities, the generated pooled
+    Gaussian and fid) is done once per row set.  Pairing "identity" compares
+    class c with real class c; "hungarian" discovers each point's pairing from
+    its class averages of the probability rows.  A probability file's rows are
+    checked as the IS pass reads them: after the other inputs, before any FID
+    work."""
     k = None if k is None else _as_int(k, "class count")
     if k is not None and k < 1:
         raise InvalidInputError(f"class count must be >= 1, got {k}")
@@ -113,7 +119,8 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
             "to discover the class mapping")
 
     if probs is not None:
-        probs = as_probability_matrix(probs)
+        if not isinstance(probs, ProbabilityRows):
+            probs = ProbabilityRows(as_probability_matrix(probs))
         if k is not None and probs.shape[1] != k:
             raise ConfigError(
                 f"probability matrix has {probs.shape[1]} classes, expected k={k}")
@@ -136,18 +143,24 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
 
     reports, prepared = [], []  # per row set: its rows and its points' (labels, mapping)
     for rows, labelled in row_sets:
-        p = probs if rows is None or probs is None else probs[rows]
-        neg_entropy, predicted, is_ = (None, None, None) if p is None else _is_rows(p)
         points = []
         prepared.append((rows, points))
-        for labels in labelled:
+        scored = [] if probs is None or gen_labels is None else labelled
+        classes = [_class_split(labels, k, weighting, 1, "conditioned") for labels in scored]
+        is_, sums = None, []
+        if probs is not None:
+            (neg_entropy, predicted, is_), sums = _is_pass(
+                probs if rows is None else probs.take(rows), scored, k, raw=discover)
+        for i, labels in enumerate(labelled):
             report = MetricReport(is_=is_, pairing=pairing, seed=seed)
-            if p is not None and labels is not None:
+            if scored:
+                idx, priors = classes[i]
                 report.bcis, report.wcis, report.per_class_is = _is_classes(
-                    p, neg_entropy, *_class_split(labels, k, weighting, 1, "conditioned"))
+                    neg_entropy, sums[i][:, :k], idx, priors)
                 report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
-            mapping = (hungarian_max(_average_class_probabilities(p, labels)).mapping
-                       if discover else identity)
+            # with discover the pass summed each class's rows beside its cleaned rows
+            mapping = (hungarian_max(sums[i][:, k:] / np.array([c.size for c in idx])[:, None])
+                       .mapping if discover else identity)
             if real_features is not None and labels is not None:
                 paired = np.bincount(real_labels, minlength=k)[mapping]
                 if np.any(paired != np.bincount(labels, minlength=k)):
@@ -156,7 +169,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
                         "sides; the conditional-bound guarantees assume matched counts")
             reports.append(report)
             points.append((labels, mapping))
-    p = neg_entropy = predicted = None  # hold no row set's arrays through the FID family
+    sums = neg_entropy = predicted = None  # hold no row set's arrays through the FID family
     if real_features is None:
         return reports
 
@@ -190,9 +203,11 @@ def build_report(
 ) -> MetricReport:
     """Compute every metric its inputs allow and collect them into one report.
 
-    The probability-based family needs ``probs`` (and ``gen_labels`` for the
-    conditional members); the feature-based family needs features on both
-    sides (and labels on both sides for the conditional members).  A warning
+    The probability-based family needs ``probs``, an N x K array or
+    ``ProbabilityRows`` such as ``open_probabilities(path)`` (and
+    ``gen_labels`` for the conditional members); the feature-based family
+    needs features on both sides (and labels on both sides for the
+    conditional members).  A warning
     is recorded when the per-class sample counts of the two sides differ,
     since the conditional-bound guarantees assume matched counts.
     """

@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gaussian import _as_finite
-from .metrics import _resolve_mapping, as_label_vector, as_probability_matrix, class_index_lists
+from .metrics import (
+    ProbabilityRows,
+    _is_pass,
+    _resolve_mapping,
+    as_label_vector,
+    as_probability_matrix,
+    class_index_lists,
+)
 
 
 @dataclass(frozen=True)
@@ -37,16 +44,19 @@ class ClassAssignment:
         object.__setattr__(self, "mapping", _resolve_mapping(self.mapping))
 
 
-def _average_class_probabilities(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """average_class_probabilities on checked probabilities and labels in [0, K)."""
-    idx = class_index_lists(y, p.shape[1], min_count=1, side="conditioned")
-    return np.stack([p[i].mean(axis=0) for i in idx])
-
-
 def average_class_probabilities(probs, conds) -> np.ndarray:
-    """K x K matrix: row c = mean prediction distribution of conditioned class c."""
-    p = as_probability_matrix(probs)
-    return _average_class_probabilities(p, as_label_vector(conds, p.shape[1], n=p.shape[0]))
+    """K x K matrix: row c = mean prediction distribution of conditioned class c.
+
+    ``probs`` is an N x K array or ``ProbabilityRows``, such as a
+    ``tensorfile.ProbabilityFile``, which one pass reads in row blocks.
+    """
+    if not isinstance(probs, ProbabilityRows):
+        probs = ProbabilityRows(as_probability_matrix(probs))
+    n, k = probs.shape
+    y = as_label_vector(conds, k, n=n)
+    idx = class_index_lists(y, k, min_count=1, side="conditioned")
+    (sums,) = _is_pass(probs, [y], k, clean=False, raw=True)[1]
+    return sums / np.array([i.size for i in idx])[:, None]
 
 
 def _assignment_score(value: np.ndarray, mapping: np.ndarray) -> float:

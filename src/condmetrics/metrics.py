@@ -10,12 +10,13 @@ Score families
   renormalized rows q: each row's negative entropy h_i = sum_j q_ij log q_ij
   and the class averages a_c.  Then log IS = mean(h) - m . log m for the
   marginal m, the log per-class score is mean_{i in c} h_i - a_c . log a_c,
-  and BCIS needs only the K x K averages.  So the work splits into a row pass
-  (h, m, IS and each row's argmax, which accuracy compares with every label
-  vector), which does not depend on the labels and runs once per
-  probability matrix, and a labelled pass (a_c, BCIS, WCIS and the per-class
-  scores) per label vector.  Rows are cleaned in fixed-size blocks, so no
-  second array of the matrix's size is made.
+  and BCIS needs only the K x K averages.  One pass over the rows of a
+  ``ProbabilityRows`` (``_is_pass``) computes them for every label vector of a
+  row set: each row block is checked, used for the argmax that accuracy
+  compares with every label vector, cleaned once, used for h and m, and added
+  into each label vector's K x K class sums.  Rows go by in fixed-size blocks,
+  so no second array of the matrix's size is made, and a probability file is
+  never held whole.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.
@@ -50,8 +51,16 @@ PROB_FLOOR = 1e-12
 
 WEIGHTINGS = ("empirical", "uniform")
 
-# Entries per row block of the IS family's passes (see ``_blocks``).
+# Entries per row block of the IS family's passes (see ``_is_pass``).
 _IS_BLOCK = 2**15
+
+# Bytes of class sums (and their scatter plans) one pass over the probability
+# rows holds; more label vectors are summed in further passes.
+_CLASS_SUM_BYTES = 64 * 2**20
+
+# Rounds of plain fancy-index adds per row block of a class sum; rows of a
+# label beyond this many in one block go to ``np.add.at`` (see ``_scatter_plan``).
+_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -63,23 +72,56 @@ def as_probability_matrix(probs) -> np.ndarray:
     p, lo, hi = _as_finite(probs, "probability matrix")
     if p.ndim != 2:
         raise InvalidInputError(f"probability matrix must be 2-D, got shape {p.shape}")
-    n, k = p.shape
+    _check_probability_shape(p.shape)
+    return _checked_probability_rows(p, lo, hi, 0)
+
+
+def _check_probability_shape(shape) -> None:
+    n, k = shape
     if n < 1:
         raise InvalidInputError("probability matrix has no rows")
     if k < 2:
         raise InvalidInputError(f"probability matrix needs at least 2 classes, got {k}")
+
+
+def _checked_probability_rows(p: np.ndarray, lo: float, hi: float, start: int,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Finite rows of a probability matrix, from its row ``start`` on, with
+    min lo and max hi, clipped to [0, 1] into out (a new array without out).
+    Raises naming the matrix's row for an entry outside [0, 1] or a row that
+    does not sum to 1."""
     if lo < -1e-9 or hi > 1.0 + 1e-9:
-        bad = int(np.argmax((p < -1e-9) | (p > 1.0 + 1e-9), axis=None) // k)
-        raise InvalidInputError(f"probability entries outside [0, 1] at row {bad}")
+        bad = int(np.argmax((p < -1e-9) | (p > 1.0 + 1e-9), axis=None) // p.shape[1])
+        raise InvalidInputError(f"probability entries outside [0, 1] at row {start + bad}")
     sums = p.sum(axis=1)
     off = np.abs(sums - 1.0)
     if float(off.max()) > 1e-6:
         bad = int(np.argmax(off))
         raise InvalidInputError(
-            f"probability row {bad} sums to {sums[bad]:.9f}, expected 1 within 1e-6"
+            f"probability row {start + bad} sums to {sums[bad]:.9f}, expected 1 within 1e-6"
         )
-    # an in-range matrix is returned as is: clipping it would copy it unchanged
-    return p if lo >= 0.0 and hi <= 1.0 else np.clip(p, 0.0, 1.0)
+    # in-range rows are returned as they are: clipping them would copy them unchanged
+    return p if lo >= 0.0 and hi <= 1.0 else np.clip(p, 0.0, 1.0, out=out)
+
+
+class ProbabilityRows:
+    """A checked N x K probability matrix, read by the IS family's passes in
+    row blocks.  This form slices one array that ``as_probability_matrix``
+    checked; ``tensorfile.ProbabilityFile`` reads and checks each block of a
+    file as a pass reaches it."""
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.shape = p.shape
+
+    def blocks(self, rows: int):
+        """(first row, checked rows) blocks of ``rows`` rows, in order."""
+        for start in range(0, self.shape[0], rows):
+            yield start, self.p[start:start + rows]
+
+    def take(self, index: np.ndarray) -> ProbabilityRows:
+        """The checked rows ``index``, in memory."""
+        return ProbabilityRows(self.p[index])
 
 
 def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarray:
@@ -170,12 +212,8 @@ def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray
 # probability-based scores
 
 
-def _clean_rows(p: np.ndarray, buf: np.ndarray, index=None) -> np.ndarray:
-    """The floored, renormalized rows of p (or p[index]), in the first rows of buf."""
-    q = buf[:len(p) if index is None else index.size]
-    if index is not None:
-        # the indices are in range: mode "clip" spares the copy take makes of out
-        p = np.take(p, index, axis=0, out=q, mode="clip")
+def _clean_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The floored, renormalized rows of p, in q."""
     np.clip(p, PROB_FLOOR, None, out=q)
     return np.divide(q, q.sum(axis=1, keepdims=True), out=q)
 
@@ -194,58 +232,119 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
     """IS, BCIS, WCIS and the per-class IS vector of a checked probability
     matrix and checked labels in [0, k); without labels the last three are None.
 
-    The row pass (``_is_rows``) is label-independent; labels add the labelled
-    pass (``_is_classes``).  The classes are split first, so an empty class or
-    an unknown weighting fails before any pass.
+    The classes are split first, so an empty class or an unknown weighting
+    fails before the pass.
     """
     # Conditioned classes live in their own index space: usually it matches
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
     classes = None if y is None else _class_split(y, k, weighting, 1, "conditioned")
-    neg_entropy, _, is_ = _is_rows(p)
+    (neg_entropy, _, is_), sums = _is_pass(ProbabilityRows(p), [] if y is None else [y], k)
     if classes is None:
         return is_, None, None, None
-    return (is_, *_is_classes(p, neg_entropy, *classes))
+    return (is_, *_is_classes(neg_entropy, sums[0], *classes))
 
 
-def _is_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Each row's negative entropy, each raw row's argmax and IS: one pass over
-    row blocks of about ``_IS_BLOCK`` entries, which also sums the marginal."""
-    n = p.shape[0]
-    rows, (buf, prod) = _blocks(p, 2)
-    neg_entropy = np.empty(n)
-    predicted = np.empty(n, dtype=np.intp)
-    col_sum = np.zeros(p.shape[1])
-    for start in range(0, n, rows):
-        block = p[start:start + rows]
-        np.argmax(block, axis=1, out=predicted[start:start + rows])
-        q = _clean_rows(block, buf)
-        neg_entropy[start:start + rows] = _neg_entropy_rows(q, prod[:len(q)])
-        col_sum += q.sum(axis=0)
+def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
+             clean: bool = True, raw: bool = False):
+    """The row quantities and class sums of the checked rows of ``source``.
+
+    Returns ((negative entropies, argmaxes, IS), sums).  sums has, for each
+    label vector in ``labelled`` (labels in [0, k)), its k x K class sums of
+    the cleaned rows and, with ``raw``, beside them those of the rows
+    themselves (k x 2K).  Without ``clean`` nothing is cleaned: the row
+    quantities are None and the sums are of the rows alone.
+
+    Row blocks hold about ``_IS_BLOCK`` entries.  Each block is cleaned once
+    for every quantity and added into every class sum in row order
+    (``_scatter_plan``).  Class sums and their plans take at most
+    ``_CLASS_SUM_BYTES`` at a time: further label vectors are summed in
+    further passes, which read and clean the rows again but compute the row
+    quantities only in the first.
+    """
+    n, width = source.shape
+    rows = _block_rows(width)
+    cols = width * (clean + raw)
+    group = max(1, _CLASS_SUM_BYTES // (8 * ((k + 1) * cols + n))) if labelled else 1
+    if clean:
+        buf, prod = np.empty((min(rows, n), cols)), np.empty((min(rows, n), width))
+        neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
+        col_sum = np.zeros(width)
+    sums = []
+    for group_start in range(0, max(len(labelled), 1), group):
+        points = [(y, *_scatter_plan(y, k, rows))
+                  for y in labelled[group_start:group_start + group]]
+        acc = [np.zeros((k + 1, cols)) for _ in points]  # row k is the spare
+        for start, p in source.blocks(rows):
+            stop = start + len(p)
+            q = p
+            if clean:
+                q = buf[:len(p)]
+                if raw:
+                    q[:, width:] = p
+                c = _clean_rows(p, q[:, :width])
+                if group_start == 0:
+                    np.argmax(p, axis=1, out=predicted[start:stop])
+                    neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
+                    col_sum += c.sum(axis=0)
+            for (y, dest, rounds, round_blocks, rest), s in zip(points, acc):
+                s[dest[start:stop]] += q
+                first, last = np.searchsorted(round_blocks, (start // rows, start // rows + 1))
+                for sel in rounds[first:last]:
+                    s[y[sel]] += q[sel - start]
+                lo, hi = np.searchsorted(rest, (start, stop))
+                if hi > lo:
+                    np.add.at(s, y[rest[lo:hi]], q[rest[lo:hi] - start])
+        sums += [s[:k] for s in acc]
+    if not clean:
+        return (None, None, None), sums
     marginal = col_sum / n
     is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
-    return neg_entropy, predicted, is_
+    return (neg_entropy, predicted, is_), sums
 
 
-def _is_classes(p: np.ndarray, neg_entropy: np.ndarray, idx, priors: np.ndarray):
+def _block_rows(width: int) -> int:
+    """Rows per block of ``width`` entries each: about ``_IS_BLOCK`` entries,
+    which a block's passes over it find in cache."""
+    return max(1, _IS_BLOCK // max(1, width))
+
+
+def _scatter_plan(y: np.ndarray, k: int, rows: int):
+    """How a pass adds row i into class sum y[i], block by block of ``rows``
+    rows, bit for bit as ``np.add.at`` would: each class's rows in row order.
+
+    A plain fancy-index add is exact where its labels are distinct, so a block
+    goes in rounds: round t adds each label's t-th row in the block.  Round 0
+    adds the whole block, with every other row sent to a spare row k; rounds 1
+    to ``_ROUNDS - 1`` gather their own rows; ``np.add.at`` adds the rows
+    after those.  Returns (round-0 destinations, the later rounds' row
+    positions, the block of each of those rounds, the rows left to add.at).
+    """
+    n = y.size
+    block = np.arange(n) // rows
+    key = block * k + y
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    later = np.flatnonzero((rank > 0) & (rank < _ROUNDS))
+    round_of = block[later] * _ROUNDS + rank[later]
+    by_round = np.argsort(round_of, kind="stable")
+    later, round_of = later[by_round], round_of[by_round]
+    heads, firsts = np.unique(round_of, return_index=True)
+    return (np.where(rank == 0, y, k), np.split(later, firsts[1:]), heads // _ROUNDS,
+            np.flatnonzero(rank >= _ROUNDS))
+
+
+def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarray):
     """BCIS, WCIS and the per-class IS vector from the row pass's negative
-    entropies and the classes' row indices and priors: one pass over each
-    class's rows, in blocks, for its average."""
-    rows, (buf,) = _blocks(p, 1)
-    averages = np.stack([
-        sum(_clean_rows(p, buf, i[s:s + rows]).sum(axis=0) for s in range(0, i.size, rows))
-        / i.size for i in idx])
+    entropies, one label vector's k x K class sums of cleaned rows, and its
+    classes' row indices and priors."""
+    averages = sums / np.array([i.size for i in idx])[:, None]
     within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
     between = priors @ _kl_rows(averages, priors @ averages)
     return float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
-
-
-def _blocks(p: np.ndarray, count: int):
-    """Rows per block of p and ``count`` reused block buffers: fresh ones are
-    returned to the OS and faulted in again at every block."""
-    n, width = p.shape
-    rows = max(1, _IS_BLOCK // width)
-    return rows, np.empty((count, min(rows, n), width))
 
 
 def _checked_is_family(probs, labels, weighting: str, class_count: int | None):

@@ -122,6 +122,53 @@ class TestCmdMetrics:
         assert json.loads(out.read_text())["fid"] >= 0
 
 
+class TestBlasThreads:
+    """Reports are byte-identical for one numpy/BLAS build and thread count;
+    across BLAS thread counts they agree to round-off."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        # K=20 classes of 110 rows at d=512: the pooled sides (2200 rows) take
+        # the Gram path, the classes (110 rows) their rows as the factor
+        k, n, d = 20, 110, 512
+        rng = rng_for(31)
+        means = rng.normal(0.0, 1.0, (k, d))
+        labels = np.repeat(np.arange(k), n)
+        real = means[labels] + rng.normal(0.0, 1.0, (labels.size, d))
+        gen = means[labels] + 0.1 + rng.normal(0.0, 1.2, (labels.size, d))
+        paths = {}
+        for name, arr in [("real_features", real), ("real_labels", labels),
+                          ("gen_features", gen), ("gen_labels", labels),
+                          ("probs", one_hot_dominant(labels, k, strength=0.3, seed=32))]:
+            paths[name] = tmp_path / f"{name}.cfm"
+            save_tensor(paths[name], arr)
+        return paths, real.var(axis=0).sum() + gen.var(axis=0).sum()
+
+    def test_thread_count_moves_scores_by_round_off_only(self, tmp_path):
+        paths, traces = self._inputs(tmp_path)
+        src = str(Path(condmetrics.__file__).resolve().parents[1])
+        reports = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            outputs = []
+            for run in range(2):
+                out = tmp_path / f"report-{threads}-{run}.json"
+                argv = metrics_args(paths, out)
+                argv[argv.index("--k") + 1] = "20"
+                proc = subprocess.run([sys.executable, "-m", "condmetrics", *argv],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+            reports[threads] = json.loads(outputs[0])
+        one, two = reports["1"], reports["2"]
+        for key in ("fid", "bcfid", "wcfid", "cfid_sum", "per_class_fid"):
+            assert np.allclose(one[key], two[key], rtol=0.0, atol=1e-12 * traces), key
+        for key in ("is", "bcis", "wcis", "per_class_is", "accuracy", "per_class_accuracy"):
+            assert np.allclose(one[key], two[key], rtol=1e-12, atol=0.0), key
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["metrics", "--probs", str(tmp_path / "absent.cfm")])
@@ -464,7 +511,7 @@ class TestCmdMatch:
         assert payload["mapping"] == [(c + 1) % k for c in range(k)]
 
     def test_validates_probabilities_once(self, tmp_path, monkeypatch):
-        import condmetrics.matching as matching_mod
+        import condmetrics.tensorfile as tensorfile_mod
         from condmetrics import average_class_probabilities, hungarian_max
         from condmetrics.report import assignment_to_json
 
@@ -479,20 +526,19 @@ class TestCmdMatch:
         best = hungarian_max(averages)
         expected = assignment_to_json(best.mapping, best.score, averages)
 
-        calls = []
+        checked = []
+        check = tensorfile_mod._checked_probability_rows
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(p, lo, hi, start, out=None):
+            checked.extend(range(start, start + len(p)))
+            return check(p, lo, hi, start, out)
 
-        monkeypatch.setattr(matching_mod, "as_probability_matrix",
-                            counted(matching_mod.as_probability_matrix))
+        monkeypatch.setattr(tensorfile_mod, "_checked_probability_rows", counted)
         out = tmp_path / "match.json"
         assert main(["match", "--probs", str(probs_path),
                      "--gen-labels", str(conds_path), "--out", str(out)]) == 0
-        assert len(calls) == 1
+        # one read of the file, which checks each row as it goes by
+        assert sorted(checked) == list(range(conds.size))
         assert out.read_text() == expected
 
 

@@ -385,7 +385,7 @@ class TestChecksBeforeScores:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a score was computed before every check ran")
 
-        for name in ("_is_rows", "_is_classes", "_fid_side", "_fid_row_set"):
+        for name in ("_is_pass", "_is_classes", "_fid_side", "_fid_row_set"):
             monkeypatch.setattr(evaluate_mod, name, forbidden)
 
     def test_bad_last_grid_point(self):
@@ -497,21 +497,21 @@ class TestSweeps:
 
     @staticmethod
     def _record_preparation(monkeypatch):
-        """The row counts of every Gaussian estimate and every IS row pass."""
+        """The row counts of every Gaussian estimate and every IS pass."""
         import condmetrics.evaluate as evaluate_mod
         import condmetrics.metrics as metrics_mod
 
         estimated, row_passes = [], []
 
         def recorded(rows, fn):
-            def wrapper(x, *args):
+            def wrapper(x, *args, **kwargs):
                 rows.append(x.shape[0])
-                return fn(x, *args)
+                return fn(x, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(metrics_mod, "_estimate_gaussian",
                             recorded(estimated, metrics_mod._estimate_gaussian))
-        monkeypatch.setattr(evaluate_mod, "_is_rows", recorded(row_passes, evaluate_mod._is_rows))
+        monkeypatch.setattr(evaluate_mod, "_is_pass", recorded(row_passes, evaluate_mod._is_pass))
         return estimated, row_passes
 
     @pytest.mark.parametrize("subset", [{}, dict(subset_size=3, trials=3)],
@@ -634,10 +634,13 @@ class TestValidationBoundary:
                           ("gen-labels", gy), ("probs", one_hot_dominant(gy, 4, seed=49))]:
             save_tensor(tmp_path / f"{flag}.cfm", arr)
             argv += [f"--{flag}", str(tmp_path / f"{flag}.cfm")]
+        checked = _count_checked_probability_rows(monkeypatch)
         calls = self._count_checks(monkeypatch)
         assert main(argv) == 0
-        # the loaders check the label vectors too; the matrices are checked once
-        assert calls["as_probability_matrix"] == 1
+        # the loaders check the label vectors too; the feature matrices are
+        # checked once, and each row of the probability file once, as it is read
+        assert calls["as_probability_matrix"] == 0
+        assert sorted(checked) == list(range(gy.size))
         assert calls["as_feature_matrix"] == 2
 
     def test_mode_collapse_sweep_checks_each_array_once(self, monkeypatch):
@@ -649,6 +652,21 @@ class TestValidationBoundary:
                             schedule=schedule)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
                          "as_probability_matrix": 0}
+
+
+def _count_checked_probability_rows(monkeypatch) -> list[int]:
+    """The rows of probability files checked, one entry per row and check."""
+    import condmetrics.tensorfile as tensorfile_mod
+
+    checked = []
+    check = tensorfile_mod._checked_probability_rows
+
+    def counted(p, lo, hi, start, out=None):
+        checked.extend(range(start, start + len(p)))
+        return check(p, lo, hi, start, out)
+
+    monkeypatch.setattr(tensorfile_mod, "_checked_probability_rows", counted)
+    return checked
 
 
 def _degenerate_case(name):

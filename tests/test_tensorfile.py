@@ -356,3 +356,55 @@ class TestCSV:
             tracemalloc.stop()
         assert loaded.tobytes() == array.tobytes()
         assert peak <= 1.5 * array.nbytes
+
+
+class TestBlockedRead:
+    """A binary file is read in blocks of about ``metrics._IS_BLOCK`` entries,
+    each checked for finiteness as it is read: one scan of the payload."""
+
+    @staticmethod
+    def _recorded(monkeypatch) -> list:
+        import condmetrics.tensorfile as tensorfile_mod
+
+        seen = []
+        check = tensorfile_mod._finite_range
+
+        def recorded(path, start, block):
+            seen.append((start, block.shape[0]))
+            return check(path, start, block)
+
+        monkeypatch.setattr(tensorfile_mod, "_finite_range", recorded)
+        return seen
+
+    def test_each_row_is_checked_once(self, tmp_path, monkeypatch):
+        from condmetrics.metrics import _IS_BLOCK
+
+        path = tmp_path / "x.cfm"
+        array = np.random.default_rng(5).standard_normal((5000, 20))
+        save_tensor(path, array)
+        seen = self._recorded(monkeypatch)
+        assert load_tensor(path).tobytes() == array.tobytes()
+        rows = _IS_BLOCK // 20
+        assert seen == [(start, min(rows, 5000 - start)) for start in range(0, 5000, rows)]
+        assert len(seen) > 1
+
+    def test_labels_are_read_in_blocks_unchecked(self, tmp_path, monkeypatch):
+        path = tmp_path / "y.cfm"
+        labels = np.random.default_rng(6).integers(0, 7, 100_000)
+        save_tensor(path, labels)
+        seen = self._recorded(monkeypatch)
+        assert np.array_equal(load_labels(path), labels)
+        assert seen == []
+
+    @pytest.mark.parametrize("shape, where, row", [
+        ((5000, 20), (4999, 3), 4999), ((5000, 20), (1639, 0), 1639), ((100_000,), (70_000,), 70_000)
+    ], ids=["last-row", "second-block", "rank1"])
+    def test_non_finite_value_in_a_later_block_names_its_row(self, tmp_path, shape, where, row):
+        path = tmp_path / "bad.cfm"
+        array = np.zeros(shape)
+        array[where] = np.inf
+        save_tensor(path, array)
+        with pytest.raises(TensorFileError) as err:
+            load_tensor(path)
+        assert err.value.code == "non-finite"
+        assert str(err.value) == f"{path}: non-finite value at row {row}"
