@@ -9,11 +9,12 @@ One core, ``_evaluation``, checks every option and input once and builds every
 point (a vector of generated labels, on all or some generated rows) before any
 score.  Points on the same generated rows (every label-noise point, and
 ``build_report``'s one point) share the work that does not depend on labels:
-one IS pass over the rows per run, which computes each row's negative entropy
-and argmax once and adds the rows into every point's class sums, and the
-generated pooled Gaussian and fid once per trial.  Each point adds only its
-labelled work: bcis/wcis from its class sums, accuracy against the argmaxes,
-its pairing, the per-class and between-class Gaussians and wcfid.
+one IS pass (one read of a probability file) per row set, which computes each
+row's negative entropy and argmax once and adds the rows into every point's
+class sums, held until the pass ends; and the generated pooled Gaussian and
+fid once per trial.  Each point adds only its labelled work: bcis/wcis from
+its class sums, accuracy against the argmaxes, its pairing, the per-class and
+between-class Gaussians and wcfid.
 The core estimates each trial's real side once, scores every point's
 generated side against it and drops it, so one trial's real side is held at a
 time.  ``build_report`` is its one-point caller.  Under feature subsampling each

@@ -16,7 +16,8 @@ Score families
   compares with every label vector, cleaned once, used for h and m, and added
   into each label vector's K x K class sums.  Rows go by in fixed-size blocks,
   so no second array of the matrix's size is made, and a probability file is
-  never held whole.
+  never held whole; each label vector's class sums, and a byte per row of
+  block ranks, are held until the pass ends.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.
@@ -54,12 +55,8 @@ WEIGHTINGS = ("empirical", "uniform")
 # Entries per row block of the IS family's passes (see ``_is_pass``).
 _IS_BLOCK = 2**15
 
-# Bytes of class sums (and their scatter plans) one pass over the probability
-# rows holds; more label vectors are summed in further passes.
-_CLASS_SUM_BYTES = 64 * 2**20
-
 # Rounds of plain fancy-index adds per row block of a class sum; rows of a
-# label beyond this many in one block go to ``np.add.at`` (see ``_scatter_plan``).
+# label beyond this many in one block go to ``np.add.at`` (see ``_is_pass``).
 _ROUNDS = 8
 
 
@@ -120,8 +117,14 @@ class ProbabilityRows:
             yield start, self.p[start:start + rows]
 
     def take(self, index: np.ndarray) -> ProbabilityRows:
-        """The checked rows ``index``, in memory."""
-        return ProbabilityRows(self.p[index])
+        """The checked rows ``index``, in memory, from one read of the blocks."""
+        order = np.argsort(index, kind="stable")
+        wanted = index[order]
+        out = np.empty((index.size, self.shape[1]))
+        for start, block in self.blocks(_block_rows(self.shape[1])):
+            lo, hi = np.searchsorted(wanted, [start, start + len(block)])
+            out[order[lo:hi]] = block[wanted[lo:hi] - start]
+        return ProbabilityRows(out)
 
 
 def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarray:
@@ -247,7 +250,8 @@ def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "em
 
 def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
              clean: bool = True, raw: bool = False):
-    """The row quantities and class sums of the checked rows of ``source``.
+    """The row quantities and class sums of the checked rows of ``source``,
+    from one read of its blocks.
 
     Returns ((negative entropies, argmaxes, IS), sums).  sums has, for each
     label vector in ``labelled`` (labels in [0, k)), its k x K class sums of
@@ -256,46 +260,46 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
     quantities are None and the sums are of the rows alone.
 
     Row blocks hold about ``_IS_BLOCK`` entries.  Each block is cleaned once
-    for every quantity and added into every class sum in row order
-    (``_scatter_plan``).  Class sums and their plans take at most
-    ``_CLASS_SUM_BYTES`` at a time: further label vectors are summed in
-    further passes, which read and clean the rows again but compute the row
-    quantities only in the first.
+    for every quantity and added into every class sum in row order, bit for
+    bit as ``np.add.at`` would add it.  A plain fancy-index add is exact where
+    its labels are distinct, so a block goes in rounds: round t adds each
+    label's t-th row in the block (``_block_ranks``).  Round 0 adds the whole
+    block, with every other row sent to a spare row k; rounds 1 to
+    ``_ROUNDS - 1`` gather their own rows; ``np.add.at`` adds the rows after
+    those.
     """
     n, width = source.shape
     rows = _block_rows(width)
     cols = width * (clean + raw)
-    group = max(1, _CLASS_SUM_BYTES // (8 * ((k + 1) * cols + n))) if labelled else 1
     if clean:
         buf, prod = np.empty((min(rows, n), cols)), np.empty((min(rows, n), width))
         neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
         col_sum = np.zeros(width)
-    sums = []
-    for group_start in range(0, max(len(labelled), 1), group):
-        points = [(y, *_scatter_plan(y, k, rows))
-                  for y in labelled[group_start:group_start + group]]
-        acc = [np.zeros((k + 1, cols)) for _ in points]  # row k is the spare
-        for start, p in source.blocks(rows):
-            stop = start + len(p)
-            q = p
-            if clean:
-                q = buf[:len(p)]
-                if raw:
-                    q[:, width:] = p
-                c = _clean_rows(p, q[:, :width])
-                if group_start == 0:
-                    np.argmax(p, axis=1, out=predicted[start:stop])
-                    neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
-                    col_sum += c.sum(axis=0)
-            for (y, dest, rounds, round_blocks, rest), s in zip(points, acc):
-                s[dest[start:stop]] += q
-                first, last = np.searchsorted(round_blocks, (start // rows, start // rows + 1))
-                for sel in rounds[first:last]:
-                    s[y[sel]] += q[sel - start]
-                lo, hi = np.searchsorted(rest, (start, stop))
-                if hi > lo:
-                    np.add.at(s, y[rest[lo:hi]], q[rest[lo:hi] - start])
-        sums += [s[:k] for s in acc]
+    ranks = [_block_ranks(y, k, rows) for y in labelled]
+    sums = [np.zeros((k + 1, cols)) for _ in labelled]  # row k is the spare
+    for start, p in source.blocks(rows):
+        stop = start + len(p)
+        q = p
+        if clean:
+            q = buf[:len(p)]
+            if raw:
+                q[:, width:] = p
+            c = _clean_rows(p, q[:, :width])
+            np.argmax(p, axis=1, out=predicted[start:stop])
+            neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
+            col_sum += c.sum(axis=0)
+        for labels, rank, s in zip(labelled, ranks, sums):
+            y, r = labels[start:stop], rank[start:stop]
+            s[np.where(r == 0, y, k)] += q
+            for t in range(1, _ROUNDS):
+                sel = np.flatnonzero(r == t)
+                if not sel.size:  # no label has a t-th row, so none has a later one
+                    break
+                s[y[sel]] += q[sel]
+            else:
+                rest = np.flatnonzero(r == _ROUNDS)
+                np.add.at(s, y[rest], q[rest])
+    sums = [s[:k] for s in sums]
     if not clean:
         return (None, None, None), sums
     marginal = col_sum / n
@@ -309,32 +313,17 @@ def _block_rows(width: int) -> int:
     return max(1, _IS_BLOCK // max(1, width))
 
 
-def _scatter_plan(y: np.ndarray, k: int, rows: int):
-    """How a pass adds row i into class sum y[i], block by block of ``rows``
-    rows, bit for bit as ``np.add.at`` would: each class's rows in row order.
-
-    A plain fancy-index add is exact where its labels are distinct, so a block
-    goes in rounds: round t adds each label's t-th row in the block.  Round 0
-    adds the whole block, with every other row sent to a spare row k; rounds 1
-    to ``_ROUNDS - 1`` gather their own rows; ``np.add.at`` adds the rows
-    after those.  Returns (round-0 destinations, the later rounds' row
-    positions, the block of each of those rounds, the rows left to add.at).
-    """
-    n = y.size
-    block = np.arange(n) // rows
-    key = block * k + y
+def _block_ranks(y: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Each row's rank, in row order, among the rows of its label y[i] in
+    [0, k) within its block of ``rows`` rows, capped at ``_ROUNDS``."""
+    pos = np.arange(y.size)
+    key = pos // rows * k + y
     order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
-    later = np.flatnonzero((rank > 0) & (rank < _ROUNDS))
-    round_of = block[later] * _ROUNDS + rank[later]
-    by_round = np.argsort(round_of, kind="stable")
-    later, round_of = later[by_round], round_of[by_round]
-    heads, firsts = np.unique(round_of, return_index=True)
-    return (np.where(rank == 0, y, k), np.split(later, firsts[1:]), heads // _ROUNDS,
-            np.flatnonzero(rank >= _ROUNDS))
+    key = key[order]
+    first = np.maximum.accumulate(np.where(np.r_[True, key[1:] != key[:-1]], pos, 0))
+    rank = np.empty(y.size, dtype=np.uint8)
+    rank[order] = np.minimum(pos - first, _ROUNDS)
+    return rank
 
 
 def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarray):

@@ -255,16 +255,6 @@ class ProbabilityFile(ProbabilityRows):
                 lo, hi = _finite_range(self.path, start, block)
                 yield start, _checked_probability_rows(block, lo, hi, start, out=block)
 
-    def take(self, index: np.ndarray) -> ProbabilityRows:
-        """The rows ``index`` in memory, from one read that checks every block."""
-        order = np.argsort(index, kind="stable")
-        wanted = index[order]
-        out = np.empty((index.size, self.shape[1]))
-        for start, block in self.blocks(_block_rows(self.shape[1])):
-            lo, hi = np.searchsorted(wanted, [start, start + len(block)])
-            out[order[lo:hi]] = block[wanted[lo:hi] - start]
-        return ProbabilityRows(out)
-
 
 def open_probabilities(path):
     """A probability matrix file for ``build_report``, the sweeps and

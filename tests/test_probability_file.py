@@ -126,15 +126,12 @@ class TestSameReports:
         assert main(["metrics", *cli_args(csv_paths, from_csv, "--pairing", "hungarian")]) == 0
         assert from_binary.read_bytes() == from_csv.read_bytes()
 
-    def test_point_groups_change_no_bit(self, inputs, monkeypatch):
-        # a budget below one point's class sums puts every point in a group
-        # of its own, each a further read of the file
-        arrays, paths = inputs
-        options = dict(real_features=arrays["real_features"],
-                       real_labels=arrays["real_labels"], gen_labels=arrays["gen_labels"],
-                       grid=[0.0, 0.2, 0.5, 1.0], pairing="hungarian", seed=3)
-        grouped = sweep_label_noise(probs=ProbabilityFile(paths["probs"]),
-                                    gen_features=arrays["gen_features"], **options)
+    def test_label_noise_sweep_reads_the_file_once(self, tmp_path, monkeypatch):
+        # eleven points' K x K class sums (88 MB at K=1000) come from one read
+        k = 1000
+        labels = rng_for(13).permutation(k)
+        probs = noisy_probs(labels, k, seed=14)
+        path = write_probs(tmp_path / "p.cfm", probs)
         reads = []
         blocks = ProbabilityFile.blocks
 
@@ -143,12 +140,27 @@ class TestSameReports:
             return blocks(self, rows)
 
         monkeypatch.setattr(ProbabilityFile, "blocks", counted)
-        monkeypatch.setattr(metrics_mod, "_CLASS_SUM_BYTES", 1)
-        separate = sweep_label_noise(probs=ProbabilityFile(paths["probs"]),
-                                     gen_features=arrays["gen_features"], **options)
-        assert len(reads) == 4
-        assert [report_to_json(r) for _, r in separate] == [
-            report_to_json(r) for _, r in grouped]
+        options = dict(gen_labels=labels, grid=np.linspace(0.0, 1.0, 11), seed=3)
+        from_file = sweep_label_noise(probs=ProbabilityFile(path), **options)
+        assert len(reads) == 1
+        in_memory = sweep_label_noise(probs=probs, **options)
+        assert [report_to_json(r) for _, r in from_file] == [
+            report_to_json(r) for _, r in in_memory]
+
+
+def assert_sums_equal_add_at(monkeypatch, probs, labels, k, rows):
+    """_is_pass's class sums, over blocks of ``rows`` rows, equal np.add.at's
+    row-order sums in each mode: the raw rows alone, the cleaned rows alone,
+    and the cleaned rows beside the raw rows."""
+    monkeypatch.setattr(metrics_mod, "_IS_BLOCK", rows * probs.shape[1])
+    cleaned = metrics_mod._clean_rows(probs, np.empty_like(probs))
+    for clean, raw, added in [(False, True, probs), (True, False, cleaned),
+                              (True, True, np.hstack([cleaned, probs]))]:
+        _, (sums,) = metrics_mod._is_pass(
+            metrics_mod.ProbabilityRows(probs), [labels], k, clean=clean, raw=raw)
+        expected = np.zeros((k, added.shape[1]))
+        np.add.at(expected, labels, added)
+        assert np.array_equal(sums, expected), (clean, raw)
 
 
 class TestScatter:
@@ -162,12 +174,43 @@ class TestScatter:
         if order == "sorted":
             labels = np.sort(labels)
         probs = dirichlet_rows(np.full(max(k, 2), 0.5), n, seed=k)
-        monkeypatch.setattr(metrics_mod, "_IS_BLOCK", rows * probs.shape[1])
-        _, (sums,) = metrics_mod._is_pass(
-            metrics_mod.ProbabilityRows(probs), [labels], k, clean=False, raw=True)
-        expected = np.zeros((k, probs.shape[1]))
-        np.add.at(expected, labels, probs)
-        assert np.array_equal(sums, expected)
+        assert_sums_equal_add_at(monkeypatch, probs, labels, k, rows)
+
+    def test_block_of_rounds_and_add_at(self, monkeypatch):
+        # the first 100-row block holds 97 rows of class 0, past the rounds,
+        # and 3 of class 1, within them
+        labels = np.repeat(np.arange(5), [97, 83, 80, 80, 60])
+        assert metrics_mod._ROUNDS <= 97 and 3 < metrics_mod._ROUNDS
+        probs = dirichlet_rows(np.full(5, 0.5), labels.size, seed=15)
+        assert_sums_equal_add_at(monkeypatch, probs, labels, 5, 100)
+
+
+class RepeatedRows(metrics_mod.ProbabilityRows):
+    """n checked rows that repeat one block: a long source in little memory."""
+
+    def __init__(self, block, n):
+        super().__init__(block)
+        self.shape = (n, block.shape[1])
+
+    def blocks(self, rows):
+        for start in range(0, self.shape[0], rows):
+            yield start, self.p[:min(rows, self.shape[0] - start)]
+
+
+def test_pass_plans_take_a_byte_per_row_and_point():
+    # twelve points at N=100000: a pass holds each point's class sums and a
+    # one-byte rank per row, not an 8-byte index per row
+    k, n, points = 200, 100_000, 12
+    source = RepeatedRows(dirichlet_rows(np.full(k, 0.3), metrics_mod._block_rows(k), seed=16), n)
+    labelled = [rng_for(17, i).integers(0, k, n) for i in range(points)]
+    tracemalloc.start()
+    try:
+        _, sums = metrics_mod._is_pass(source, labelled, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(s.base.nbytes for s in sums)
+    assert peak - held <= 8 * 2**20, (peak, held)
 
 
 def write_probs(path, probs):
