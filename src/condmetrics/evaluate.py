@@ -13,14 +13,14 @@ one IS pass (one read of a probability file) per row set, which computes each
 row's negative entropy and argmax once and adds the rows into every point's
 class sums, held until the pass ends; and the generated pooled Gaussian and
 fid once per trial.  Each point adds only its labelled work: bcis/wcis from
-its class sums, accuracy against the argmaxes, its pairing, the per-class and
-between-class Gaussians and wcfid.
-The core estimates each trial's real side once, scores every point's
-generated side against it and drops it, so one trial's real side is held at a
-time.  ``build_report`` is its one-point caller.  Under feature subsampling each
-trial draws ``subset_size`` distinct columns from ``rng_for(seed)``, shared by
-both sides and fid/bcfid/wcfid; the report holds each score's mean over trials,
-divided by ``subset_size``.
+its class sums, accuracy against the argmaxes, its pairing, bcfid and wcfid.
+Labels are split once per call; each trial streams the classes through
+``metrics._class_scores`` and drops its column gathers, so memory is the
+inputs, one pooled Gaussian and K x d means per point at any trial count.
+``build_report`` is the one-point caller.
+Under feature subsampling each trial draws ``subset_size`` distinct columns
+from ``rng_for(seed)``, shared by both sides and fid/bcfid/wcfid; the report
+holds each score's mean over trials, divided by ``subset_size``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .gaussian import _as_finite
+from .gaussian import _as_finite, _estimate_gaussian, frechet_distance
 from .matching import hungarian_max
 from .metrics import (
     WEIGHTINGS,
@@ -38,9 +38,8 @@ from .metrics import (
     _as_int,
     _check_rows,
     _checked_features,
+    _class_scores,
     _class_split,
-    _fid_row_set,
-    _fid_side,
     _is_classes,
     _is_pass,
     as_label_vector,
@@ -69,7 +68,7 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
 
 def _score_fid(report: MetricReport, scores, scale: float) -> None:
     """Set the FID family of ``report``: each score is its mean over the trials'
-    ``_fid_row_set`` scores, divided by ``scale``."""
+    (fid,) or (fid, bcfid, wcfid, per-class vector) scores, divided by ``scale``."""
     means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
     report.fid = float(means[0])
     if len(means) > 1:
@@ -142,10 +141,8 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     identity = None if k is None else np.arange(k, dtype=np.int64)
     row_sets = list(row_sets(gen_labels, k))
 
-    reports, prepared = [], []  # per row set: its rows and its points' (labels, mapping)
-    for rows, labelled in row_sets:
-        points = []
-        prepared.append((rows, points))
+    reports, points = [], []  # per point: (its row set's index, labels, mapping)
+    for r, (rows, labelled) in enumerate(row_sets):
         scored = [] if probs is None or gen_labels is None else labelled
         classes = [_class_split(labels, k, weighting, 1, "conditioned") for labels in scored]
         is_, sums = None, []
@@ -169,19 +166,24 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
                         "per-class sample counts differ between the real and generated "
                         "sides; the conditional-bound guarantees assume matched counts")
             reports.append(report)
-            points.append((labels, mapping))
+            points.append((r, labels, mapping))
     sums = neg_entropy = predicted = None  # hold no row set's arrays through the FID family
     if real_features is None:
         return reports
 
+    real = None if real_labels is None else _class_split(real_labels, k, weighting, 2, "real")
+    classed = [(row_sets[r][0], _class_split(labels, k, weighting, 2, "generated"), mapping)
+               for r, labels, mapping in points if labels is not None]
     trials_scores = []
     for cols in column_sets:
-        real = _fid_side(rf, real_labels, cols, k, weighting, "real")
-        trials_scores.append([
-            scores for rows, points in prepared
-            for scores in _fid_row_set(real, gf if rows is None else gf[rows], cols, points,
-                                       k, weighting)])
-        del real  # before the next trial's real side is estimated
+        rx, gx = rf[:, cols], gf[:, cols]
+        pooled = _estimate_gaussian(rx)
+        # not gx[rows]: its layout, and so its round-off, differs from gf[rows][:, cols]'s
+        fids = [frechet_distance(pooled, _estimate_gaussian(
+            gx if rows is None else gf[rows][:, cols])) for rows, _ in row_sets]
+        classes = _class_scores(rx, real, gx, classed) if classed else [()] * len(points)
+        trials_scores.append([(fids[r], *c) for (r, _, _), c in zip(points, classes)])
+        del rx, gx, pooled  # before the next trial's columns are gathered
     for report, trials_of_point in zip(reports, zip(*trials_scores)):
         report.dims_used = rf.shape[1] if subset_size is None else subset_size
         _score_fid(report, trials_of_point, scale)

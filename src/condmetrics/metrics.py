@@ -20,7 +20,9 @@ Score families
   block ranks, are held until the pass ends.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
-  weights, ``fid <= bcfid + wcfid`` holds up to round-off.
+  weights, ``fid <= bcfid + wcfid`` holds up to round-off.  Samples reach
+  them through one kernel, ``_class_scores``, which streams the classes; the
+  ``*_from_stats`` functions are the reference path for analytic populations.
 
 Class weights default to empirical frequencies ("empirical"); passing
 ``weighting="uniform"`` averages classes with equal weight instead, which is
@@ -423,21 +425,22 @@ def class_conditional_stats(
     x = as_feature_matrix(features)
     k = _as_int(k, "class count")
     y = as_label_vector(labels, k, n=x.shape[0])
-    return _class_conditional_stats(x, y, k, weighting, 1, "")
-
-
-def _class_conditional_stats(x, y, k: int, weighting: str, min_count: int, side: str):
-    idx, priors = _class_split(y, k, weighting, min_count, side)
+    idx, priors = _class_split(y, k, weighting, 1, "")
     return _with_between(tuple(_estimate_gaussian(x[i]) for i in idx), priors)
+
+
+def _between(means: np.ndarray, priors: np.ndarray, count: int) -> GaussianStats:
+    """The Gaussian over the K x d class means, weighted by priors."""
+    mu_b = priors @ means
+    rows = np.sqrt(priors)[:, None] * (means - mu_b)
+    return GaussianStats._from_rows(mu_b, rows, count)
 
 
 def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
     """Add the Gaussian over class means, weighted by priors, to per-class stats."""
-    means = np.stack([s.mean for s in per_class])
-    mu_b = priors @ means
-    rows = np.sqrt(priors)[:, None] * (means - mu_b)
-    between = GaussianStats._from_rows(mu_b, rows, sum(s.count for s in per_class))
-    return ClassConditionalStats(per_class=per_class, between=between, priors=priors)
+    between = _between(np.stack([s.mean for s in per_class]), priors,
+                       sum(s.count for s in per_class))
+    return ClassConditionalStats(per_class, between, priors)
 
 
 def class_conditional_from_moments(means, covs, priors) -> ClassConditionalStats:
@@ -460,8 +463,7 @@ def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
     """Pooled Gaussian via the law of total covariance, as stacked factors."""
     rows = np.vstack([stats.between.factor] + [
         np.sqrt(p) * s.factor for p, s in zip(stats.priors, stats.per_class)])
-    count = sum(s.count for s in stats.per_class)
-    return GaussianStats._from_rows(stats.between.mean, rows, count)
+    return GaussianStats._from_rows(stats.between.mean, rows, stats.between.count)
 
 
 def _resolve_mapping(pairing, k: int | None = None) -> np.ndarray:
@@ -518,40 +520,36 @@ def wcfid_from_stats(
     return float(weights @ per), per
 
 
-def _stats_pair(real_features, real_labels, gen_features, gen_labels, k: int,
-                weighting: str, min_count: int = 2):
+def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points):
+    """(bcfid, wcfid, per-class vector) of each point (rows, (row indices, priors),
+    mapping) on gx's rows ``rows`` (all if None) against the classes ``real`` of
+    rx, its class c against real class mapping[c].  Each real class is estimated
+    once, then each point's class paired with it; only their means are kept."""
+    ridx, rpriors = real
+    means = np.empty((1 + len(points), len(ridx), rx.shape[1]))  # real, then each point
+    per = np.empty((len(points), len(ridx)))
+    paired = [np.argsort(mapping) for _, _, mapping in points]  # real class -> point's class
+    for c, i in enumerate(ridx):
+        r = _estimate_gaussian(rx[i])
+        means[0, c] = r.mean
+        for j, ((rows, (gidx, _), _), to) in enumerate(zip(points, paired)):
+            g = to[c]
+            gen = _estimate_gaussian(gx[gidx[g] if rows is None else rows[gidx[g]]])
+            means[1 + j, g] = gen.mean
+            per[j, g] = frechet_distance(r, gen)
+    between = _between(means[0], rpriors, rx.shape[0])
+    return [(frechet_distance(between, _between(m, gpriors, sum(i.size for i in gidx))),
+             float(rpriors[mapping] @ p), p)
+            for (_, (gidx, gpriors), mapping), m, p in zip(points, means[1:], per)]
+
+
+def _sample_scores(real_features, real_labels, gen_features, gen_labels, k: int,
+                   weighting: str, pairing=None, min_count: int = 2):
     k = _as_int(k, "class count")
     rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
-    return (_class_conditional_stats(rf, ry, k, weighting, min_count, "real"),
-            _class_conditional_stats(gf, gy, k, weighting, min_count, "generated"))
-
-
-def _fid_side(x: np.ndarray, y, cols, k: int | None, weighting: str, side: str):
-    """Pooled Gaussian of the checked x[:, cols] and, with labels in [0, k),
-    its class-conditional statistics (None without labels)."""
-    x = x[:, cols]
-    pooled = _estimate_gaussian(x)  # first: its temporaries are the largest
-    classes = None if y is None else _class_conditional_stats(x, y, k, weighting, 2, side)
-    return pooled, classes
-
-
-def _fid_row_set(real_side, x: np.ndarray, cols, labelled, k: int | None, weighting: str):
-    """One trial's scores against ``real_side`` (a ``_fid_side``) of each
-    ``(labels, pairing)`` in ``labelled`` on the checked generated rows x:
-    (fid,), or with labels (fid, bcfid, wcfid, per-class vector).  The pooled
-    Gaussian of x[:, cols] and fid do not depend on the labels, so they are
-    computed once for all of them."""
-    real_pooled, real = real_side
-    x = x[:, cols]
-    f = frechet_distance(real_pooled, _estimate_gaussian(x))
-
-    def scores(labels, pairing):  # one point's class statistics live only in this call
-        if labels is None:
-            return (f,)
-        gen = _class_conditional_stats(x, labels, k, weighting, 2, "generated")
-        return f, bcfid_from_stats(real, gen), *wcfid_from_stats(real, gen, pairing)
-
-    return [scores(labels, pairing) for labels, pairing in labelled]
+    real = _class_split(ry, k, weighting, min_count, "real")
+    gen = _class_split(gy, k, weighting, min_count, "generated")
+    return _class_scores(rf, real, gf, [(None, gen, _resolve_mapping(pairing, k))])[0]
 
 
 def bcfid(
@@ -559,8 +557,8 @@ def bcfid(
     *, weighting: str = "empirical",
 ) -> float:
     """Fréchet distance between the real and generated class-mean distributions."""
-    return bcfid_from_stats(*_stats_pair(
-        real_features, real_labels, gen_features, gen_labels, k, weighting, min_count=1))
+    return _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
+                          weighting, min_count=1)[0]
 
 
 def wcfid(
@@ -568,8 +566,8 @@ def wcfid(
     *, pairing=None, weighting: str = "empirical",
 ) -> tuple[float, np.ndarray]:
     """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class)."""
-    return wcfid_from_stats(*_stats_pair(
-        real_features, real_labels, gen_features, gen_labels, k, weighting), pairing)
+    return _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
+                          weighting, pairing)[1:]
 
 
 def cfid_sum(
@@ -577,9 +575,9 @@ def cfid_sum(
     *, pairing=None, weighting: str = "empirical",
 ) -> float:
     """bcfid + wcfid: a single conditional score that upper-bounds fid."""
-    real, gen = _stats_pair(
-        real_features, real_labels, gen_features, gen_labels, k, weighting)
-    return bcfid_from_stats(real, gen) + wcfid_from_stats(real, gen, pairing)[0]
+    b, w, _ = _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
+                             weighting, pairing)
+    return b + w
 
 
 # ---------------------------------------------------------------------------

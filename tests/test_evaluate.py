@@ -354,7 +354,8 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("entry", ["build_report", "subsampled_fid_suite", "sweep_label_noise"])
 def test_peak_memory_does_not_grow_with_trials(entry):
-    # one trial's real side is held at a time, so 20 trials peak like one
+    # one trial's column gathers and class means are held at a time, so 20
+    # trials peak like one
     rng = rng_for(67)
     k, n, d, subset = 10, 100, 64, 32
     y = np.repeat(np.arange(k), n)
@@ -375,6 +376,43 @@ def test_peak_memory_does_not_grow_with_trials(entry):
     assert twenty <= 1.1 * one, (one, twenty)
 
 
+def test_fid_family_peaks_like_fid():
+    # classes stream through one kernel: beyond one pooled Gaussian only the
+    # K x d class means are held, never K class factors per side
+    rng = rng_for(75)
+    k, n, d = 200, 20, 256
+    y = np.repeat(np.arange(k), n)
+    x = rng.normal(0.0, 1.0, (y.size, d)) + 0.1 * y[:, None]
+    g = rng.normal(0.0, 1.1, (y.size, d))
+    pooled = _traced_peak(lambda: fid(x, g))
+    labelled = _traced_peak(lambda: build_report(real_features=x, real_labels=y,
+                                                 gen_features=g, gen_labels=y, k=k))
+    assert labelled <= pooled + 2**20, (pooled, labelled)
+    assert _traced_peak(lambda: wcfid(x, y, g, y, k)) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_class_splits_do_not_scale_with_trials(monkeypatch, trials):
+    # the real labels are split once and each point's labels once for the IS
+    # family and once for the FID family, whatever the trial count
+    import condmetrics.metrics as metrics_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+
+    split = metrics_mod.class_index_lists
+    monkeypatch.setattr(metrics_mod, "class_index_lists", counted)
+    x, y = make_instance(seed=76, k=3, d=5)
+    g, gy = make_instance(seed=77, k=3, d=5, shift=0.2)
+    probs = one_hot_dominant(gy, 3, seed=78)
+    sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                      probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], subset_size=3,
+                      trials=trials)
+    assert len(calls) == 1 + 4 + 4
+
 class TestChecksBeforeScores:
     """Every option and input is checked, and every point built, before any score."""
 
@@ -385,7 +423,7 @@ class TestChecksBeforeScores:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a score was computed before every check ran")
 
-        for name in ("_is_pass", "_is_classes", "_fid_side", "_fid_row_set"):
+        for name in ("_is_pass", "_is_classes", "_class_scores", "_estimate_gaussian"):
             monkeypatch.setattr(evaluate_mod, name, forbidden)
 
     def test_bad_last_grid_point(self):
@@ -484,8 +522,9 @@ class TestSweeps:
         for mod in (evaluate_mod, matching_mod, metrics_mod):
             monkeypatch.setattr(mod, "as_probability_matrix",
                                 counted("validate", mod.as_probability_matrix))
-        monkeypatch.setattr(metrics_mod, "_estimate_gaussian",
-                            counted("estimate", metrics_mod._estimate_gaussian))
+        for mod in (evaluate_mod, metrics_mod):  # pooled estimates, class estimates
+            monkeypatch.setattr(mod, "_estimate_gaussian",
+                                counted("estimate", mod._estimate_gaussian))
         x, y = make_instance(seed=31, k=3)
         g, gy = make_instance(seed=32, k=3)
         probs = one_hot_dominant(gy, 3, seed=33)
@@ -509,8 +548,9 @@ class TestSweeps:
                 return fn(x, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(metrics_mod, "_estimate_gaussian",
-                            recorded(estimated, metrics_mod._estimate_gaussian))
+        for mod in (evaluate_mod, metrics_mod):  # pooled estimates, class estimates
+            monkeypatch.setattr(mod, "_estimate_gaussian",
+                                recorded(estimated, mod._estimate_gaussian))
         monkeypatch.setattr(evaluate_mod, "_is_pass", recorded(row_passes, evaluate_mod._is_pass))
         return estimated, row_passes
 
@@ -525,9 +565,9 @@ class TestSweeps:
         grid = [0.0, 0.3, 0.6, 1.0]
         sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                           probs=probs, k=3, grid=grid, pairing=pairing, **subset)
-        # per column set: the real side (pooled + 3 classes), the generated pooled
-        # Gaussian once, then each point's 3 generated classes
-        per_trial = [180, 60, 60, 60, 120] + [40, 40, 40] * len(grid)
+        # per column set: the real and the generated pooled Gaussians once, then
+        # for each class its real Gaussian and each point's paired class
+        per_trial = [180, 120] + [60, 40, 40, 40, 40] * 3
         assert estimated == per_trial * subset.get("trials", 1)
         assert row_passes == [120]
 
@@ -562,9 +602,11 @@ class TestSweeps:
         sweep_mode_collapse(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                             probs=probs, k=3, schedule=schedule, seed=2)
         steps = mode_collapse_indices(gy, 3, schedule, 2)
-        # the real side once; each step's pooled Gaussian and classes on its own rows
-        assert estimated == [120, 40, 40, 40] + [
-            n for idx in steps for n in [idx.size, *np.bincount(gy[idx], minlength=3)]]
+        # the real pooled Gaussian and each step's, on its own rows; then for
+        # each class its real Gaussian once and each step's class
+        counts = [np.bincount(gy[idx], minlength=3) for idx in steps]
+        assert estimated == [120] + [idx.size for idx in steps] + [
+            n for c in range(3) for n in [40, *(step[c] for step in counts)]]
         assert row_passes == [idx.size for idx in steps]
 
 

@@ -547,6 +547,38 @@ class TestConditionalFID:
         assert swapped_total <= 1e-9
         assert identity_total > 1.0
 
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_sample_scores_equal_the_stats_reference(self, weighting):
+        # the streamed sample path and the stats-level path take the same
+        # estimates and distances, so they agree bit for bit
+        rng = rng_for(16)
+        k, d = 4, 3
+        y = np.repeat(np.arange(k), [5, 9, 3, 12])
+        gy = np.repeat(np.arange(k), [7, 4, 10, 6])
+        x = rng.standard_normal((y.size, d)) + y[:, None]
+        g = 1.2 * rng.standard_normal((gy.size, d)) + 0.5
+        perm = np.array([2, 0, 3, 1])
+        real = class_conditional_stats(x, y, k, weighting=weighting)
+        gen = class_conditional_stats(g, gy, k, weighting=weighting)
+        total, per = wcfid(x, y, g, gy, k, pairing=perm, weighting=weighting)
+        ref_total, ref_per = wcfid_from_stats(real, gen, perm)
+        assert total == ref_total
+        assert np.array_equal(per, ref_per)
+        between = bcfid(x, y, g, gy, k, weighting=weighting)
+        assert between == bcfid_from_stats(real, gen)
+        assert cfid_sum(x, y, g, gy, k, pairing=perm, weighting=weighting) == between + total
+
+    def test_bcfid_takes_single_row_classes_and_wcfid_does_not(self):
+        rng = rng_for(17)
+        y = np.array([0, 1, 1, 1])
+        x = rng.standard_normal((4, 2))
+        g = rng.standard_normal((4, 2)) + 1.0
+        assert bcfid(x, y, g, y, 2) == bcfid_from_stats(
+            class_conditional_stats(x, y, 2), class_conditional_stats(g, y, 2))
+        with pytest.raises(InvalidInputError,
+                           match=r"class 0 has 1 sample\(s\), needs >= 2 on the real side"):
+            wcfid(x, y, g, y, 2)
+
 
 class TestClassConditionalStats:
     def test_between_mean_matches_weighted_average(self):
