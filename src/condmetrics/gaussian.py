@@ -25,10 +25,10 @@ only from 8d and at d = 32 not even at 16d, where either takes under a
 millisecond.  A plain N > d rule would put many small per-class estimates
 (say 50 rows at d = 32) on the slower path.
 
-An explicitly supplied covariance keeps its PSD square root, whose
-eigendecomposition is the only place a non-PSD matrix raises NotPSDError (the
-CLI's exit code 3).  ``_as_finite`` coerces and checks every array input of
-the package (tensor files aside) for numbers and finiteness.
+An explicitly supplied covariance is factored by the Gram path's rule,
+``_factor``, whose floor check is the only place a non-PSD matrix raises
+NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
+array input of the package (tensor files aside) for numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -95,9 +95,9 @@ class GaussianStats:
     """Mean vector and population covariance of one (sub)population.
 
     ``GaussianStats(mean, cov, count)`` symmetrizes ``cov``, which must be PSD
-    up to the round-off floor, and keeps its square root as ``factor``; ``cov``
-    is rebuilt from the factor when read.  ``count`` records how many samples
-    produced the estimate (0 for analytically constructed statistics).
+    up to the round-off floor, and keeps diag(sqrt(w)) V^T of it as ``factor``;
+    ``cov`` is rebuilt from the factor when read.  ``count`` records how many
+    samples produced the estimate (0 for analytically constructed statistics).
     """
 
     mean: np.ndarray
@@ -113,17 +113,18 @@ class GaussianStats:
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        self.__dict__.update(mean=mean, factor=sqrtm_psd(0.5 * (cov + cov.T)), count=count)
+        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T), "covariance"),
+                             count=count)
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
         """Gaussian with covariance rows^T rows, for a fresh array of rows.  Up
         to d rows are the factor itself; below ``GRAM_ROWS_PER_DIM * d`` the
-        factor is the d x d R of their QR, and from there ``_gram_factor`` of
+        factor is the d x d R of their QR, and from there ``_factor`` of
         rows^T rows."""
         n, d = rows.shape
         if n >= GRAM_ROWS_PER_DIM * d:
-            rows = _gram_factor(rows.T @ rows)
+            rows = _factor(rows.T @ rows, error=None)
         elif n > d:
             rows = np.linalg.qr(rows, mode="r")
         stats = cls.__new__(cls)
@@ -150,7 +151,7 @@ def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
     if n < GRAM_ROWS_PER_DIM * d:
         rows = (x - mean) / np.sqrt(n)
     else:  # d rows, which _from_rows keeps: no centred n x d copy is made
-        rows = _gram_factor(_centred_gram(x, mean) / n)
+        rows = _factor(_centred_gram(x, mean) / n, error=None)
     return GaussianStats._from_rows(mean, rows, n)
 
 
@@ -165,14 +166,6 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
         c = np.subtract(block, mean, out=buf[:len(block)])
         gram += np.matmul(c.T, c, out=prod)  # c^T c runs as one symmetric rank-k update
     return gram
-
-
-def _gram_factor(gram: np.ndarray) -> np.ndarray:
-    """The d x d factor diag(sqrt(w)) V^T of a Gram matrix V diag(w) V^T.
-    Negative eigenvalues are round-off of a PSD matrix and clamp to zero: an
-    estimate never raises NotPSDError."""
-    w, v = np.linalg.eigh(gram)
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -196,12 +189,20 @@ def sqrtm_psd(m) -> np.ndarray:
 
 
 def _eigh_psd(a: np.ndarray, what: str = "matrix", error=NotPSDError):
-    """Eigenvalues clamped to >= 0 and eigenvectors of symmetric a; ``error`` below the floor."""
+    """Clamped eigenvalues and eigenvectors of symmetric a; ``error`` (if any) below the floor."""
     w, v = np.linalg.eigh(a)
-    floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
+    floor = -EIG_TOL * max(1.0, float(np.abs(w).max())) if error else -np.inf
     if float(w[0]) < floor:
         raise error(f"{what} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
     return np.clip(w, 0.0, None), v
+
+
+def _factor(a: np.ndarray, what: str = "matrix", error=NotPSDError) -> np.ndarray:
+    """The d x d factor diag(sqrt(w)) V^T of symmetric a = V diag(w) V^T, by
+    ``_eigh_psd``.  An estimate's Gram matrix passes ``error`` None: its
+    negative eigenvalues are round-off and never raise."""
+    w, v = _eigh_psd(a, what, error)
+    return np.sqrt(w)[:, None] * v.T
 
 
 def frechet_distance_raw(a: GaussianStats, b: GaussianStats) -> float:

@@ -537,18 +537,30 @@ def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points):
             gen = _estimate_gaussian(gx[gidx[g] if rows is None else rows[gidx[g]]])
             means[1 + j, g] = gen.mean
             per[j, g] = frechet_distance(r, gen)
-    between = _between(means[0], rpriors, rx.shape[0])
-    return [(frechet_distance(between, _between(m, gpriors, sum(i.size for i in gidx))),
-             float(rpriors[mapping] @ p), p)
-            for (_, (gidx, gpriors), mapping), m, p in zip(points, means[1:], per)]
+    between = _class_between(means[0], real)
+    return [(frechet_distance(between, _class_between(m, gen)), float(rpriors[mapping] @ p), p)
+            for (_, gen, mapping), m, p in zip(points, means[1:], per)]
+
+
+def _class_between(means: np.ndarray, split) -> GaussianStats:
+    """``_between`` of one side's K x d class means, for its (row indices, priors)."""
+    idx, priors = split
+    return _between(means, priors, sum(i.size for i in idx))
+
+
+def _sample_classes(real_features, real_labels, gen_features, gen_labels, k: int,
+                    weighting: str, min_count: int):
+    """k, then each checked feature matrix with its (row indices, priors) split."""
+    k = _as_int(k, "class count")
+    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
+    return (k, rf, _class_split(ry, k, weighting, min_count, "real"),
+            gf, _class_split(gy, k, weighting, min_count, "generated"))
 
 
 def _sample_scores(real_features, real_labels, gen_features, gen_labels, k: int,
-                   weighting: str, pairing=None, min_count: int = 2):
-    k = _as_int(k, "class count")
-    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
-    real = _class_split(ry, k, weighting, min_count, "real")
-    gen = _class_split(gy, k, weighting, min_count, "generated")
+                   weighting: str, pairing=None):
+    k, rf, real, gf, gen = _sample_classes(real_features, real_labels, gen_features,
+                                           gen_labels, k, weighting, 2)
     return _class_scores(rf, real, gf, [(None, gen, _resolve_mapping(pairing, k))])[0]
 
 
@@ -557,8 +569,10 @@ def bcfid(
     *, weighting: str = "empirical",
 ) -> float:
     """Fréchet distance between the real and generated class-mean distributions."""
-    return _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
-                          weighting, min_count=1)[0]
+    _, rf, real, gf, gen = _sample_classes(real_features, real_labels, gen_features,
+                                           gen_labels, k, weighting, 1)
+    means = (np.stack([x[i].mean(axis=0) for i in idx]) for x, (idx, _) in ((rf, real), (gf, gen)))
+    return frechet_distance(*map(_class_between, means, (real, gen)))
 
 
 def wcfid(

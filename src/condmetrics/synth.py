@@ -1,6 +1,10 @@
 """Seeded synthetic datasets: Gaussian mixtures, analytic counterexamples,
 label noising, and staged mode collapse.
 
+The Gaussian constructions (mixtures, the matched-moment pair, the tightness
+case) are defined by their population moments and drawn from them by one
+sampler, ``_draw``.
+
 All randomness flows from one explicit seed, an integer in [0, 2^63), through
 ``rng_for``.  Independent pieces (collapse steps, sweep points) draw from
 ``rng_for(seed, index)`` so they are reproducible and order-independent.
@@ -15,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import _as_finite, _eigh_psd, as_feature_matrix
+from .gaussian import _as_finite, _factor, as_feature_matrix
 from .metrics import (
     ClassConditionalStats,
     _as_int,
@@ -82,8 +86,8 @@ class MixtureSpec:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "counts", counts)
-        factors = tuple(_psd_factor(cov, f"covariance {c}") for c, cov in enumerate(covs))
-        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_factors", tuple(
+            _factor(cov, f"covariance {c}", InvalidInputError) for c, cov in enumerate(covs)))
 
     @property
     def k(self) -> int:
@@ -94,12 +98,6 @@ class MixtureSpec:
         return self.means.shape[1]
 
 
-def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
-    # Eigen factor L with L L^T = cov; unlike Cholesky it accepts singular covs.
-    w, v = _eigh_psd(cov, name, InvalidInputError)
-    return v * np.sqrt(w)
-
-
 def _sigmas(sigma, size: int = 2, name: str = "sigma") -> np.ndarray:
     """sigma as ``size`` finite non-negative standard deviations."""
     s = _as_finite(sigma, name)[0].reshape(-1)
@@ -108,16 +106,17 @@ def _sigmas(sigma, size: int = 2, name: str = "sigma") -> np.ndarray:
     return s
 
 
+def _draw(rng: np.random.Generator, means, factors, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Class-blocked rows z F_c + mu_c (z standard normal from rng, F_c the
+    ``_factor`` of class c's covariance), counts[c] of class c, and their labels."""
+    features = np.concatenate([rng.standard_normal((n, f.shape[0])) @ f + mu
+                               for mu, f, n in zip(means, factors, counts)], axis=0)
+    return features, np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+
+
 def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw the mixture: class-blocked features and matching labels."""
-    rng = rng_for(spec.seed)
-    blocks = []
-    for c in range(spec.k):
-        z = rng.standard_normal((int(spec.counts[c]), spec.dim))
-        blocks.append(z @ spec._factors[c].T + spec.means[c])
-    features = np.concatenate(blocks, axis=0)
-    labels = np.repeat(np.arange(spec.k, dtype=np.int64), spec.counts)
-    return features, labels
+    return _draw(rng_for(spec.seed), spec.means, spec._factors, spec.counts)
 
 
 def gen_rings(
@@ -158,10 +157,23 @@ class LabeledPair(NamedTuple):
     gen_labels: np.ndarray
 
 
-_MATCHED_A_MEANS = np.array([[-1.0, 0.0], [1.0, 0.0]])
-_MATCHED_A_COVS = [np.diag([1.0, 1.0]), np.diag([1.0, 3.0])]
-_MATCHED_B_MEANS = np.array([[0.0, -1.0], [0.0, 1.0]])
-_MATCHED_B_COVS = [np.diag([2.0, 1.0]), np.diag([2.0, 1.0])]
+# (means, covariances) of mixtures A and B of the matched-moment pair
+_MATCHED = (
+    (np.array([[-1.0, 0.0], [1.0, 0.0]]), [np.diag([1.0, 1.0]), np.diag([1.0, 3.0])]),
+    (np.array([[0.0, -1.0], [0.0, 1.0]]), [np.diag([2.0, 1.0]), np.diag([2.0, 1.0])]),
+)
+
+
+def _draw_pair(seed: int, n_per_class: int, sides) -> LabeledPair:
+    """Both sides of a two-class construction, side i from its (means, covariances)
+    by ``rng_for(seed, i)``.  Lazy ``sides`` are checked in turn, after n_per_class."""
+    n_per_class = _as_int(n_per_class, "n_per_class")
+    if n_per_class < 2:
+        raise InvalidInputError("n_per_class must be >= 2")
+    (rx, ry), (gx, gy) = (
+        _draw(rng_for(seed, i), means, [_factor(cov) for cov in covs], (n_per_class,) * 2)
+        for i, (means, covs) in enumerate(sides))
+    return LabeledPair(rx, ry, gx, gy)
 
 
 def matched_moments_population() -> tuple[ClassConditionalStats, ClassConditionalStats]:
@@ -171,37 +183,24 @@ def matched_moments_population() -> tuple[ClassConditionalStats, ClassConditiona
     unconditional Fréchet distance is zero even though every per-class
     statistic differs.
     """
-    half = np.array([0.5, 0.5])
-    a = class_conditional_from_moments(_MATCHED_A_MEANS, _MATCHED_A_COVS, half)
-    b = class_conditional_from_moments(_MATCHED_B_MEANS, _MATCHED_B_COVS, half)
-    return a, b
+    return tuple(class_conditional_from_moments(means, covs, np.full(2, 0.5))
+                 for means, covs in _MATCHED)
 
 
 def gen_matched_moments(seed: int, n_per_class: int) -> LabeledPair:
-    """Sample the matched-moment pair (A as 'real', B as 'generated')."""
-    n_per_class = _as_int(n_per_class, "n_per_class")
-    if n_per_class < 2:
-        raise InvalidInputError("n_per_class must be >= 2")
-    sides = []
-    for side, (means, covs) in enumerate(
-        [(_MATCHED_A_MEANS, _MATCHED_A_COVS), (_MATCHED_B_MEANS, _MATCHED_B_COVS)]
-    ):
-        rng = rng_for(seed, side)
-        blocks = [
-            rng.standard_normal((n_per_class, 2)) @ _psd_factor(covs[c]).T + means[c]
-            for c in range(2)
-        ]
-        sides.append(np.concatenate(blocks, axis=0))
-    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    return LabeledPair(sides[0], labels.copy(), sides[1], labels.copy())
+    """Sample the matched-moment pair (A as 'real', B as 'generated') from its moments."""
+    return _draw_pair(seed, n_per_class, _MATCHED)
+
+
+def _tightness_moments(sigma) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(means, covariances) of one side of the bound-tightness construction."""
+    s = _sigmas(sigma)
+    return np.ones((2, 2)), [np.diag([0.0, s[0] ** 2]), np.diag([s[1] ** 2, 0.0])]
 
 
 def tightness_population(sigma) -> ClassConditionalStats:
     """Population statistics of one side of the bound-tightness construction."""
-    s = _sigmas(sigma)
-    means = np.array([[1.0, 1.0], [1.0, 1.0]])
-    covs = [np.diag([0.0, s[0] ** 2]), np.diag([s[1] ** 2, 0.0])]
-    return class_conditional_from_moments(means, covs, np.array([0.5, 0.5]))
+    return class_conditional_from_moments(*_tightness_moments(sigma), np.full(2, 0.5))
 
 
 def gen_tightness_case(
@@ -209,29 +208,14 @@ def gen_tightness_case(
 ) -> LabeledPair:
     """Sample the construction where fid = bcfid + wcfid holds with equality.
 
-    Class 0 rows are (1, 1 + eps), class 1 rows are (1 + eps, 1), with eps
-    zero-mean normal of the per-class sigma.  All class means are (1, 1), so
-    the between-class part vanishes and the within-class part carries the
-    whole distance.
+    Drawn from ``tightness_population``'s moments: class 0 rows are
+    (1, 1 + eps), class 1 rows are (1 + eps, 1), with eps zero-mean normal of
+    the per-class sigma and the constant coordinate exactly 1.  All class
+    means are (1, 1), so the between-class part vanishes and the within-class
+    part carries the whole distance.
     """
-    n_per_class = _as_int(n_per_class, "n_per_class")
-    if n_per_class < 2:
-        raise InvalidInputError("n_per_class must be >= 2")
-    sides = []
-    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    for side, sigma in enumerate((sigma_real, sigma_gen)):
-        s = _sigmas(sigma)
-        rng = rng_for(seed, side)
-        class0 = np.column_stack([
-            np.ones(n_per_class),
-            1.0 + rng.normal(0.0, s[0], n_per_class) if s[0] > 0 else np.ones(n_per_class),
-        ])
-        class1 = np.column_stack([
-            1.0 + rng.normal(0.0, s[1], n_per_class) if s[1] > 0 else np.ones(n_per_class),
-            np.ones(n_per_class),
-        ])
-        sides.append(np.concatenate([class0, class1], axis=0))
-    return LabeledPair(sides[0], labels.copy(), sides[1], labels.copy())
+    return _draw_pair(seed, n_per_class,
+                      (_tightness_moments(sigma) for sigma in (sigma_real, sigma_gen)))
 
 
 # ---------------------------------------------------------------------------

@@ -647,3 +647,45 @@ class TestCmdSynth:
         assert main(["synth", "dirichlet", "--alpha", "nan,1", "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == "invalid input: alpha contains non-finite entries\n"
         assert list(out_dir.iterdir()) == []
+
+
+SYNTH_SPEC = {
+    "means": [[0, 0, 1], [2, -1, 0], [1, 1, 1]],
+    "covs": [[[2, 0.5, 0.1], [0.5, 1, 0.2], [0.1, 0.2, 0.7]], [1, 2, 3],
+             [[1, 0.9, 0], [0.9, 1, 0], [0, 0, 0]]],
+    "counts": [30, 40, 25],
+}
+# (features file, labels file, rows per class, dimension) that
+# `synth <generator> --n-per-class 30` writes (mixture: SYNTH_SPEC)
+SYNTH_FILES = {
+    "mixture": ("features", "labels", [30, 40, 25], 3),
+    "rings": ("features", "labels", [30, 30], 2),
+    "matched-moments": ("a_features", "a_labels", [30, 30], 2),
+    "tightness": ("real_features", "real_labels", [30, 30], 2),
+}
+
+
+@pytest.mark.parametrize("generator", [*SYNTH_FILES, "dirichlet"])
+def test_synth_outputs_are_seeded_and_class_blocked(tmp_path, generator):
+    # the same seed writes the same bytes; labels are class-blocked in the
+    # expected counts, and the tightness case's constant coordinates are exact
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SYNTH_SPEC))
+    runs = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        assert main(["synth", generator, "--spec", str(spec_path), "--n-per-class", "30",
+                     "--seed", "7", "--out-dir", str(out_dir)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert runs[0] == runs[1]
+    if generator == "dirichlet":
+        assert load_tensor(tmp_path / "a" / "probs.cfm").shape == (30, 2)
+        return
+    features, labels, counts, d = SYNTH_FILES[generator]
+    y = load_labels(tmp_path / "a" / f"{labels}.cfm", k=len(counts))
+    assert np.array_equal(y, np.repeat(np.arange(len(counts)), counts))
+    assert load_tensor(tmp_path / "a" / f"{features}.cfm").shape == (sum(counts), d)
+    if generator == "tightness":
+        for side in ("real", "gen"):
+            x = load_tensor(tmp_path / "a" / f"{side}_features.cfm")
+            assert np.all(x[:30, 0] == 1.0) and np.all(x[30:, 1] == 1.0)

@@ -16,6 +16,7 @@ from condmetrics import (
     sqrtm_psd,
 )
 from condmetrics.gaussian import GRAM_ROWS_PER_DIM, as_feature_matrix
+from condmetrics.synth import rng_for
 
 
 def random_stats(rng, d, scale=1.0):
@@ -190,6 +191,28 @@ class TestGaussianStats:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             GaussianStats([0.0, 0.0], np.eye(3))
+
+    def test_explicit_covariance_takes_one_eigh_and_no_root(self, monkeypatch):
+        import condmetrics.gaussian as gaussian_mod
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a PSD root of an explicit covariance")
+
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(gaussian_mod, "sqrtm_psd", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        b = rng_for(31).standard_normal((6, 6))
+        GaussianStats(np.zeros(6), b @ b.T)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [1, 5, 40])
+    def test_cov_equals_the_symmetrized_input(self, d):
+        b = rng_for(32, d).standard_normal((d, d + 3))
+        cov = b @ b.T
+        cov[0, -1] += 1e-13  # asymmetric within round-off
+        sym = 0.5 * (cov + cov.T)
+        s = GaussianStats(np.ones(d), cov)
+        assert np.abs(s.cov - sym).max() <= 1e-12 * np.trace(sym)
 
 
 def covariance_frechet(mean_a, cov_a, mean_b, cov_b):

@@ -579,6 +579,26 @@ class TestConditionalFID:
                            match=r"class 0 has 1 sample\(s\), needs >= 2 on the real side"):
             wcfid(x, y, g, y, 2)
 
+    def test_bcfid_takes_class_means_alone(self, monkeypatch):
+        # no class's Gaussian is estimated, and the value is still the stats
+        # reference's bit for bit
+        rng = rng_for(18)
+        k, d = 5, 6
+        y = np.repeat(np.arange(k), [1, 4, 9, 2, 7])
+        gy = np.repeat(np.arange(k), [3, 3, 1, 8, 5])
+        x = rng.standard_normal((y.size, d)) + y[:, None]
+        g = 1.3 * rng.standard_normal((gy.size, d))
+        want = {w: bcfid_from_stats(class_conditional_stats(x, y, k, weighting=w),
+                                    class_conditional_stats(g, gy, k, weighting=w))
+                for w in WEIGHTINGS}
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a per-class estimate in bcfid")
+
+        monkeypatch.setattr(metrics, "_estimate_gaussian", forbidden)
+        for w in WEIGHTINGS:
+            assert bcfid(x, y, g, gy, k, weighting=w) == want[w]
+
 
 class TestClassConditionalStats:
     def test_between_mean_matches_weighted_average(self):

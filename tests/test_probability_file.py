@@ -184,6 +184,23 @@ class TestScatter:
         probs = dirichlet_rows(np.full(5, 0.5), labels.size, seed=15)
         assert_sums_equal_add_at(monkeypatch, probs, labels, 5, 100)
 
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_fortran_ordered_rows_give_the_same_pass(self, monkeypatch, order):
+        # the row quantities and class sums do not depend on the memory layout
+        # of the caller's rows
+        labels = rng_for(21).integers(0, 10, 400)
+        if order == "sorted":
+            labels = np.sort(labels)
+        probs = dirichlet_rows(np.full(10, 0.5), labels.size, seed=21)
+        assert_sums_equal_add_at(monkeypatch, probs, labels, 10, 100)
+        for clean, raw in [(False, True), (True, False), (True, True)]:
+            (c_rows, (c_sums,)), (f_rows, (f_sums,)) = (
+                metrics_mod._is_pass(metrics_mod.ProbabilityRows(p), [labels], 10,
+                                     clean=clean, raw=raw)
+                for p in (probs, np.asfortranarray(probs)))
+            assert np.array_equal(c_sums, f_sums), (clean, raw)
+            assert all(np.array_equal(c, f) for c, f in zip(c_rows, f_rows)), (clean, raw)
+
 
 class RepeatedRows(metrics_mod.ProbabilityRows):
     """n checked rows that repeat one block: a long source in little memory."""

@@ -119,6 +119,15 @@ class TestTightnessCase:
         assert np.all(pair.real_features[20:, 1] == 1.0)
         assert np.array_equal(pair.real_labels, np.repeat([0, 1], 20))
 
+    def test_constant_coordinates_are_exact(self):
+        # drawn from the population moments, the zero-variance coordinates
+        # stay exactly 1 on both sides, and a zero-sigma side is all ones
+        pair = gen_tightness_case([0.0, 0.0], [2.0, 0.5], n_per_class=25, seed=11)
+        assert np.all(pair.real_features == 1.0)
+        gen = pair.gen_features
+        assert np.all(gen[:25, 0] == 1.0) and np.all(gen[25:, 1] == 1.0)
+        assert np.all(gen[:25, 1] != 1.0) and np.all(gen[25:, 0] != 1.0)
+
 
 class TestLabelNoise:
     def test_zero_noise_is_identity(self):
