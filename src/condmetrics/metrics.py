@@ -17,7 +17,7 @@ Score families
   into each label vector's K x K class sums.  Rows go by in fixed-size blocks,
   so no second array of the matrix's size is made, and a probability file is
   never held whole; each label vector's class sums, and a byte per row of
-  block ranks, are held until the pass ends.
+  first-row flags, are held until the pass ends.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.  Samples reach
@@ -56,10 +56,6 @@ WEIGHTINGS = ("empirical", "uniform")
 
 # Entries per row block of the IS family's passes (see ``_is_pass``).
 _IS_BLOCK = 2**15
-
-# Rounds of plain fancy-index adds per row block of a class sum; rows of a
-# label beyond this many in one block go to ``np.add.at`` (see ``_is_pass``).
-_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +259,11 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
 
     Row blocks hold about ``_IS_BLOCK`` entries.  Each block is cleaned once
     for every quantity and added into every class sum in row order, bit for
-    bit as ``np.add.at`` would add it.  A plain fancy-index add is exact where
-    its labels are distinct, so a block goes in rounds: round t adds each
-    label's t-th row in the block (``_block_ranks``).  Round 0 adds the whole
-    block, with every other row sent to a spare row k; rounds 1 to
-    ``_ROUNDS - 1`` gather their own rows; ``np.add.at`` adds the rows after
-    those.
+    bit as ``np.add.at`` would add it, in two adds.  A plain fancy-index add
+    is exact where its labels are distinct, so it adds each label's first row
+    in the block (``_block_firsts``), with every other row sent to a spare
+    row k.  One ``np.add.at`` on the flattened sums then adds the later rows
+    entry by entry, in row order.
     """
     n, width = source.shape
     rows = _block_rows(width)
@@ -277,8 +272,9 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
         buf, prod = np.empty((min(rows, n), cols)), np.empty((min(rows, n), width))
         neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
         col_sum = np.zeros(width)
-    ranks = [_block_ranks(y, k, rows) for y in labelled]
+    firsts = [_block_firsts(y, k, rows) for y in labelled]
     sums = [np.zeros((k + 1, cols)) for _ in labelled]  # row k is the spare
+    offsets = np.arange(cols)
     for start, p in source.blocks(rows):
         stop = start + len(p)
         q = p
@@ -290,17 +286,12 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
             np.argmax(p, axis=1, out=predicted[start:stop])
             neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
             col_sum += c.sum(axis=0)
-        for labels, rank, s in zip(labelled, ranks, sums):
-            y, r = labels[start:stop], rank[start:stop]
-            s[np.where(r == 0, y, k)] += q
-            for t in range(1, _ROUNDS):
-                sel = np.flatnonzero(r == t)
-                if not sel.size:  # no label has a t-th row, so none has a later one
-                    break
-                s[y[sel]] += q[sel]
-            else:
-                rest = np.flatnonzero(r == _ROUNDS)
-                np.add.at(s, y[rest], q[rest])
+        for labels, first, s in zip(labelled, firsts, sums):
+            y, f = labels[start:stop], first[start:stop]
+            s[np.where(f, y, k)] += q
+            rest = np.flatnonzero(~f)
+            # a 1-D index keeps np.add.at on its fast path; a 2-D one is slower
+            np.add.at(s.reshape(-1), (y[rest, None] * cols + offsets).ravel(), q[rest].ravel())
     sums = [s[:k] for s in sums]
     if not clean:
         return (None, None, None), sums
@@ -315,17 +306,13 @@ def _block_rows(width: int) -> int:
     return max(1, _IS_BLOCK // max(1, width))
 
 
-def _block_ranks(y: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """Each row's rank, in row order, among the rows of its label y[i] in
-    [0, k) within its block of ``rows`` rows, capped at ``_ROUNDS``."""
-    pos = np.arange(y.size)
-    key = pos // rows * k + y
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.maximum.accumulate(np.where(np.r_[True, key[1:] != key[:-1]], pos, 0))
-    rank = np.empty(y.size, dtype=np.uint8)
-    rank[order] = np.minimum(pos - first, _ROUNDS)
-    return rank
+def _block_firsts(y: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Whether each row is the first, in row order, of its label y[i] in
+    [0, k) within its block of ``rows`` rows."""
+    first = np.zeros(y.size, dtype=bool)
+    # unique's stable sort gives each (block, label) key's first row
+    first[np.unique(np.arange(y.size) // rows * k + y, return_index=True)[1]] = True
+    return first
 
 
 def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarray):
@@ -450,12 +437,18 @@ def class_conditional_from_moments(means, covs, priors) -> ClassConditionalStats
     analytically rather than estimated from samples.
     """
     means = _as_finite(means, "means")[0]
+    covs = _as_finite(covs, "covariances")[0]
     priors = _as_finite(priors, "priors")[0]
-    if means.ndim != 2 or means.shape[0] != priors.size:
-        raise InvalidInputError("means must be a K x d matrix matching the priors")
+    if priors.ndim != 1 or means.ndim != 2 or means.shape[0] != priors.size:
+        raise InvalidInputError(f"means must be a K x d matrix matching K priors, "
+                                f"got means {means.shape} and priors {priors.shape}")
+    k, d = means.shape
+    if covs.shape != (k, d, d):
+        raise InvalidInputError(f"covariances must be K x d x d matching means {means.shape}, "
+                                f"got covariances {covs.shape}")
     if np.any(priors < 0) or abs(float(priors.sum()) - 1.0) > 1e-9:
         raise InvalidInputError("priors must be non-negative and sum to 1")
-    per_class = tuple(GaussianStats(means[c], covs[c]) for c in range(priors.size))
+    per_class = tuple(GaussianStats(means[c], covs[c]) for c in range(k))
     return _with_between(per_class, priors)
 
 

@@ -638,6 +638,18 @@ class TestClassConditionalStats:
             total = cfid_sum(rx, ry, gx, gy, k)
             assert fid(rx, gx) <= total + 1e-6
 
+    @pytest.mark.parametrize("covs, priors, shapes", [
+        ([np.eye(2)], [0.5, 0.5], ["(2, 2)", "(1, 2, 2)"]),
+        ([np.eye(2)] * 3, [0.5, 0.5], ["(2, 2)", "(3, 2, 2)"]),
+        ([np.eye(2)] * 2, [[0.5, 0.5]], ["(2, 2)", "(1, 2)"]),
+        (1.0, [0.5, 0.5], ["(2, 2)", "()"]),
+    ], ids=["fewer-covs", "more-covs", "2-d-priors", "scalar-covs"])
+    def test_from_moments_rejects_mismatched_shapes(self, covs, priors, shapes):
+        # each malformed input raises the typed error naming both shapes
+        with pytest.raises(InvalidInputError) as err:
+            metrics.class_conditional_from_moments([[0.0, 0.0], [1.0, 1.0]], covs, priors)
+        assert all(shape in str(err.value) for shape in shapes), err.value
+
 
 @pytest.mark.parametrize("call", [
     lambda p, y, x, g: bcis(p, y, "bogus"),

@@ -180,7 +180,6 @@ class TestScatter:
         # the first 100-row block holds 97 rows of class 0, past the rounds,
         # and 3 of class 1, within them
         labels = np.repeat(np.arange(5), [97, 83, 80, 80, 60])
-        assert metrics_mod._ROUNDS <= 97 and 3 < metrics_mod._ROUNDS
         probs = dirichlet_rows(np.full(5, 0.5), labels.size, seed=15)
         assert_sums_equal_add_at(monkeypatch, probs, labels, 5, 100)
 
@@ -200,6 +199,36 @@ class TestScatter:
                 for p in (probs, np.asfortranarray(probs)))
             assert np.array_equal(c_sums, f_sums), (clean, raw)
             assert all(np.array_equal(c, f) for c, f in zip(c_rows, f_rows)), (clean, raw)
+
+
+class AddAtTargets:
+    """numpy, except that ``add.at`` records the ndim of each target and index."""
+
+    def __init__(self):
+        self.ndims = []
+        self.add = self
+
+    def at(self, target, index, values):
+        self.ndims.append((target.ndim, np.ndim(index)))
+        np.add.at(target, index, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_class_sums_add_later_rows_into_flat_targets(monkeypatch, order):
+    # more than 8 rows per label per 100-row block, in either order: every
+    # later row goes through one np.add.at on the flattened sums with a flat
+    # index, never a 2-D target, in each mode
+    labels = rng_for(22).integers(0, 4, 400)
+    if order == "sorted":
+        labels = np.sort(labels)
+    probs = dirichlet_rows(np.full(4, 0.5), labels.size, seed=22)
+    proxy = AddAtTargets()
+    monkeypatch.setattr(metrics_mod, "np", proxy)
+    assert_sums_equal_add_at(monkeypatch, probs, labels, 4, 100)
+    assert proxy.ndims == [(1, 1)] * 3 * 4  # one add.at per block per mode
 
 
 class RepeatedRows(metrics_mod.ProbabilityRows):
