@@ -90,7 +90,7 @@ def as_feature_matrix(features) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GaussianStats:
     """Mean vector and population covariance of one (sub)population.
 

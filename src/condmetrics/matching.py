@@ -33,7 +33,7 @@ from .metrics import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassAssignment:
     """mapping[c] = real class paired with conditioned class c; score = total value."""
 

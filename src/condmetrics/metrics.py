@@ -14,10 +14,10 @@ Score families
   ``ProbabilityRows`` (``_is_pass``) computes them for every label vector of a
   row set: each row block is checked, used for the argmax that accuracy
   compares with every label vector, cleaned once, used for h and m, and added
-  into each label vector's K x K class sums.  Rows go by in fixed-size blocks,
-  so no second array of the matrix's size is made, and a probability file is
-  never held whole; each label vector's class sums, and a byte per row of
-  first-row flags, are held until the pass ends.
+  into each label vector's K x K class sums, exactly whatever the blocks'
+  boundaries.  Rows go by in blocks, so no second array of the matrix's size
+  is made, and a probability file is never held whole; only each label
+  vector's class sums are held until the pass ends.
 * Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
   (``wcfid``) components.  With population covariances and empirical class
   weights, ``fid <= bcfid + wcfid`` holds up to round-off.  Samples reach
@@ -110,7 +110,8 @@ class ProbabilityRows:
         self.shape = p.shape
 
     def blocks(self, rows: int):
-        """(first row, checked rows) blocks of ``rows`` rows, in order."""
+        """(first row, checked rows) blocks of ``rows`` rows, in order.  A
+        pass takes any in-order blocks of at most ``rows`` rows."""
         for start in range(0, self.shape[0], rows):
             yield start, self.p[start:start + rows]
 
@@ -257,13 +258,14 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
     themselves (k x 2K).  Without ``clean`` nothing is cleaned: the row
     quantities are None and the sums are of the rows alone.
 
-    Row blocks hold about ``_IS_BLOCK`` entries.  Each block is cleaned once
-    for every quantity and added into every class sum in row order, bit for
-    bit as ``np.add.at`` would add it, in two adds.  A plain fancy-index add
-    is exact where its labels are distinct, so it adds each label's first row
-    in the block (``_block_firsts``), with every other row sent to a spare
-    row k.  One ``np.add.at`` on the flattened sums then adds the later rows
-    entry by entry, in row order.
+    Row blocks hold about ``_IS_BLOCK`` entries; ``source`` may cut them
+    anywhere, in order, at most that many rows each.  Each block is cleaned
+    once for every quantity and added into every class sum in row order, bit
+    for bit as ``np.add.at`` would add it, in two adds.  A plain fancy-index
+    add is exact where its labels are distinct, so it adds each label's first
+    row in the block, found from the block alone, with every other row sent
+    to a spare row k.  One ``np.add.at`` on the flattened sums then adds the
+    later rows, if any, entry by entry, in row order.
     """
     n, width = source.shape
     rows = _block_rows(width)
@@ -272,9 +274,8 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
         buf, prod = np.empty((min(rows, n), cols)), np.empty((min(rows, n), width))
         neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
         col_sum = np.zeros(width)
-    firsts = [_block_firsts(y, k, rows) for y in labelled]
     sums = [np.zeros((k + 1, cols)) for _ in labelled]  # row k is the spare
-    offsets = np.arange(cols)
+    offsets, at = np.arange(cols), np.empty(k or 0, dtype=np.intp)
     for start, p in source.blocks(rows):
         stop = start + len(p)
         q = p
@@ -286,12 +287,19 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
             np.argmax(p, axis=1, out=predicted[start:stop])
             neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
             col_sum += c.sum(axis=0)
-        for labels, first, s in zip(labelled, firsts, sums):
-            y, f = labels[start:stop], first[start:stop]
-            s[np.where(f, y, k)] += q
-            rest = np.flatnonzero(~f)
-            # a 1-D index keeps np.add.at on its fast path; a 2-D one is slower
-            np.add.at(s.reshape(-1), (y[rest, None] * cols + offsets).ravel(), q[rest].ravel())
+        here = np.arange(len(p))
+        for labels, s in zip(labelled, sums):
+            # at[c] becomes the block's first row of label c: ufunc.at fixes
+            # the order of repeated labels, where a fancy assignment does not
+            y = labels[start:stop]
+            at[y] = len(p)
+            np.minimum.at(at, y, here)
+            first = at[y] == here
+            s[np.where(first, y, k)] += q
+            rest = np.flatnonzero(~first)
+            if rest.size:  # a 1-D index keeps np.add.at on its fast path
+                np.add.at(s.reshape(-1), (y[rest, None] * cols + offsets).ravel(),
+                          q[rest].ravel())
     sums = [s[:k] for s in sums]
     if not clean:
         return (None, None, None), sums
@@ -304,15 +312,6 @@ def _block_rows(width: int) -> int:
     """Rows per block of ``width`` entries each: about ``_IS_BLOCK`` entries,
     which a block's passes over it find in cache."""
     return max(1, _IS_BLOCK // max(1, width))
-
-
-def _block_firsts(y: np.ndarray, k: int, rows: int) -> np.ndarray:
-    """Whether each row is the first, in row order, of its label y[i] in
-    [0, k) within its block of ``rows`` rows."""
-    first = np.zeros(y.size, dtype=bool)
-    # unique's stable sort gives each (block, label) key's first row
-    first[np.unique(np.arange(y.size) // rows * k + y, return_index=True)[1]] = True
-    return first
 
 
 def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarray):
@@ -383,7 +382,7 @@ def accuracy(probs, labels) -> tuple[float, np.ndarray]:
 # feature-based scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassConditionalStats:
     """Per-class Gaussians, the Gaussian over class means, and class weights.
 
@@ -591,7 +590,7 @@ def cfid_sum(
 # reporting
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricReport:
     """All scalar metrics plus per-class component vectors.
 

@@ -53,7 +53,7 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 # Gaussian mixtures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Per-class means, covariances (diagonal vectors accepted), and counts."""
 
@@ -61,7 +61,7 @@ class MixtureSpec:
     covs: np.ndarray
     counts: np.ndarray
     seed: int = 0
-    _factors: tuple = field(init=False, repr=False, compare=False)
+    _factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         means = np.atleast_2d(_as_finite(self.means, "means")[0])
@@ -295,17 +295,13 @@ def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, se
         if not 0 <= c < k:
             raise InvalidInputError(f"collapsed class {c} outside [0, {k})")
     pools = class_index_lists(y, k)
-    size_by_class = {
-        c: collapse_pool_sizes(pools[c].size, schedule)
-        for c in schedule.collapsed_classes
-    }
     steps = []
     for step in range(schedule.steps):
         rng = rng_for(seed, step)
         if step > 0:
             for c in schedule.collapsed_classes:
-                pools[c] = np.sort(
-                    rng.choice(pools[c], size=size_by_class[c][step], replace=False))
+                size = math.ceil(schedule.shrink_factor * pools[c].size)
+                pools[c] = np.sort(rng.choice(pools[c], size=size, replace=False))
         picks = []
         for c in range(k):
             pool = pools[c]

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condmetrics import (
+    ClassAssignment,
+    GaussianStats,
     InvalidInputError,
     accuracy,
     bcfid,
@@ -717,3 +719,28 @@ class TestSubsampledSuite:
         rx, ry, gx, gy = self._instance()
         with pytest.raises(InvalidInputError):
             subsampled_fid_suite(rx, ry, gx, gy, subset_size=5, trials=1, seed=0, k=3)
+
+
+def array_holders():
+    """Two equal-valued, separately built instances of each dataclass that
+    holds arrays."""
+    x = rng_for(31).normal(size=(12, 2))
+    y = np.arange(12) % 3
+    makers = [
+        lambda: GaussianStats(np.zeros(2), np.eye(2), 4),
+        lambda: class_conditional_stats(x, y, 3),
+        lambda: ClassAssignment(np.array([1, 0, 2]), 2.5),
+        lambda: MixtureSpec(np.zeros((2, 2)), [np.ones(2)] * 2, [3, 3], seed=1),
+        lambda: build_report(real_features=x, real_labels=y, gen_features=x + 0.1,
+                             gen_labels=y),
+    ]
+    return [(make(), make()) for make in makers]
+
+
+@pytest.mark.parametrize("a, b", array_holders(),
+                         ids=lambda obj: type(obj).__name__)
+def test_array_holding_dataclasses_compare_by_identity(a, b):
+    # == on their arrays would be ambiguous, so these compare as objects do
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert a in [b, a] and b not in [a]
+    assert len({hash(a), hash(b), hash(a)}) == 2
