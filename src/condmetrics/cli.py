@@ -63,7 +63,10 @@ def _write(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, newline="\n")
+        try:
+            Path(out).write_text(text, newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _common_flags(sub) -> None:
@@ -139,7 +142,10 @@ def _parse_list(raw: str, flag: str, cast=float) -> list:
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
 
     def emit(**arrays):
         for name, arr in arrays.items():
@@ -241,3 +247,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:  # console_scripts hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -5,22 +5,24 @@ These functions take in-memory arrays, and probabilities also as
 ``tensorfile.ProbabilityFile``, which is read in checked row blocks and never
 held whole.  Every path is deterministic given the inputs and the seed.
 
-One core, ``_evaluation``, checks every option and input once and builds every
-point (a vector of generated labels, on all or some generated rows) before any
-score.  Points on the same generated rows (every label-noise point, and
-``build_report``'s one point) share the work that does not depend on labels:
-one IS pass (one read of a probability file) per row set, which computes each
-row's negative entropy and argmax once and adds the rows into every point's
-class sums, held until the pass ends; and the generated pooled Gaussian and
-fid once per trial.  Each point adds only its labelled work: bcis/wcis from
-its class sums, accuracy against the argmaxes, its pairing, bcfid and wcfid.
-Labels are split once per call; each trial streams the classes through
-``metrics._class_scores`` and drops its column gathers, so memory is the
-inputs, one pooled Gaussian and K x d means per point at any trial count.
-``build_report`` is the one-point caller.
-Under feature subsampling each trial draws ``subset_size`` distinct columns
-from ``rng_for(seed)``, shared by both sides and fid/bcfid/wcfid; the report
-holds each score's mean over trials, divided by ``subset_size``.
+One core, ``_evaluation``, checks every option and input once, builds every
+point (a vector of generated labels, on all or some generated rows) and splits
+each label vector into classes once, before any score: a class fails, naming
+its side, with under 2 rows where bcfid/wcfid read it ("real", "generated")
+and with none where only bcis/wcis do ("conditioned").  Points on the same
+generated rows (every label-noise point, and ``build_report``'s one point)
+share the work that does not depend on labels: one IS pass (one read of a
+probability file) per row set, which computes each row's negative entropy and
+argmax once and adds the rows into every point's class sums, held until the
+pass ends; and the generated pooled Gaussian and fid once per trial.  Each
+point adds only its labelled work: bcis/wcis from its class sums, accuracy
+against the argmaxes, its pairing, bcfid and wcfid.  Each trial streams the
+classes through ``metrics._class_scores`` and drops its column gathers, so
+memory is the inputs, one pooled Gaussian and K x d means per point at any
+trial count.  Under feature subsampling each trial draws ``subset_size``
+distinct columns from ``rng_for(seed)``, shared by both sides and
+fid/bcfid/wcfid; the report holds each score's mean over trials, divided by
+``subset_size``.
 """
 
 from __future__ import annotations
@@ -139,50 +141,48 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     if real_features is not None:
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
     identity = None if k is None else np.arange(k, dtype=np.int64)
-    row_sets = list(row_sets(gen_labels, k))
+    real = None if real_features is None or real_labels is None else _class_split(
+        real_labels, k, weighting, 2, "real")
+    rule = (k, weighting, 1, "conditioned") if real is None else (k, weighting, 2, "generated")
+    row_sets = [(rows, labelled, [y if y is None else _class_split(y, *rule) for y in labelled])
+                for rows, labelled in row_sets(gen_labels, k)]
 
-    reports, points = [], []  # per point: (its row set's index, labels, mapping)
-    for r, (rows, labelled) in enumerate(row_sets):
+    reports, points, sets = [], [], []  # per point: (rows, split, mapping), its row set
+    for r, (rows, labelled, splits) in enumerate(row_sets):
         scored = [] if probs is None or gen_labels is None else labelled
-        classes = [_class_split(labels, k, weighting, 1, "conditioned") for labels in scored]
         is_, sums = None, []
         if probs is not None:
             (neg_entropy, predicted, is_), sums = _is_pass(
                 probs if rows is None else probs.take(rows), scored, k, raw=discover)
-        for i, labels in enumerate(labelled):
+        for i, (labels, split) in enumerate(zip(labelled, splits)):
             report = MetricReport(is_=is_, pairing=pairing, seed=seed)
             if scored:
-                idx, priors = classes[i]
                 report.bcis, report.wcis, report.per_class_is = _is_classes(
-                    neg_entropy, sums[i][:, :k], idx, priors)
+                    neg_entropy, sums[i][:, :k], *split)
                 report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
+            sizes = None if split is None else [[c.size] for c in split[0]]  # K x 1
             # with discover the pass summed each class's rows beside its cleaned rows
-            mapping = (hungarian_max(sums[i][:, k:] / np.array([c.size for c in idx])[:, None])
-                       .mapping if discover else identity)
-            if real_features is not None and labels is not None:
-                paired = np.bincount(real_labels, minlength=k)[mapping]
-                if np.any(paired != np.bincount(labels, minlength=k)):
-                    report.warnings.append(
-                        "per-class sample counts differ between the real and generated "
-                        "sides; the conditional-bound guarantees assume matched counts")
+            mapping = hungarian_max(sums[i][:, k:] / sizes).mapping if discover else identity
+            if real is not None and [[real[0][c].size] for c in mapping] != sizes:
+                report.warnings.append(
+                    "per-class sample counts differ between the real and generated "
+                    "sides; the conditional-bound guarantees assume matched counts")
             reports.append(report)
-            points.append((r, labels, mapping))
+            points.append((rows, split, mapping))
+            sets.append(r)
     sums = neg_entropy = predicted = None  # hold no row set's arrays through the FID family
     if real_features is None:
         return reports
 
-    real = None if real_labels is None else _class_split(real_labels, k, weighting, 2, "real")
-    classed = [(row_sets[r][0], _class_split(labels, k, weighting, 2, "generated"), mapping)
-               for r, labels, mapping in points if labels is not None]
     trials_scores = []
     for cols in column_sets:
         rx, gx = rf[:, cols], gf[:, cols]
         pooled = _estimate_gaussian(rx)
         # not gx[rows]: its layout, and so its round-off, differs from gf[rows][:, cols]'s
         fids = [frechet_distance(pooled, _estimate_gaussian(
-            gx if rows is None else gf[rows][:, cols])) for rows, _ in row_sets]
-        classes = _class_scores(rx, real, gx, classed) if classed else [()] * len(points)
-        trials_scores.append([(fids[r], *c) for (r, _, _), c in zip(points, classes)])
+            gx if rows is None else gf[rows][:, cols])) for rows, _, _ in row_sets]
+        classes = [()] * len(points) if real is None else _class_scores(rx, real, gx, points)
+        trials_scores.append([(fids[r], *c) for r, c in zip(sets, classes)])
         del rx, gx, pooled  # before the next trial's columns are gathered
     for report, trials_of_point in zip(reports, zip(*trials_scores)):
         report.dims_used = rf.shape[1] if subset_size is None else subset_size

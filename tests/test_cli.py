@@ -38,6 +38,15 @@ def dataset(tmp_path):
     return paths
 
 
+def run_module(module, argv):
+    """``python -W error -m module *argv`` in a child that imports the same
+    package as this test, installed or not."""
+    src = str(Path(condmetrics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", module, *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def metrics_args(paths, out, extra=()):
     return [
         "metrics",
@@ -111,13 +120,8 @@ class TestCmdMetrics:
         assert out_bin.read_bytes() == out_csv.read_bytes()
 
     def test_module_entrypoint(self, dataset, tmp_path):
-        # the child imports the same package as this test, installed or not
-        src = str(Path(condmetrics.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "report.json"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "condmetrics", *metrics_args(dataset, out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = run_module("condmetrics", metrics_args(dataset, out))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["fid"] >= 0
 
@@ -176,6 +180,11 @@ class TestExitCodes:
 
     def test_no_inputs_is_config_error(self):
         assert main(["metrics"]) == 4
+
+    def test_out_in_a_missing_directory_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        assert main(metrics_args(dataset, out)) == 4
+        assert capsys.readouterr().err.startswith(f"config error: cannot write --out {out}: ")
 
     def test_bad_magic_is_invalid_input(self, tmp_path):
         bad = tmp_path / "bad.cfm"
@@ -481,6 +490,15 @@ class TestCmdMatch:
         assert capsys.readouterr().err == "config error: match needs --probs and --gen-labels\n"
         assert not out.exists()
 
+    def test_cli_module_form_writes_the_output(self, dataset, tmp_path):
+        argv = ["match", "--probs", str(dataset["probs"]),
+                "--gen-labels", str(dataset["gen_labels"])]
+        child, here = tmp_path / "child.json", tmp_path / "here.json"
+        proc = run_module("condmetrics.cli", [*argv, "--out", str(child)])
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv, "--out", str(here)]) == 0
+        assert child.read_bytes() == here.read_bytes()
+
     def test_identity_clusters(self, tmp_path):
         k = 4
         conds = np.repeat(np.arange(k), 10)
@@ -601,6 +619,13 @@ class TestCmdSynth:
 
     def test_mixture_without_spec_is_config_error(self, tmp_path):
         assert main(["synth", "mixture", "--out-dir", str(tmp_path)]) == 4
+
+    def test_out_dir_naming_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["synth", "dirichlet", "--out-dir", str(taken)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create --out-dir {taken}: ")
 
     @pytest.mark.parametrize("text, detail", [
         ("{not json", "Expecting property name"),

@@ -393,8 +393,8 @@ def test_fid_family_peaks_like_fid():
 
 @pytest.mark.parametrize("trials", [1, 5])
 def test_class_splits_do_not_scale_with_trials(monkeypatch, trials):
-    # the real labels are split once and each point's labels once for the IS
-    # family and once for the FID family, whatever the trial count
+    # the real labels are split once and each point's labels once, for the IS
+    # and FID families together, whatever the trial count
     import condmetrics.metrics as metrics_mod
 
     calls = []
@@ -411,7 +411,7 @@ def test_class_splits_do_not_scale_with_trials(monkeypatch, trials):
     sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                       probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], subset_size=3,
                       trials=trials)
-    assert len(calls) == 1 + 4 + 4
+    assert len(calls) == 1 + 4
 
 class TestChecksBeforeScores:
     """Every option and input is checked, and every point built, before any score."""
@@ -423,7 +423,8 @@ class TestChecksBeforeScores:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a score was computed before every check ran")
 
-        for name in ("_is_pass", "_is_classes", "_class_scores", "_estimate_gaussian"):
+        for name in ("_is_pass", "_is_classes", "hungarian_max", "_class_scores",
+                     "_estimate_gaussian"):
             monkeypatch.setattr(evaluate_mod, name, forbidden)
 
     def test_bad_last_grid_point(self):
@@ -452,6 +453,22 @@ class TestChecksBeforeScores:
         }[inputs]
         with pytest.raises(InvalidInputError, match="unknown weighting 'bogus', expected one of"):
             build_report(weighting="bogus", **given)
+
+    @pytest.mark.parametrize("side", ["real", "generated"])
+    def test_class_with_one_row(self, side):
+        # bcfid/wcfid need a covariance per class: one row of class 2 on either
+        # side fails on the class split, before the IS family reads the rows
+        x, y = make_instance(seed=75, d=4)
+        probs = one_hot_dominant(y, 3, seed=76)
+        keep = np.sort(np.r_[np.flatnonzero(y != 2), np.flatnonzero(y == 2)[:1]])
+        given = dict(real_features=x, real_labels=y, gen_features=x, gen_labels=y, probs=probs)
+        if side == "real":
+            given.update(real_features=x[keep], real_labels=y[keep])
+        else:
+            given.update(gen_features=x[keep], gen_labels=y[keep], probs=probs[keep])
+        with pytest.raises(InvalidInputError,
+                           match=rf"class 2 has 1 sample\(s\), needs >= 2 on the {side} side"):
+            build_report(pairing="hungarian", **given)
 
 
 class TestSweeps:

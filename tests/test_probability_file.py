@@ -76,6 +76,20 @@ def cli_args(paths, out, *extra):
     return [*args, "--out", str(out), *extra]
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The block sizes of every read of a ``ProbabilityFile``, in order."""
+    reads = []
+    blocks = ProbabilityFile.blocks
+
+    def counted(self, rows):
+        reads.append(rows)
+        return blocks(self, rows)
+
+    monkeypatch.setattr(ProbabilityFile, "blocks", counted)
+    return reads
+
+
 class TestSameReports:
     """A report read from a binary probability file is == the report of the
     loaded arrays."""
@@ -126,26 +140,28 @@ class TestSameReports:
         assert main(["metrics", *cli_args(csv_paths, from_csv, "--pairing", "hungarian")]) == 0
         assert from_binary.read_bytes() == from_csv.read_bytes()
 
-    def test_label_noise_sweep_reads_the_file_once(self, tmp_path, monkeypatch):
+    def test_label_noise_sweep_reads_the_file_once(self, tmp_path, reads):
         # eleven points' K x K class sums (88 MB at K=1000) come from one read
         k = 1000
         labels = rng_for(13).permutation(k)
         probs = noisy_probs(labels, k, seed=14)
         path = write_probs(tmp_path / "p.cfm", probs)
-        reads = []
-        blocks = ProbabilityFile.blocks
-
-        def counted(self, rows):
-            reads.append(rows)
-            return blocks(self, rows)
-
-        monkeypatch.setattr(ProbabilityFile, "blocks", counted)
         options = dict(gen_labels=labels, grid=np.linspace(0.0, 1.0, 11), seed=3)
         from_file = sweep_label_noise(probs=ProbabilityFile(path), **options)
         assert len(reads) == 1
         in_memory = sweep_label_noise(probs=probs, **options)
         assert [report_to_json(r) for _, r in from_file] == [
             report_to_json(r) for _, r in in_memory]
+
+    def test_mode_collapse_class_count_fault_reads_nothing(self, inputs, reads):
+        # one generated row per class leaves bcfid/wcfid no covariance: the
+        # class split of the first step fails before any step reads the file
+        arrays, paths = inputs
+        schedule = CollapseSchedule(steps=5, per_class_sample=1)
+        with pytest.raises(InvalidInputError, match="needs >= 2 on the generated side"):
+            sweep_mode_collapse(schedule=schedule, **dict(
+                arrays, probs=ProbabilityFile(paths["probs"])))
+        assert reads == []
 
 
 def assert_sums_equal_add_at(monkeypatch, probs, labels, k, rows,
@@ -177,9 +193,9 @@ class TestScatter:
         probs = dirichlet_rows(np.full(max(k, 2), 0.5), n, seed=k)
         assert_sums_equal_add_at(monkeypatch, probs, labels, k, rows)
 
-    def test_block_of_rounds_and_add_at(self, monkeypatch):
-        # the first 100-row block holds 97 rows of class 0, past the rounds,
-        # and 3 of class 1, within them
+    def test_block_with_a_long_run_of_one_label(self, monkeypatch):
+        # the first 100-row block holds 97 rows of class 0 and 3 of class 1:
+        # the plain add takes each label's first row, np.add.at the 98 others
         labels = np.repeat(np.arange(5), [97, 83, 80, 80, 60])
         probs = dirichlet_rows(np.full(5, 0.5), labels.size, seed=15)
         assert_sums_equal_add_at(monkeypatch, probs, labels, 5, 100)
@@ -282,7 +298,7 @@ class RepeatedRows(metrics_mod.ProbabilityRows):
             yield start, self.p[:min(rows, self.shape[0] - start)]
 
 
-def test_pass_plans_take_a_byte_per_row_and_point():
+def test_pass_holds_no_array_per_row_and_point():
     # twelve points at N=100000: a pass holds each point's class sums and one
     # block's scratch, and no array per row and point
     k, n, points = 200, 100_000, 12
