@@ -98,12 +98,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.grid is not None and args.experiment != "label_noise":
+        raise ConfigError("option --grid needs --experiment label_noise")
     data = _load_inputs(args)
     common = dict(
         **data, k=args.k, subset_size=args.subset_size, trials=args.trials,
         seed=args.seed, weighting=args.weighting, pairing=args.pairing)
     if args.experiment == "label_noise":
-        grid = _parse_list(args.grid, "--grid") if args.grid else [i / 10 for i in range(11)]
+        grid = ([i / 10 for i in range(11)] if args.grid is None
+                else _parse_list(args.grid, "--grid"))
         rows = sweep_label_noise(grid=grid, **common)
     else:
         schedule = CollapseSchedule(

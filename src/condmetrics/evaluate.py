@@ -35,7 +35,6 @@ from .matching import hungarian_max
 from .metrics import (
     WEIGHTINGS,
     MetricReport,
-    ProbabilityRows,
     _accuracy,
     _as_int,
     _check_rows,
@@ -44,8 +43,8 @@ from .metrics import (
     _class_split,
     _is_classes,
     _is_pass,
+    _probability_rows,
     as_label_vector,
-    as_probability_matrix,
 )
 from .synth import CollapseSchedule, _as_seed, _label_noise, _mode_collapse_indices, rng_for
 
@@ -105,9 +104,10 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     if (real_features is None) != (gen_features is None):
         missing = "--gen-features" if gen_features is None else "--real-features"
         raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
-    if real_features is None and (subset_size is not None or trials != 1):
-        option = "--subset-size" if subset_size is not None else "--trials"
-        raise ConfigError(f"option {option} needs features on both sides; "
+    unused = ("--subset-size" if subset_size is not None else "--trials" if trials != 1
+              else "--real-labels" if real_labels is not None else None)
+    if real_features is None and unused:
+        raise ConfigError(f"option {unused} needs features on both sides; "
                           "--real-features and --gen-features are missing")
     if real_features is not None and (real_labels is None) != (gen_labels is None):
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
@@ -121,8 +121,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
             "to discover the class mapping")
 
     if probs is not None:
-        if not isinstance(probs, ProbabilityRows):
-            probs = ProbabilityRows(as_probability_matrix(probs))
+        probs = _probability_rows(probs)
         if k is not None and probs.shape[1] != k:
             raise ConfigError(
                 f"probability matrix has {probs.shape[1]} classes, expected k={k}")

@@ -24,11 +24,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .gaussian import _as_finite
 from .metrics import (
-    ProbabilityRows,
     _is_pass,
+    _probability_rows,
     _resolve_mapping,
     as_label_vector,
-    as_probability_matrix,
     class_index_lists,
 )
 
@@ -50,8 +49,7 @@ def average_class_probabilities(probs, conds) -> np.ndarray:
     ``probs`` is an N x K array or ``ProbabilityRows``, such as a
     ``tensorfile.ProbabilityFile``, which one pass reads in row blocks.
     """
-    if not isinstance(probs, ProbabilityRows):
-        probs = ProbabilityRows(as_probability_matrix(probs))
+    probs = _probability_rows(probs)
     n, k = probs.shape
     y = as_label_vector(conds, k, n=n)
     idx = class_index_lists(y, k, min_count=1, side="conditioned")

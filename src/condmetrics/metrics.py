@@ -62,13 +62,16 @@ _IS_BLOCK = 2**15
 # input validation
 
 
-def as_probability_matrix(probs) -> np.ndarray:
-    """Validate an N x K probability matrix (entries in [0,1], rows sum to 1)."""
+def _probability_rows(probs) -> ProbabilityRows:
+    """probs as ``ProbabilityRows``: as they are, or an N x K probability
+    matrix (entries in [0,1], rows sum to 1) checked whole."""
+    if isinstance(probs, ProbabilityRows):
+        return probs
     p, lo, hi = _as_finite(probs, "probability matrix")
     if p.ndim != 2:
         raise InvalidInputError(f"probability matrix must be 2-D, got shape {p.shape}")
     _check_probability_shape(p.shape)
-    return _checked_probability_rows(p, lo, hi, 0)
+    return ProbabilityRows(_checked_probability_rows(p, lo, hi, 0))
 
 
 def _check_probability_shape(shape) -> None:
@@ -101,7 +104,7 @@ def _checked_probability_rows(p: np.ndarray, lo: float, hi: float, start: int,
 
 class ProbabilityRows:
     """A checked N x K probability matrix, read by the IS family's passes in
-    row blocks.  This form slices one array that ``as_probability_matrix``
+    row blocks.  This form slices one array that ``_probability_rows``
     checked; ``tensorfile.ProbabilityFile`` reads and checks each block of a
     file as a pass reaches it."""
 
@@ -230,21 +233,25 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
 
 
-def _is_family(p: np.ndarray, y=None, k: int | None = None, weighting: str = "empirical"):
-    """IS, BCIS, WCIS and the per-class IS vector of a checked probability
-    matrix and checked labels in [0, k); without labels the last three are None.
+def _is_family(probs, labels=None, weighting: str = "empirical", class_count=None):
+    """IS, BCIS, WCIS and the per-class IS vector of probabilities and labels
+    in [0, class_count) (default: their max + 1); without labels the last three are None.
 
     The classes are split first, so an empty class or an unknown weighting
     fails before the pass.
     """
+    rows = _probability_rows(probs)
+    if labels is None:
+        return _is_pass(rows, [], None)[0][2], None, None, None
+    k = None if class_count is None else _as_int(class_count, "class count")
+    y = as_label_vector(labels, k, n=rows.shape[0])
+    k = int(y.max()) + 1 if k is None else k
     # Conditioned classes live in their own index space: usually it matches
     # the probability columns, but e.g. one condition covering several
     # predicted classes is legal.  Every conditioned class must be non-empty.
-    classes = None if y is None else _class_split(y, k, weighting, 1, "conditioned")
-    (neg_entropy, _, is_), sums = _is_pass(ProbabilityRows(p), [] if y is None else [y], k)
-    if classes is None:
-        return is_, None, None, None
-    return (is_, *_is_classes(neg_entropy, sums[0], *classes))
+    classes = _class_split(y, k, weighting, 1, "conditioned")
+    (neg_entropy, _, is_), (sums,) = _is_pass(rows, [y], k)
+    return (is_, *_is_classes(neg_entropy, sums, *classes))
 
 
 def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
@@ -324,37 +331,30 @@ def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarr
     return float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
 
 
-def _checked_is_family(probs, labels, weighting: str, class_count: int | None):
-    p = as_probability_matrix(probs)
-    k = None if class_count is None else _as_int(class_count, "class count")
-    y = as_label_vector(labels, k, n=p.shape[0])
-    return _is_family(p, y, int(y.max()) + 1 if k is None else k, weighting)
-
-
 def inception_score(probs) -> float:
     """exp of the mean KL from each predicted distribution to their average.
 
     Equals exp of the mutual information between samples and predicted
     labels at the empirical level; always in [1, K].
     """
-    return _is_family(as_probability_matrix(probs))[0]
+    return _is_family(probs)[0]
 
 
 def bcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Between-class score: inception score of the per-class average distributions."""
-    return _checked_is_family(probs, labels, weighting, class_count)[1]
+    return _is_family(probs, labels, weighting, class_count)[1]
 
 
 def wcis(probs, labels, weighting: str = "empirical",
          class_count: int | None = None) -> float:
     """Within-class score: exp of the class-weighted mean within-class KL."""
-    return _checked_is_family(probs, labels, weighting, class_count)[2]
+    return _is_family(probs, labels, weighting, class_count)[2]
 
 
 def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
     """Per-class within-class score; class weights combine these into wcis."""
-    return _checked_is_family(probs, labels, "empirical", class_count)[3]
+    return _is_family(probs, labels, "empirical", class_count)[3]
 
 
 def _accuracy(predicted: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
@@ -373,9 +373,11 @@ def accuracy(probs, labels) -> tuple[float, np.ndarray]:
     Argmax ties break to the lowest class index.  Also returns the per-class
     vector; classes with no members get NaN.
     """
-    p = as_probability_matrix(probs)
-    y = as_label_vector(labels, p.shape[1], n=p.shape[0])
-    return _accuracy(np.argmax(p, axis=1), y, p.shape[1])
+    rows = _probability_rows(probs)
+    n, k = rows.shape
+    y = as_label_vector(labels, k, n=n)
+    predicted = np.concatenate([np.argmax(b, axis=1) for _, b in rows.blocks(_block_rows(k))])
+    return _accuracy(predicted, y, k)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,14 @@ def _sigmas(sigma, size: int = 2, name: str = "sigma") -> np.ndarray:
     return s
 
 
+def _as_number(value, what: str) -> float:
+    """value as one finite float: the scalar twin of ``_as_finite``."""
+    a = _as_finite(value, what)[0]
+    if a.ndim:
+        raise InvalidInputError(f"{what} must be one number, got shape {a.shape}")
+    return float(a)
+
+
 def _draw(rng: np.random.Generator, means, factors, counts) -> tuple[np.ndarray, np.ndarray]:
     """Class-blocked rows z F_c + mu_c (z standard normal from rng, F_c the
     ``_factor`` of class c's covariance), counts[c] of class c, and their labels."""
@@ -228,7 +236,7 @@ def label_noise(labels, p: float, seed: int) -> np.ndarray:
     Permuting (rather than resampling) preserves the label multiset exactly,
     so per-class counts never change.  p=0 is the identity; p=1 permutes all.
     """
-    return _label_noise(as_label_vector(labels, None), p, seed)
+    return _label_noise(as_label_vector(labels, None), _as_number(p, "noise fraction"), seed)
 
 
 def _label_noise(y: np.ndarray, p: float, seed: int) -> np.ndarray:
@@ -256,6 +264,7 @@ class CollapseSchedule:
     def __post_init__(self):
         for name in ("steps", "per_class_sample"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "shrink_factor", _as_number(self.shrink_factor, "shrink_factor"))
         if self.steps < 1:
             raise InvalidInputError("steps must be >= 1")
         if not 0.0 < self.shrink_factor < 1.0:

@@ -224,13 +224,14 @@ def load_features(path) -> np.ndarray:
 
 
 class ProbabilityFile(ProbabilityRows):
-    """The rows of a binary N x K probability file, for the IS family and the
-    class averages, which read them in row blocks: never the whole matrix.
+    """The rows of a binary N x K probability file, for the IS family,
+    accuracy and the class averages, which read them in row blocks: never the
+    whole matrix.
 
     Opening reads the header: the shape, the dtype and the payload size are
     checked here.  Each pass opens the file again and reads its blocks by
     ``readinto`` into one reused buffer, and checks each block as
-    ``as_probability_matrix`` checks a matrix: finite, in [0, 1], rows summing
+    ``metrics._probability_rows`` checks a matrix: finite, in [0, 1], rows summing
     to 1, clipped to [0, 1].  An error names the file's row.  So no unchecked
     row reaches a score, even if the file changes between passes.
     """
@@ -257,10 +258,9 @@ class ProbabilityFile(ProbabilityRows):
 
 
 def open_probabilities(path):
-    """A probability matrix file for ``build_report``, the sweeps and
-    ``average_class_probabilities``: a binary file as a ``ProbabilityFile``,
-    which they read in checked row blocks; a CSV file loaded whole, for them
-    to check."""
+    """A probability matrix file for any function that takes probabilities:
+    a binary file as a ``ProbabilityFile``, which they read in checked row
+    blocks; a CSV file loaded whole, for them to check."""
     p = Path(path)
     return load_features(p) if p.suffix.lower() == ".csv" else ProbabilityFile(p)
 

@@ -229,6 +229,18 @@ class TestExitCodes:
             assert "needs features on both sides" in capsys.readouterr().err
         assert out.exists() == (rc == 0)
 
+    def test_real_labels_without_features_is_config_error(self, dataset, tmp_path, capsys):
+        # ten labels for 150 rows: nothing would have read them
+        few = tmp_path / "few-labels.cfm"
+        save_tensor(few, np.zeros(10, dtype=np.int64))
+        out = tmp_path / "report.json"
+        assert main(["metrics", "--probs", str(dataset["probs"]),
+                     "--gen-labels", str(dataset["gen_labels"]), "--real-labels", str(few),
+                     "--out", str(out)]) == 4
+        assert ("config error: option --real-labels needs features on both sides"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("inputs", [
         ["real_features", "gen_features"],
         ["probs"],
@@ -288,6 +300,25 @@ class TestExitCodes:
                    "--probs", str(dataset["probs"]), "--out", str(tmp_path / "s.csv")])
         assert rc == 4
         assert "unparseable --grid value: '0,0.5,'" in capsys.readouterr().err
+
+    def test_empty_grid_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--experiment", "label_noise", "--grid", "",
+                   "--gen-labels", str(dataset["gen_labels"]),
+                   "--probs", str(dataset["probs"]), "--out", str(out)])
+        assert rc == 4
+        assert "unparseable --grid value: ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_with_mode_collapse_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = main(["sweep", "--experiment", "mode_collapse", "--grid", "0,0.5",
+                   "--gen-features", str(dataset["gen_features"]),
+                   "--gen-labels", str(dataset["gen_labels"]), "--out", str(out)])
+        assert rc == 4
+        assert ("config error: option --grid needs --experiment label_noise"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_empty_label_file_without_k_is_invalid_input(self, dataset, tmp_path, capsys):
         empty = tmp_path / "empty.cfm"

@@ -206,26 +206,14 @@ class TestBuildReport:
         assert identity.wcfid > 1.0
 
     def test_hungarian_validates_probs_once(self, monkeypatch):
-        import condmetrics.evaluate as evaluate_mod
-        import condmetrics.matching as matching_mod
-
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for mod in (evaluate_mod, matching_mod):
-            monkeypatch.setattr(mod, "as_probability_matrix", counted(mod.as_probability_matrix))
+        checked = _count_checked_probability_rows(monkeypatch)
         x, y = make_instance(seed=14, k=4)
         gy = (y + 1) % 4
         probs = one_hot_dominant(y, 4, seed=15)
         build_report(
             real_features=x, real_labels=y, gen_features=x, gen_labels=gy,
             probs=probs, k=4, pairing="hungarian")
-        assert len(calls) == 1
+        assert sorted(checked) == list(range(len(probs)))
 
     def test_swapping_sides_preserves_fid_family(self):
         x, y = make_instance(seed=16)
@@ -279,6 +267,14 @@ class TestBuildReport:
         _, gy = make_instance(seed=18)
         with pytest.raises(ConfigError, match=message):
             build_report(probs=one_hot_dominant(gy, 3), gen_labels=gy, **option)
+
+    def test_real_labels_without_features_is_config_error(self):
+        # ten real labels for no real rows: nothing would read them
+        _, gy = make_instance(seed=18)
+        with pytest.raises(ConfigError, match="^option --real-labels needs features on both "
+                                              "sides; --real-features and --gen-features"):
+            build_report(probs=one_hot_dominant(gy, 3), gen_labels=gy,
+                         real_labels=np.zeros(10, dtype=np.int64))
 
     def test_default_trials_without_features_is_accepted(self):
         _, gy = make_instance(seed=18)
@@ -525,31 +521,28 @@ class TestSweeps:
 
     def test_sweep_prepares_the_real_side_once(self, monkeypatch):
         import condmetrics.evaluate as evaluate_mod
-        import condmetrics.matching as matching_mod
         import condmetrics.metrics as metrics_mod
 
-        calls = {"validate": 0, "estimate": 0}
+        estimates = []
 
-        def counted(name, fn):
+        def counted(fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                estimates.append(1)
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (evaluate_mod, matching_mod, metrics_mod):
-            monkeypatch.setattr(mod, "as_probability_matrix",
-                                counted("validate", mod.as_probability_matrix))
+        checked = _count_checked_probability_rows(monkeypatch)
         for mod in (evaluate_mod, metrics_mod):  # pooled estimates, class estimates
-            monkeypatch.setattr(mod, "_estimate_gaussian",
-                                counted("estimate", mod._estimate_gaussian))
+            monkeypatch.setattr(mod, "_estimate_gaussian", counted(mod._estimate_gaussian))
         x, y = make_instance(seed=31, k=3)
         g, gy = make_instance(seed=32, k=3)
         probs = one_hot_dominant(gy, 3, seed=33)
         sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                           probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
-        # real side once (pooled + 3 classes), the generated pooled Gaussian once,
-        # the generated classes at each of 4 points
-        assert calls == {"validate": 1, "estimate": 4 + 1 + 4 * 3}
+        # each probability row once; real side once (pooled + 3 classes), the
+        # generated pooled Gaussian once, the generated classes at each of 4 points
+        assert sorted(checked) == list(range(len(probs)))
+        assert len(estimates) == 4 + 1 + 4 * 3
 
     @staticmethod
     def _record_preparation(monkeypatch):
@@ -630,7 +623,7 @@ class TestSweeps:
 class TestValidationBoundary:
     """Every input array is checked once per call, where it enters the package."""
 
-    CHECKS = ("as_feature_matrix", "as_label_vector", "as_probability_matrix")
+    CHECKS = ("as_feature_matrix", "as_label_vector", "_probability_rows")
 
     @classmethod
     def _count_checks(cls, monkeypatch) -> dict:
@@ -668,7 +661,7 @@ class TestValidationBoundary:
             rows = sweep_label_noise(grid=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], **inputs)
             assert len(rows) == 6
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
-                         "as_probability_matrix": 1}
+                         "_probability_rows": 1}
 
     @pytest.mark.parametrize("entry", ["subsampled_fid_suite", "wcfid"])
     def test_fid_functions_check_each_array_once(self, monkeypatch, entry):
@@ -680,7 +673,7 @@ class TestValidationBoundary:
         else:
             wcfid(x, y, g, gy, 4)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
-                         "as_probability_matrix": 0}
+                         "_probability_rows": 0}
 
     def test_cli_metrics_checks_each_matrix_once(self, monkeypatch, tmp_path):
         from condmetrics import save_tensor
@@ -697,8 +690,9 @@ class TestValidationBoundary:
         calls = self._count_checks(monkeypatch)
         assert main(argv) == 0
         # the loaders check the label vectors too; the feature matrices are
-        # checked once, and each row of the probability file once, as it is read
-        assert calls["as_probability_matrix"] == 0
+        # checked once, and each row of the probability file once, as it is
+        # read: the file enters as rows, not as a matrix checked whole
+        assert calls["_probability_rows"] == 1
         assert sorted(checked) == list(range(gy.size))
         assert calls["as_feature_matrix"] == 2
 
@@ -710,11 +704,13 @@ class TestValidationBoundary:
         sweep_mode_collapse(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                             schedule=schedule)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
-                         "as_probability_matrix": 0}
+                         "_probability_rows": 0}
 
 
 def _count_checked_probability_rows(monkeypatch) -> list[int]:
-    """The rows of probability files checked, one entry per row and check."""
+    """The probability rows checked, of arrays and of files, one entry per row
+    and check."""
+    import condmetrics.metrics as metrics_mod
     import condmetrics.tensorfile as tensorfile_mod
 
     checked = []
@@ -724,7 +720,8 @@ def _count_checked_probability_rows(monkeypatch) -> list[int]:
         checked.extend(range(start, start + len(p)))
         return check(p, lo, hi, start, out)
 
-    monkeypatch.setattr(tensorfile_mod, "_checked_probability_rows", counted)
+    for mod in (metrics_mod, tensorfile_mod):
+        monkeypatch.setattr(mod, "_checked_probability_rows", counted)
     return checked
 
 

@@ -32,7 +32,7 @@ from condmetrics import metrics
 from condmetrics.metrics import (
     PROB_FLOOR,
     WEIGHTINGS,
-    as_probability_matrix,
+    _probability_rows,
     class_index_lists,
     class_priors,
 )
@@ -60,39 +60,43 @@ def random_instance(seed, k=None, n=None, balanced=False):
 class TestProbabilityValidation:
     def test_row_sum_violation(self):
         with pytest.raises(InvalidInputError, match="sums to"):
-            as_probability_matrix([[0.6, 0.6], [0.5, 0.5]])
+            _probability_rows([[0.6, 0.6], [0.5, 0.5]])
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInputError, match="outside"):
-            as_probability_matrix([[1.2, -0.2]])
+            _probability_rows([[1.2, -0.2]])
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
-            as_probability_matrix([[1.0], [1.0]])
+            _probability_rows([[1.0], [1.0]])
 
     def test_in_range_matrix_is_returned_without_a_copy(self):
         probs = dirichlet_rows([0.5, 1.0, 2.0], 50, seed=3)
         probs[0] = [0.0, 1.0, 0.0]
         kept = probs.copy()
-        out = as_probability_matrix(probs)
+        out = _probability_rows(probs).p
         assert out is probs
         assert np.array_equal(out, kept)
 
     def test_round_off_outside_the_range_is_still_clipped(self):
         probs = np.array([[-1e-10, 1.0 + 1e-10], [0.5, 0.5]])
-        out = as_probability_matrix(probs)
+        out = _probability_rows(probs).p
         assert out is not probs
         assert out[0, 0] == 0.0 and not np.signbit(out[0, 0])
         assert out[0, 1] == 1.0
         assert np.array_equal(out[1], [0.5, 0.5])
         assert probs[0, 0] == -1e-10  # the caller's matrix is left alone
 
+    def test_rows_are_returned_as_they_are(self):
+        rows = metrics.ProbabilityRows(np.array([[2.0, -1.0]]))  # taken as checked
+        assert _probability_rows(rows) is rows
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_entries_rejected(self, value):
         probs = np.full((3, 4), 0.25)
         probs[1, 2] = value
         with pytest.raises(InvalidInputError, match="^probability matrix contains non-finite"):
-            as_probability_matrix(probs)
+            _probability_rows(probs)
 
 
 class TestClassIndexLists:
@@ -292,7 +296,7 @@ def dense_is_family(p, y=None, k=None, weighting="empirical"):
 def assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_IS_BLOCK", block)
-        got = metrics._is_family(probs, labels, k, weighting)
+        got = metrics._is_family(probs, labels, weighting, k)
         unlabelled = metrics._is_family(probs)
     want = dense_is_family(probs, labels, k, weighting)
     assert unlabelled[0] == got[0]

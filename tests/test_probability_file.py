@@ -9,6 +9,7 @@ N x K array in memory.
 
 import json
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,15 +20,21 @@ from condmetrics import (
     InvalidInputError,
     MixtureSpec,
     TensorFileError,
+    accuracy,
+    align_discovered,
     average_class_probabilities,
+    bcis,
     build_report,
     dirichlet_rows,
     gen_mixture,
     hungarian_max,
+    inception_score,
+    per_class_is,
     save_csv,
     save_tensor,
     sweep_label_noise,
     sweep_mode_collapse,
+    wcis,
 )
 from condmetrics.cli import main
 from condmetrics.report import assignment_to_json, report_to_json, reports_to_csv
@@ -88,6 +95,32 @@ def reads(monkeypatch):
 
     monkeypatch.setattr(ProbabilityFile, "blocks", counted)
     return reads
+
+
+# every function that takes probabilities, as (probabilities, arrays) -> parts
+PROBABILITY_FUNCTIONS = {
+    "inception_score": lambda probs, a: (inception_score(probs),),
+    "bcis": lambda probs, a: (bcis(probs, a["gen_labels"]),),
+    "wcis": lambda probs, a: (wcis(probs, a["gen_labels"], weighting="uniform"),),
+    "per_class_is": lambda probs, a: (per_class_is(probs, a["gen_labels"]),),
+    "accuracy": lambda probs, a: accuracy(probs, a["gen_labels"]),
+    "average_class_probabilities": lambda probs, a: (
+        average_class_probabilities(probs, a["gen_labels"]),),
+    "align_discovered": lambda probs, a: astuple(align_discovered(probs, a["gen_labels"])),
+    "build_report": lambda probs, a: (
+        report_to_json(build_report(**dict(a, probs=probs), pairing="hungarian")),),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBABILITY_FUNCTIONS))
+def test_every_probability_function_reads_a_file_as_its_array(inputs, reads, name):
+    arrays, paths = inputs
+    score = PROBABILITY_FUNCTIONS[name]
+    from_file = score(open_probabilities(paths["probs"]), arrays)
+    assert reads  # the file was read in blocks, not loaded and passed on
+    from_array = score(arrays["probs"], arrays)
+    assert len(from_file) == len(from_array)
+    assert all(np.array_equal(f, a) for f, a in zip(from_file, from_array))
 
 
 class TestSameReports:
@@ -329,7 +362,7 @@ class TestReader:
         blocks = [(start, block.copy()) for start, block in reader.blocks(8)]
         assert [start for start, _ in blocks] == list(range(0, 50, 8))
         assert np.array_equal(np.vstack([b for _, b in blocks]),
-                              metrics_mod.as_probability_matrix(probs))
+                              metrics_mod._probability_rows(probs).p)
 
     def test_take_reads_rows_in_any_order(self, tmp_path):
         probs = dirichlet_rows(np.ones(4), 1000, seed=2)
@@ -452,3 +485,20 @@ def test_cli_holds_no_probability_matrix(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
     assert json.loads(out.read_text())["bcis"] > 1.0
+
+
+@pytest.mark.parametrize("name", ["inception_score", "bcis", "wcis", "per_class_is", "accuracy"])
+def test_probability_functions_hold_no_probability_matrix(tmp_path, name):
+    # the 32 MB file of the CLI test above, scored by the library function
+    k, n = 200, 20000
+    labels = rng_for(11).integers(0, k, n)
+    path = write_probs(tmp_path / "p.cfm", dirichlet_rows(np.full(k, 0.3), n, seed=12))
+    score = PROBABILITY_FUNCTIONS[name]
+    tracemalloc.start()
+    try:
+        parts = score(open_probabilities(path), dict(gen_labels=labels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert np.all(parts[0] > 0.0)

@@ -15,7 +15,7 @@ from condmetrics import (
     save_csv,
     save_tensor,
 )
-from condmetrics.metrics import as_probability_matrix
+from condmetrics.metrics import _probability_rows
 from condmetrics.tensorfile import MAGIC
 
 
@@ -220,7 +220,7 @@ class TestCSV:
     def test_probabilities_from_csv(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0.25,0.75\n1,0\n")
-        probs = as_probability_matrix(load_features(path))
+        probs = _probability_rows(load_features(path)).p
         assert np.array_equal(probs, [[0.25, 0.75], [1.0, 0.0]])
 
     def test_labels_single_column(self, tmp_path):

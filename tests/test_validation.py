@@ -267,6 +267,21 @@ def test_integral_float_seed_equals_integer_seed():
     assert np.array_equal(rng_for(np.int64(3)).random(4), rng_for(3.0).random(4))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CollapseSchedule(shrink_factor="a"), "^shrink_factor has unsupported dtype"),
+    (lambda: CollapseSchedule(shrink_factor=[0.5]), "^shrink_factor must be one number"),
+    (lambda: CollapseSchedule(shrink_factor=np.nan), "^shrink_factor contains non-finite"),
+    (lambda: CollapseSchedule(shrink_factor=1.0), r"^shrink_factor must be in \(0, 1\)$"),
+    (lambda: label_noise(LABELS, p="0.5", seed=0), "^noise fraction has unsupported dtype"),
+    (lambda: label_noise(LABELS, p=[0.5], seed=0), "^noise fraction must be one number"),
+    (lambda: label_noise(LABELS, p=np.inf, seed=0), "^noise fraction contains non-finite"),
+], ids=["shrink-text", "shrink-vector", "shrink-nan", "shrink-range", "noise-text",
+        "noise-vector", "noise-inf"])
+def test_scalar_fraction_is_one_finite_number(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: class_conditional_stats(FEATURES, LABELS, k="2"),
     lambda: bcfid(**feature_args(k=2.5)),
