@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInputError, NotPSDError
-from .evaluate import build_report, sweep_label_noise, sweep_mode_collapse
+from .evaluate import PAIRINGS, build_report, sweep_label_noise, sweep_mode_collapse
 from .matching import average_class_probabilities, hungarian_max
+from .metrics import WEIGHTINGS
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -44,19 +45,23 @@ def _existing(path: str | None, flag: str) -> Path | None:
 
 
 def _load_inputs(args) -> dict:
-    data = {}
-    rf = _existing(args.real_features, "--real-features")
-    gf = _existing(args.gen_features, "--gen-features")
-    rl = _existing(args.real_labels, "--real-labels")
-    gl = _existing(args.gen_labels, "--gen-labels")
-    pp = _existing(args.probs, "--probs")
-    data["real_features"] = load_features(rf) if rf else None
-    data["gen_features"] = load_features(gf) if gf else None
-    data["real_labels"] = load_labels(rl) if rl else None
-    data["gen_labels"] = load_labels(gl) if gl else None
     # the library reads and checks a binary probability file in row blocks
-    data["probs"] = open_probabilities(pp) if pp else None
-    return data
+    loaders = dict(real_features=load_features, gen_features=load_features,
+                   real_labels=load_labels, gen_labels=load_labels, probs=open_probabilities)
+    paths = {name: _existing(getattr(args, name), _flag(name)) for name in loaders}
+    return {name: None if path is None else loaders[name](path) for name, path in paths.items()}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _given(args, *names) -> dict:
+    """The options among names given on the command line; the library fills in the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+_OPTIONS = ("k", "subset_size", "trials", "seed", "weighting", "pairing")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -77,19 +82,16 @@ def _common_flags(sub) -> None:
     sub.add_argument("--probs")
     sub.add_argument("--k", type=int)
     sub.add_argument("--subset-size", type=int)
-    sub.add_argument("--trials", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--weighting", choices=["empirical", "uniform"], default="empirical")
-    sub.add_argument("--pairing", choices=["identity", "hungarian"], default="identity")
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--weighting", choices=WEIGHTINGS)
+    sub.add_argument("--pairing", choices=PAIRINGS)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=["json", "csv"])
 
 
 def cmd_metrics(args) -> int:
-    data = _load_inputs(args)
-    report = build_report(
-        **data, k=args.k, subset_size=args.subset_size, trials=args.trials,
-        seed=args.seed, weighting=args.weighting, pairing=args.pairing)
+    report = build_report(**_load_inputs(args), **_given(args, *_OPTIONS))
     if (args.format or "json") == "json":
         _write(args.out, report_to_json(report))
     else:
@@ -100,23 +102,20 @@ def cmd_metrics(args) -> int:
 def cmd_sweep(args) -> int:
     if args.grid is not None and args.experiment != "label_noise":
         raise ConfigError("option --grid needs --experiment label_noise")
-    data = _load_inputs(args)
-    common = dict(
-        **data, k=args.k, subset_size=args.subset_size, trials=args.trials,
-        seed=args.seed, weighting=args.weighting, pairing=args.pairing)
+    schedule = _given(args, "steps", "shrink_factor", "per_class_sample", "collapsed_classes")
+    if schedule and args.experiment != "mode_collapse":
+        flag = _flag(next(iter(schedule)))
+        raise ConfigError(f"option {flag} needs --experiment mode_collapse")
+    common = dict(**_load_inputs(args), **_given(args, *_OPTIONS))
     if args.experiment == "label_noise":
-        grid = ([i / 10 for i in range(11)] if args.grid is None
-                else _parse_list(args.grid, "--grid"))
-        rows = sweep_label_noise(grid=grid, **common)
+        if args.grid is not None:
+            common["grid"] = _parse_list(args.grid, "--grid")
+        rows = sweep_label_noise(**common)
     else:
-        schedule = CollapseSchedule(
-            steps=args.steps,
-            shrink_factor=args.shrink_factor,
-            per_class_sample=args.per_class_sample,
-            collapsed_classes=tuple(
-                _parse_list(args.collapsed_classes, "--collapsed-classes", int)),
-        )
-        rows = sweep_mode_collapse(schedule=schedule, **common)
+        if "collapsed_classes" in schedule:
+            schedule["collapsed_classes"] = tuple(
+                _parse_list(args.collapsed_classes, "--collapsed-classes", int))
+        rows = sweep_mode_collapse(schedule=CollapseSchedule(**schedule), **common)
     if (args.format or "csv") == "csv":
         _write(args.out, reports_to_csv(rows))
     else:
@@ -143,7 +142,18 @@ def _parse_list(raw: str, flag: str, cast=float) -> list:
         raise ConfigError(f"unparseable {flag} value: {raw!r}") from None
 
 
+# beside --seed and --out-dir, the flags each generator reads; synth sets only those given
+_SYNTH_READS = {"mixture": ("spec",), "rings": ("radii", "radial_sigma", "n_per_class"),
+                "matched-moments": ("n_per_class",), "dirichlet": ("alpha", "n_per_class"),
+                "tightness": ("sigma_real", "sigma_gen", "n_per_class")}
+
+
 def cmd_synth(args) -> int:
+    unread = [name for name in vars(args) if name not in (
+        "command", "fn", "generator", "seed", "out_dir", *_SYNTH_READS[args.generator])]
+    if unread:
+        raise ConfigError(f"synth {args.generator} does not read option {_flag(unread[0])}")
+    n_per_class = getattr(args, "n_per_class", 1000)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,7 +165,7 @@ def cmd_synth(args) -> int:
             save_tensor(out_dir / f"{name}.cfm", arr)
 
     if args.generator == "mixture":
-        spec_path = _existing(args.spec, "--spec")
+        spec_path = _existing(getattr(args, "spec", None), "--spec")
         if spec_path is None:
             raise ConfigError("synth mixture needs --spec")
         try:
@@ -167,23 +177,23 @@ def cmd_synth(args) -> int:
         emit(features=features, labels=labels)
     elif args.generator == "rings":
         features, labels = gen_rings(
-            _parse_list(args.radii, "--radii"), args.radial_sigma,
-            args.n_per_class, args.seed)
+            _parse_list(getattr(args, "radii", "1,3"), "--radii"),
+            getattr(args, "radial_sigma", 0.1), n_per_class, args.seed)
         emit(features=features, labels=labels)
     elif args.generator == "matched-moments":
-        pair = gen_matched_moments(args.seed, args.n_per_class)
+        pair = gen_matched_moments(args.seed, n_per_class)
         emit(a_features=pair.real_features, a_labels=pair.real_labels,
              b_features=pair.gen_features, b_labels=pair.gen_labels)
     elif args.generator == "tightness":
         pair = gen_tightness_case(
-            _parse_list(args.sigma_real, "--sigma-real"),
-            _parse_list(args.sigma_gen, "--sigma-gen"),
-            args.n_per_class, args.seed)
+            _parse_list(getattr(args, "sigma_real", "1,2"), "--sigma-real"),
+            _parse_list(getattr(args, "sigma_gen", "2,1"), "--sigma-gen"),
+            n_per_class, args.seed)
         emit(real_features=pair.real_features, real_labels=pair.real_labels,
              gen_features=pair.gen_features, gen_labels=pair.gen_labels)
     else:  # dirichlet
         probs = dirichlet_rows(
-            _parse_list(args.alpha, "--alpha"), args.n_per_class, args.seed)
+            _parse_list(getattr(args, "alpha", "1,1"), "--alpha"), n_per_class, args.seed)
         emit(probs=probs)
     return 0
 
@@ -203,10 +213,10 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--experiment", choices=["label_noise", "mode_collapse"],
                        required=True)
     sweep.add_argument("--grid", help="comma-separated parameter values (label_noise)")
-    sweep.add_argument("--steps", type=int, default=11)
-    sweep.add_argument("--shrink-factor", type=float, default=2.0 / 3.0)
-    sweep.add_argument("--per-class-sample", type=int, default=100)
-    sweep.add_argument("--collapsed-classes", default="0")
+    sweep.add_argument("--steps", type=int)
+    sweep.add_argument("--shrink-factor", type=float)
+    sweep.add_argument("--per-class-sample", type=int)
+    sweep.add_argument("--collapsed-classes")
     sweep.set_defaults(fn=cmd_sweep)
 
     match = subs.add_parser("match", help="align discovered classes to real classes")
@@ -215,17 +225,18 @@ def make_parser() -> argparse.ArgumentParser:
     match.add_argument("--out")
     match.set_defaults(fn=cmd_match)
 
-    synth = subs.add_parser("synth", help="emit synthetic harness datasets")
+    synth = subs.add_parser("synth", help="emit synthetic harness datasets",
+                            argument_default=argparse.SUPPRESS)
     synth.add_argument("generator",
                        choices=["mixture", "rings", "matched-moments", "tightness",
                                 "dirichlet"])
     synth.add_argument("--spec", help="JSON mixture spec (means, covs, counts)")
-    synth.add_argument("--radii", default="1,3")
-    synth.add_argument("--radial-sigma", type=float, default=0.1)
-    synth.add_argument("--sigma-real", default="1,2")
-    synth.add_argument("--sigma-gen", default="2,1")
-    synth.add_argument("--alpha", default="1,1")
-    synth.add_argument("--n-per-class", type=int, default=1000)
+    synth.add_argument("--radii")
+    synth.add_argument("--radial-sigma", type=float)
+    synth.add_argument("--sigma-real")
+    synth.add_argument("--sigma-gen")
+    synth.add_argument("--alpha")
+    synth.add_argument("--n-per-class", type=int)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out-dir", required=True)
     synth.set_defaults(fn=cmd_synth)

@@ -105,7 +105,8 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
         missing = "--gen-features" if gen_features is None else "--real-features"
         raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
     unused = ("--subset-size" if subset_size is not None else "--trials" if trials != 1
-              else "--real-labels" if real_labels is not None else None)
+              else "--real-labels" if real_labels is not None
+              else "--pairing hungarian" if pairing == "hungarian" else None)
     if real_features is None and unused:
         raise ConfigError(f"option {unused} needs features on both sides; "
                           "--real-features and --gen-features are missing")
@@ -243,7 +244,7 @@ def subsampled_fid_suite(
 def sweep_label_noise(
     *,
     gen_labels,
-    grid,
+    grid=tuple(i / 10 for i in range(11)),
     real_features=None,
     real_labels=None,
     gen_features=None,
@@ -255,9 +256,9 @@ def sweep_label_noise(
     weighting: str = "empirical",
     pairing: str = "identity",
 ) -> list[tuple[float, MetricReport]]:
-    """One report per noise fraction p; the point at index i noises the
-    generated labels with the stream of one integer drawn from
-    ``rng_for(seed, i)``."""
+    """One report per noise fraction p of ``grid`` (by default 0, 0.1, ..., 1);
+    the point at index i noises the generated labels with the stream of one
+    integer drawn from ``rng_for(seed, i)``."""
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
     grid = _as_finite(grid, "grid")[0].reshape(-1).tolist()

@@ -9,9 +9,11 @@ import pytest
 
 import condmetrics
 from condmetrics import MixtureSpec, gen_mixture, load_labels, load_tensor, save_csv, save_tensor
-from condmetrics.cli import main
+import condmetrics.cli as cli
+from condmetrics.cli import main, make_parser
+from condmetrics.metrics import MetricReport
 from condmetrics.report import JSON_KEYS
-from condmetrics.synth import rng_for
+from condmetrics.synth import CollapseSchedule, rng_for
 
 
 def one_hot_dominant(labels, k, strength=0.9, seed=0):
@@ -219,6 +221,7 @@ class TestExitCodes:
         (["--trials", "7"], 4),
         ([], 0),
         (["--trials", "1"], 0),
+        (["--pairing", "hungarian"], 4),
     ])
     def test_subsampling_flags_without_features(self, dataset, tmp_path, capsys, extra, rc):
         out = tmp_path / "report.json"
@@ -374,15 +377,70 @@ class TestExitCodes:
         assert "label count 160 does not match row count 150" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "3"), ("--shrink-factor", "0.5"), ("--per-class-sample", "20"),
+        ("--collapsed-classes", "1"),
+    ])
+    def test_collapse_flag_with_label_noise_is_config_error(
+            self, dataset, tmp_path, capsys, flag, value):
+        # refused before any input is read: the absent label file is never looked for
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--experiment", "label_noise", flag, value, "--grid", "0,1",
+                   "--gen-labels", str(tmp_path / "absent.cfm"),
+                   "--probs", str(dataset["probs"]), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == \
+            f"config error: option {flag} needs --experiment mode_collapse\n"
+        assert not out.exists()
+
     def test_not_psd_maps_to_exit_three(self, dataset, tmp_path, monkeypatch):
         from condmetrics import NotPSDError
-        import condmetrics.cli as cli
 
         def boom(**kwargs):
             raise NotPSDError("synthetic failure")
 
         monkeypatch.setattr(cli, "build_report", boom)
         assert main(metrics_args(dataset, tmp_path / "x.json")) == 3
+
+
+class TestLibraryDefaults:
+    """The CLI states no default of the library: an option left out is left to it."""
+
+    INPUTS = {"real_features", "real_labels", "gen_features", "gen_labels", "probs"}
+    OPTIONS = ["k", "subset_size", "trials", "seed", "weighting", "pairing"]
+    SCHEDULE = ["steps", "shrink_factor", "per_class_sample", "collapsed_classes"]
+
+    def test_parser_leaves_library_options_unset(self):
+        parser = make_parser()
+        metrics = parser.parse_args(["metrics"])
+        sweep = parser.parse_args(["sweep", "--experiment", "mode_collapse"])
+        assert [getattr(metrics, name) for name in self.OPTIONS] == [None] * 6
+        assert [getattr(sweep, name) for name in self.OPTIONS + self.SCHEDULE] == [None] * 10
+
+    def test_only_given_options_reach_the_library(self, dataset, tmp_path, monkeypatch):
+        calls = {}
+
+        def stub(name, result):
+            def record(**kwargs):
+                calls[name] = kwargs
+                return result
+            monkeypatch.setattr(cli, name, record)
+
+        stub("build_report", MetricReport())
+        stub("sweep_label_noise", [])
+        stub("sweep_mode_collapse", [])
+        labels = ["--gen-labels", str(dataset["gen_labels"])]
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["metrics", *labels, "--seed", "3", *out]) == 0
+        assert main(["sweep", "--experiment", "label_noise", *labels, "--pairing",
+                     "identity", *out]) == 0
+        assert main(["sweep", "--experiment", "mode_collapse", *labels, "--steps", "3",
+                     *out]) == 0
+        assert {name: set(kwargs) - self.INPUTS for name, kwargs in calls.items()} == {
+            "build_report": {"seed"}, "sweep_label_noise": {"pairing"},
+            "sweep_mode_collapse": {"schedule"}}
+        assert calls["build_report"]["seed"] == 3
+        assert calls["sweep_mode_collapse"]["schedule"] == CollapseSchedule(steps=3)
 
 
 class TestCmdSweep:
@@ -698,6 +756,34 @@ class TestCmdSynth:
             "invalid input: seed must be an integer in [0, 2^63), got -3\n"
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("generator, flags, unread", [
+        ("matched-moments", ["--spec", "absent.json", "--n-per-class", "10"], "--spec"),
+        ("rings", ["--alpha", "1,2", "--sigma-gen", "5,5"], "--alpha"),
+        ("dirichlet", ["--radii", "9"], "--radii"),
+        ("tightness", ["--radial-sigma", "0.5"], "--radial-sigma"),
+        ("mixture", ["--n-per-class", "10"], "--n-per-class"),
+    ])
+    def test_flag_the_generator_does_not_read_is_config_error(
+            self, tmp_path, capsys, generator, flags, unread):
+        out_dir = tmp_path / "dir"
+        assert main(["synth", generator, *flags, "--out-dir", str(out_dir)]) == 4
+        assert capsys.readouterr().err == \
+            f"config error: synth {generator} does not read option {unread}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("generator, defaults", [
+        ("rings", ["--radii", "1,3", "--radial-sigma", "0.1", "--n-per-class", "1000"]),
+        ("tightness", ["--sigma-real", "1,2", "--sigma-gen", "2,1", "--n-per-class", "1000"]),
+        ("dirichlet", ["--alpha", "1,1", "--n-per-class", "1000"]),
+    ])
+    def test_flags_left_out_take_their_defaults(self, tmp_path, generator, defaults):
+        runs = []
+        for run, flags in (("plain", []), ("given", defaults)):
+            out_dir = tmp_path / run
+            assert main(["synth", generator, *flags, "--out-dir", str(out_dir)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert runs[0] == runs[1]
+
     def test_nan_dirichlet_alpha_is_invalid_input(self, tmp_path, capsys):
         out_dir = tmp_path / "dir"
         assert main(["synth", "dirichlet", "--alpha", "nan,1", "--out-dir", str(out_dir)]) == 2
@@ -727,11 +813,11 @@ def test_synth_outputs_are_seeded_and_class_blocked(tmp_path, generator):
     # expected counts, and the tightness case's constant coordinates are exact
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SYNTH_SPEC))
+    flags = ["--spec", str(spec_path)] if generator == "mixture" else ["--n-per-class", "30"]
     runs = []
     for run in ("a", "b"):
         out_dir = tmp_path / run
-        assert main(["synth", generator, "--spec", str(spec_path), "--n-per-class", "30",
-                     "--seed", "7", "--out-dir", str(out_dir)]) == 0
+        assert main(["synth", generator, *flags, "--seed", "7", "--out-dir", str(out_dir)]) == 0
         runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert runs[0] == runs[1]
     if generator == "dirichlet":

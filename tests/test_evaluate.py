@@ -262,6 +262,9 @@ class TestBuildReport:
         (dict(subset_size=5, trials=7), "option --subset-size needs features on both sides"),
         (dict(subset_size=2), "option --subset-size needs features on both sides"),
         (dict(trials=7), "option --trials needs features on both sides"),
+        # without features the class mapping would reach no score
+        (dict(pairing="hungarian"), "^option --pairing hungarian needs features on both sides; "
+                                    "--real-features and --gen-features are missing$"),
     ])
     def test_subsampling_without_features_is_config_error(self, option, message):
         _, gy = make_instance(seed=18)
@@ -481,6 +484,14 @@ class TestSweeps:
         assert len(rows) == 1
         assert rows[0][0] == 0.0
         assert report_to_json(rows[0][1]) == report_to_json(base)
+
+    def test_label_noise_grid_defaults_to_tenths(self):
+        _, gy = make_instance(seed=22)
+        inputs = dict(gen_labels=gy, probs=one_hot_dominant(gy, 3, seed=24), seed=5)
+        rows = sweep_label_noise(**inputs)
+        assert [p for p, _ in rows] == [i / 10 for i in range(11)]
+        given = sweep_label_noise(grid=[i / 10 for i in range(11)], **inputs)
+        assert [report_to_json(r) for _, r in rows] == [report_to_json(r) for _, r in given]
 
     @pytest.mark.parametrize("options", [
         dict(pairing="hungarian"),
