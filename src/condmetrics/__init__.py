@@ -9,10 +9,18 @@ from .errors import (
     TensorFileError,
 )
 from .evaluate import (
+    bcfid,
+    bcis,
     build_report,
+    cfid_sum,
+    fid,
+    inception_score,
+    per_class_is,
     subsampled_fid_suite,
     sweep_label_noise,
     sweep_mode_collapse,
+    wcfid,
+    wcis,
 )
 from .gaussian import (
     GaussianStats,
@@ -31,19 +39,11 @@ from .metrics import (
     ClassConditionalStats,
     MetricReport,
     accuracy,
-    bcfid,
     bcfid_from_stats,
-    bcis,
-    cfid_sum,
     class_conditional_from_moments,
     class_conditional_stats,
-    fid,
-    inception_score,
-    per_class_is,
     pooled_gaussian,
-    wcfid,
     wcfid_from_stats,
-    wcis,
 )
 from .synth import (
     CollapseSchedule,

@@ -1,4 +1,4 @@
-"""End-to-end metric computation and the sweep experiments.
+"""Every score: the public IS/FID functions, the report and the sweep experiments.
 
 These functions take in-memory arrays, and probabilities also as
 ``ProbabilityRows``: the CLI hands them a binary probability file as a
@@ -7,11 +7,13 @@ held whole.  Every path is deterministic given the inputs and the seed.
 
 One core, ``_evaluation``, checks every option and input once, builds every
 point (a vector of generated labels, on all or some generated rows) and splits
-each label vector into classes once, before any score: a class fails, naming
-its side, with under 2 rows where bcfid/wcfid read it ("real", "generated")
-and with none where only bcis/wcis do ("conditioned").  Points on the same
-generated rows (every label-noise point, and ``build_report``'s one point)
-share the work that does not depend on labels: one IS pass (one read of a
+each label vector into classes once, before any score: the K probability
+columns are the classes wherever probabilities are given, and a class fails,
+naming its side, with under 2 rows where wcfid reads it ("real", "generated")
+and with none where only bcis/wcis or bcfid do.  Each public score function
+is a one-point report on only the inputs its score reads.  Points on the
+same generated rows (every label-noise point, and a report's one point) share
+the work that does not depend on labels: one IS pass (one read of a
 probability file) per row set, which computes each row's negative entropy and
 argmax once and adds the rows into every point's class sums, held until the
 pass ends; and the generated pooled Gaussian and fid once per trial.  Each
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .gaussian import _as_finite, _estimate_gaussian, frechet_distance
+from .gaussian import _as_finite, _estimate_gaussian, as_feature_matrix, frechet_distance
 from .matching import hungarian_max
 from .metrics import (
     WEIGHTINGS,
@@ -38,17 +40,29 @@ from .metrics import (
     _accuracy,
     _as_int,
     _check_rows,
-    _checked_features,
     _class_scores,
     _class_split,
     _is_classes,
     _is_pass,
     _probability_rows,
+    _resolve_mapping,
     as_label_vector,
 )
 from .synth import CollapseSchedule, _as_seed, _label_noise, _mode_collapse_indices, rng_for
 
 PAIRINGS = ("identity", "hungarian")
+
+_FEATURES = "features on both sides; --real-features and --gen-features are missing"
+
+# option -> (default, the input that reads it, what is missing): any other value
+# is refused without that input.  k and seed are read by every run.
+_OPTION_READERS = {
+    "subset_size": (None, "real_features", _FEATURES),
+    "trials": (1, "real_features", _FEATURES),
+    "real_labels": (None, "real_features", _FEATURES),
+    "pairing": ("identity", "real_features", _FEATURES),
+    "weighting": ("empirical", "gen_labels", "generated labels; --gen-labels is missing"),
+}
 
 
 def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
@@ -69,26 +83,29 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
 
 def _score_fid(report: MetricReport, scores, scale: float) -> None:
     """Set the FID family of ``report``: each score is its mean over the trials'
-    (fid,) or (fid, bcfid, wcfid, per-class vector) scores, divided by ``scale``."""
-    means = [np.mean(trials, axis=0) / scale for trials in zip(*scores)]
-    report.fid = float(means[0])
-    if len(means) > 1:
-        report.bcfid, report.wcfid = float(means[1]), float(means[2])
+    (fid, bcfid, wcfid, per-class vector) scores, None where not computed,
+    divided by ``scale``."""
+    for name, trials in zip(("fid", "bcfid", "wcfid", "per_class_fid"), zip(*scores)):
+        if trials[0] is not None:
+            mean = np.mean(trials, axis=0) / scale
+            setattr(report, name, mean if mean.ndim else float(mean))
+    if report.wcfid is not None:
         report.cfid_sum = report.bcfid + report.wcfid
-        report.per_class_fid = means[3]
 
 
-def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_labels, probs, k,
-                subset_size, trials, seed, weighting, pairing):
+def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=None,
+                gen_labels=None, probs=None, k=None, subset_size=None, trials=1, seed=0,
+                weighting="empirical", pairing="identity", mapping=None, scores=None):
     """One report per point of ``row_sets(checked gen_labels, k)``, an iterable
     of ``(rows, label vectors)``: the generated rows ``rows`` (all of them if
     None) and the checked generated labels of each point scored on them.  The
     label-independent work (the IS row quantities, the generated pooled
     Gaussian and fid) is done once per row set.  Pairing "identity" compares
-    class c with real class c; "hungarian" discovers each point's pairing from
-    its class averages of the probability rows.  A probability file's rows are
-    checked as the IS pass reads them: after the other inputs, before any FID
-    work."""
+    class c with real class mapping[c] (c without a mapping); "hungarian"
+    discovers each point's pairing from its class averages of the probability
+    rows.  ``scores`` (report fields; None for all) limits the FID family to
+    the stages they read.  A probability file's rows are checked as the IS
+    pass reads them: after the other inputs, before any FID work."""
     k = None if k is None else _as_int(k, "class count")
     if k is not None and k < 1:
         raise InvalidInputError(f"class count must be >= 1, got {k}")
@@ -104,12 +121,14 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     if (real_features is None) != (gen_features is None):
         missing = "--gen-features" if gen_features is None else "--real-features"
         raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
-    unused = ("--subset-size" if subset_size is not None else "--trials" if trials != 1
-              else "--real-labels" if real_labels is not None
-              else "--pairing hungarian" if pairing == "hungarian" else None)
-    if real_features is None and unused:
-        raise ConfigError(f"option {unused} needs features on both sides; "
-                          "--real-features and --gen-features are missing")
+    given = dict(subset_size=subset_size, trials=trials, real_labels=real_labels,
+                 pairing=pairing, weighting=weighting, real_features=real_features,
+                 gen_labels=gen_labels)
+    for name, (default, reader, missing) in _OPTION_READERS.items():
+        value = given[name]
+        if given[reader] is None and (value is not None if default is None else value != default):
+            shown = f" {value}" if isinstance(value, str) else ""
+            raise ConfigError(f"option --{name.replace('_', '-')}{shown} needs {missing}")
     if real_features is not None and (real_labels is None) != (gen_labels is None):
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
         raise ConfigError(
@@ -120,6 +139,8 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
         raise ConfigError(
             f"metric wcfid with pairing=hungarian needs {missing} "
             "to discover the class mapping")
+    pooled_stage = scores is None or "fid" in scores
+    class_stage = scores is None or not {"wcfid", "cfid_sum"}.isdisjoint(scores)
 
     if probs is not None:
         probs = _probability_rows(probs)
@@ -128,10 +149,13 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
                 f"probability matrix has {probs.shape[1]} classes, expected k={k}")
         k = probs.shape[1]
     if real_features is not None:
-        rf, real_labels, gf, gen_labels = _checked_features(
-            real_features, real_labels, gen_features, gen_labels, k)
-    elif gen_labels is not None:
-        gen_labels = as_label_vector(gen_labels, k)
+        rf, gf = as_feature_matrix(real_features), as_feature_matrix(gen_features)
+        if rf.shape[1] != gf.shape[1]:
+            raise InvalidInputError(f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
+        if real_labels is not None:
+            real_labels = as_label_vector(real_labels, k, n=rf.shape[0])
+    if gen_labels is not None:
+        gen_labels = as_label_vector(gen_labels, k, n=None if real_features is None else len(gf))
     if probs is not None and gen_labels is not None:
         _check_rows(gen_labels, probs.shape[0])
     if k is None and gen_labels is not None:
@@ -140,10 +164,11 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
         k = max(int(real_labels.max()), int(gen_labels.max())) + 1
     if real_features is not None:
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
-    identity = None if k is None else np.arange(k, dtype=np.int64)
-    real = None if real_features is None or real_labels is None else _class_split(
-        real_labels, k, weighting, 2, "real")
-    rule = (k, weighting, 1, "conditioned") if real is None else (k, weighting, 2, "generated")
+    fixed = None if k is None else _resolve_mapping(mapping, k)
+    # the strictest score that reads a split sets its least class size
+    least = 2 if real_features is not None and class_stage else 1
+    real = None if real_labels is None else _class_split(real_labels, k, weighting, least, "real")
+    rule = (k, weighting, least, "conditioned" if real is None else "generated")
     row_sets = [(rows, labelled, [y if y is None else _class_split(y, *rule) for y in labelled])
                 for rows, labelled in row_sets(gen_labels, k)]
 
@@ -162,7 +187,7 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
                 report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
             sizes = None if split is None else [[c.size] for c in split[0]]  # K x 1
             # with discover the pass summed each class's rows beside its cleaned rows
-            mapping = hungarian_max(sums[i][:, k:] / sizes).mapping if discover else identity
+            mapping = hungarian_max(sums[i][:, k:] / sizes).mapping if discover else fixed
             if real is not None and [[real[0][c].size] for c in mapping] != sizes:
                 report.warnings.append(
                     "per-class sample counts differ between the real and generated "
@@ -177,17 +202,87 @@ def _evaluation(row_sets, *, real_features, real_labels, gen_features, gen_label
     trials_scores = []
     for cols in column_sets:
         rx, gx = rf[:, cols], gf[:, cols]
-        pooled = _estimate_gaussian(rx)
-        # not gx[rows]: its layout, and so its round-off, differs from gf[rows][:, cols]'s
-        fids = [frechet_distance(pooled, _estimate_gaussian(
-            gx if rows is None else gf[rows][:, cols])) for rows, _, _ in row_sets]
-        classes = [()] * len(points) if real is None else _class_scores(rx, real, gx, points)
+        fids = [None] * len(row_sets)
+        if pooled_stage:
+            pooled = _estimate_gaussian(rx)
+            # not gx[rows]: its layout, and so its round-off, differs from gf[rows][:, cols]'s
+            fids = [frechet_distance(pooled, _estimate_gaussian(
+                gx if rows is None else gf[rows][:, cols])) for rows, _, _ in row_sets]
+            del pooled
+        classes = [(None,) * 3] * len(points) if real is None else _class_scores(
+            rx, real, gx, points, means_only=not class_stage)
         trials_scores.append([(fids[r], *c) for r, c in zip(sets, classes)])
-        del rx, gx, pooled  # before the next trial's columns are gathered
+        del rx, gx  # before the next trial's columns are gathered
     for report, trials_of_point in zip(reports, zip(*trials_scores)):
         report.dims_used = rf.shape[1] if subset_size is None else subset_size
         _score_fid(report, trials_of_point, scale)
     return reports
+
+
+def _one_point(labels, _k):
+    return [(None, [labels])]
+
+
+def _report(score: str, **inputs) -> MetricReport:
+    """The one report on ``inputs``, from only the stages ``score`` reads."""
+    return _evaluation(_one_point, scores={score}, **inputs)[0]
+
+
+def inception_score(probs) -> float:
+    """exp of the mean KL from each predicted distribution to their average.
+
+    Equals exp of the mutual information between samples and predicted
+    labels at the empirical level; always in [1, K].
+    """
+    return _report("is_", probs=probs).is_
+
+
+def bcis(probs, labels, weighting: str = "empirical", class_count: int | None = None) -> float:
+    """Between-class score: inception score of the per-class average distributions."""
+    return _report("bcis", probs=probs, gen_labels=labels, weighting=weighting,
+                   k=class_count).bcis
+
+
+def wcis(probs, labels, weighting: str = "empirical", class_count: int | None = None) -> float:
+    """Within-class score: exp of the class-weighted mean within-class KL."""
+    return _report("wcis", probs=probs, gen_labels=labels, weighting=weighting,
+                   k=class_count).wcis
+
+
+def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
+    """Per-class within-class score; class weights combine these into wcis."""
+    return _report("per_class_is", probs=probs, gen_labels=labels, k=class_count).per_class_is
+
+
+def fid(real_features, gen_features) -> float:
+    """Fréchet distance between the Gaussian fits of two feature populations."""
+    return _report("fid", real_features=real_features, gen_features=gen_features).fid
+
+
+def bcfid(real_features, real_labels, gen_features, gen_labels, k: int, *,
+          weighting: str = "empirical") -> float:
+    """Fréchet distance between the real and generated class-mean distributions."""
+    return _report("bcfid", real_features=real_features, real_labels=real_labels,
+                   gen_features=gen_features, gen_labels=gen_labels, k=k,
+                   weighting=weighting).bcfid
+
+
+def wcfid(real_features, real_labels, gen_features, gen_labels, k: int, *,
+          pairing=None, weighting: str = "empirical") -> tuple[float, np.ndarray]:
+    """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class),
+    and the per-class vector; class c is compared with real class pairing[c]."""
+    report = _report("wcfid", real_features=real_features, real_labels=real_labels,
+                     gen_features=gen_features, gen_labels=gen_labels, k=k,
+                     weighting=weighting, mapping=pairing)
+    return report.wcfid, report.per_class_fid
+
+
+def cfid_sum(real_features, real_labels, gen_features, gen_labels, k: int, *,
+             pairing=None, weighting: str = "empirical") -> float:
+    """bcfid + wcfid: a single conditional score that upper-bounds fid."""
+    return _report("cfid_sum", real_features=real_features, real_labels=real_labels,
+                   gen_features=gen_features, gen_labels=gen_labels, k=k,
+                   weighting=weighting, mapping=pairing).cfid_sum
 
 
 def build_report(
@@ -215,7 +310,7 @@ def build_report(
     since the conditional-bound guarantees assume matched counts.
     """
     return _evaluation(
-        lambda labels, _k: [(None, [labels])],
+        _one_point,
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)[0]
@@ -262,6 +357,8 @@ def sweep_label_noise(
     if gen_labels is None:
         raise ConfigError("label_noise sweep needs generated labels")
     grid = _as_finite(grid, "grid")[0].reshape(-1).tolist()
+    if not grid:
+        raise InvalidInputError("grid is empty")
     reports = _evaluation(
         lambda labels, _k: [(None, [_label_noise(labels, p, _point_seed(seed, i))
                                     for i, p in enumerate(grid)])],

@@ -2,8 +2,8 @@
 
 Score families
 --------------
-* Probability-based: ``inception_score`` plus its between-class (``bcis``)
-  and within-class (``wcis``) components.  With empirical class weights the
+* Probability-based: the inception score plus its between-class (bcis) and
+  within-class (wcis) components.  With empirical class weights the
   three satisfy ``log IS = log BCIS + log WCIS`` exactly, because the mean
   sample-to-marginal KL splits into a between-class KL plus the class-weighted
   within-class KL.  They are computed from two quantities of the floored,
@@ -18,18 +18,20 @@ Score families
   boundaries.  Rows go by in blocks, so no second array of the matrix's size
   is made, and a probability file is never held whole; only each label
   vector's class sums are held until the pass ends.
-* Feature-based: ``fid`` plus its between-class (``bcfid``) and within-class
-  (``wcfid``) components.  With population covariances and empirical class
-  weights, ``fid <= bcfid + wcfid`` holds up to round-off.  Samples reach
-  them through one kernel, ``_class_scores``, which streams the classes; the
+* Feature-based: fid plus its between-class (bcfid) and within-class (wcfid)
+  components.  With population covariances and empirical class weights,
+  ``fid <= bcfid + wcfid`` holds up to round-off.  Samples reach them through
+  one kernel, ``_class_scores``, which streams the classes; the
   ``*_from_stats`` functions are the reference path for analytic populations.
 
 Class weights default to empirical frequencies ("empirical"); passing
 ``weighting="uniform"`` averages classes with equal weight instead, which is
 also meaningful for unbalanced data but forfeits the exact identities above.
 
-Each input array is checked once, where it enters a public function; private
-kernels take checked arrays and labels in [0, k) and check nothing.
+Each input array is checked once, where it enters a public function (the
+score functions other than ``accuracy`` are one-report wrappers in
+``evaluate``); private kernels take checked arrays and labels in [0, k) and
+check nothing.
 """
 
 from __future__ import annotations
@@ -233,27 +235,6 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
 
 
-def _is_family(probs, labels=None, weighting: str = "empirical", class_count=None):
-    """IS, BCIS, WCIS and the per-class IS vector of probabilities and labels
-    in [0, class_count) (default: their max + 1); without labels the last three are None.
-
-    The classes are split first, so an empty class or an unknown weighting
-    fails before the pass.
-    """
-    rows = _probability_rows(probs)
-    if labels is None:
-        return _is_pass(rows, [], None)[0][2], None, None, None
-    k = None if class_count is None else _as_int(class_count, "class count")
-    y = as_label_vector(labels, k, n=rows.shape[0])
-    k = int(y.max()) + 1 if k is None else k
-    # Conditioned classes live in their own index space: usually it matches
-    # the probability columns, but e.g. one condition covering several
-    # predicted classes is legal.  Every conditioned class must be non-empty.
-    classes = _class_split(y, k, weighting, 1, "conditioned")
-    (neg_entropy, _, is_), (sums,) = _is_pass(rows, [y], k)
-    return (is_, *_is_classes(neg_entropy, sums, *classes))
-
-
 def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
              clean: bool = True, raw: bool = False):
     """The row quantities and class sums of the checked rows of ``source``,
@@ -278,7 +259,8 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
     rows = _block_rows(width)
     cols = width * (clean + raw)
     if clean:
-        buf, prod = np.empty((min(rows, n), cols)), np.empty((min(rows, n), width))
+        # row 0 carries the running column sum: one in-order sum, whatever the blocks
+        buf, prod = np.empty((1 + min(rows, n), cols)), np.empty((min(rows, n), width))
         neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
         col_sum = np.zeros(width)
     sums = [np.zeros((k + 1, cols)) for _ in labelled]  # row k is the spare
@@ -287,13 +269,14 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
         stop = start + len(p)
         q = p
         if clean:
-            q = buf[:len(p)]
+            q = buf[1:1 + len(p)]
             if raw:
                 q[:, width:] = p
             c = _clean_rows(p, q[:, :width])
             np.argmax(p, axis=1, out=predicted[start:stop])
             neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
-            col_sum += c.sum(axis=0)
+            buf[0, :width] = col_sum
+            col_sum = buf[:1 + len(p), :width].sum(axis=0)
         here = np.arange(len(p))
         for labels, s in zip(labelled, sums):
             # at[c] becomes the block's first row of label c: ufunc.at fixes
@@ -329,32 +312,6 @@ def _is_classes(neg_entropy: np.ndarray, sums: np.ndarray, idx, priors: np.ndarr
     within = np.array([np.mean(neg_entropy[i]) for i in idx]) - _neg_entropy_rows(averages)
     between = priors @ _kl_rows(averages, priors @ averages)
     return float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
-
-
-def inception_score(probs) -> float:
-    """exp of the mean KL from each predicted distribution to their average.
-
-    Equals exp of the mutual information between samples and predicted
-    labels at the empirical level; always in [1, K].
-    """
-    return _is_family(probs)[0]
-
-
-def bcis(probs, labels, weighting: str = "empirical",
-         class_count: int | None = None) -> float:
-    """Between-class score: inception score of the per-class average distributions."""
-    return _is_family(probs, labels, weighting, class_count)[1]
-
-
-def wcis(probs, labels, weighting: str = "empirical",
-         class_count: int | None = None) -> float:
-    """Within-class score: exp of the class-weighted mean within-class KL."""
-    return _is_family(probs, labels, weighting, class_count)[2]
-
-
-def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
-    """Per-class within-class score; class weights combine these into wcis."""
-    return _is_family(probs, labels, "empirical", class_count)[3]
 
 
 def _accuracy(predicted: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
@@ -471,24 +428,6 @@ def _resolve_mapping(pairing, k: int | None = None) -> np.ndarray:
     return mapping
 
 
-def _checked_features(real_features, real_labels, gen_features, gen_labels, k):
-    """Both feature matrices, of one dimension, and both label vectors unless both are None."""
-    rf = as_feature_matrix(real_features)
-    gf = as_feature_matrix(gen_features)
-    if rf.shape[1] != gf.shape[1]:
-        raise InvalidInputError(f"feature dimension mismatch: {rf.shape[1]} vs {gf.shape[1]}")
-    if real_labels is None and gen_labels is None:
-        return rf, None, gf, None
-    return (rf, as_label_vector(real_labels, k, n=rf.shape[0]),
-            gf, as_label_vector(gen_labels, k, n=gf.shape[0]))
-
-
-def fid(real_features, gen_features) -> float:
-    """Fréchet distance between the Gaussian fits of two feature populations."""
-    rf, _, gf, _ = _checked_features(real_features, None, gen_features, None, None)
-    return frechet_distance(_estimate_gaussian(rf), _estimate_gaussian(gf))
-
-
 def bcfid_from_stats(real: ClassConditionalStats, gen: ClassConditionalStats) -> float:
     if real.k != gen.k:
         raise InvalidInputError(f"class count mismatch: {real.k} vs {gen.k}")
@@ -514,12 +453,19 @@ def wcfid_from_stats(
     return float(weights @ per), per
 
 
-def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points):
+def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points, *, means_only: bool = False):
     """(bcfid, wcfid, per-class vector) of each point (rows, (row indices, priors),
     mapping) on gx's rows ``rows`` (all if None) against the classes ``real`` of
     rx, its class c against real class mapping[c].  Each real class is estimated
-    once, then each point's class paired with it; only their means are kept."""
+    once, then each point's class paired with it; only their means are kept.
+    With ``means_only`` each point gets (bcfid, None, None) from the class means
+    alone, and no class's Gaussian is estimated."""
     ridx, rpriors = real
+    if means_only:
+        between = _class_between(np.stack([rx[i].mean(axis=0) for i in ridx]), real)
+        return [(frechet_distance(between, _class_between(np.stack(
+            [gx[i if rows is None else rows[i]].mean(axis=0) for i in gen[0]]), gen)), None, None)
+            for rows, gen, _ in points]
     means = np.empty((1 + len(points), len(ridx), rx.shape[1]))  # real, then each point
     per = np.empty((len(points), len(ridx)))
     paired = [np.argsort(mapping) for _, _, mapping in points]  # real class -> point's class
@@ -540,52 +486,6 @@ def _class_between(means: np.ndarray, split) -> GaussianStats:
     """``_between`` of one side's K x d class means, for its (row indices, priors)."""
     idx, priors = split
     return _between(means, priors, sum(i.size for i in idx))
-
-
-def _sample_classes(real_features, real_labels, gen_features, gen_labels, k: int,
-                    weighting: str, min_count: int):
-    """k, then each checked feature matrix with its (row indices, priors) split."""
-    k = _as_int(k, "class count")
-    rf, ry, gf, gy = _checked_features(real_features, real_labels, gen_features, gen_labels, k)
-    return (k, rf, _class_split(ry, k, weighting, min_count, "real"),
-            gf, _class_split(gy, k, weighting, min_count, "generated"))
-
-
-def _sample_scores(real_features, real_labels, gen_features, gen_labels, k: int,
-                   weighting: str, pairing=None):
-    k, rf, real, gf, gen = _sample_classes(real_features, real_labels, gen_features,
-                                           gen_labels, k, weighting, 2)
-    return _class_scores(rf, real, gf, [(None, gen, _resolve_mapping(pairing, k))])[0]
-
-
-def bcfid(
-    real_features, real_labels, gen_features, gen_labels, k: int,
-    *, weighting: str = "empirical",
-) -> float:
-    """Fréchet distance between the real and generated class-mean distributions."""
-    _, rf, real, gf, gen = _sample_classes(real_features, real_labels, gen_features,
-                                           gen_labels, k, weighting, 1)
-    means = (np.stack([x[i].mean(axis=0) for i in idx]) for x, (idx, _) in ((rf, real), (gf, gen)))
-    return frechet_distance(*map(_class_between, means, (real, gen)))
-
-
-def wcfid(
-    real_features, real_labels, gen_features, gen_labels, k: int,
-    *, pairing=None, weighting: str = "empirical",
-) -> tuple[float, np.ndarray]:
-    """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class)."""
-    return _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
-                          weighting, pairing)[1:]
-
-
-def cfid_sum(
-    real_features, real_labels, gen_features, gen_labels, k: int,
-    *, pairing=None, weighting: str = "empirical",
-) -> float:
-    """bcfid + wcfid: a single conditional score that upper-bounds fid."""
-    b, w, _ = _sample_scores(real_features, real_labels, gen_features, gen_labels, k,
-                             weighting, pairing)
-    return b + w
 
 
 # ---------------------------------------------------------------------------

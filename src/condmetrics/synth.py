@@ -296,7 +296,7 @@ def mode_collapse_indices(
     pool, switching to with-replacement once a pool is smaller than the draw.
     """
     k = _as_int(k, "class count")
-    return _mode_collapse_indices(as_label_vector(labels, None), k, schedule, seed)
+    return _mode_collapse_indices(as_label_vector(labels, k), k, schedule, seed)
 
 
 def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, seed: int):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import condmetrics
 from condmetrics import MixtureSpec, gen_mixture, load_labels, load_tensor, save_csv, save_tensor
 import condmetrics.cli as cli
 from condmetrics.cli import main, make_parser
+from condmetrics.evaluate import _OPTION_READERS
 from condmetrics.metrics import MetricReport
 from condmetrics.report import JSON_KEYS
 from condmetrics.synth import CollapseSchedule, rng_for
@@ -441,6 +443,38 @@ class TestLibraryDefaults:
             "sweep_mode_collapse": {"schedule"}}
         assert calls["build_report"]["seed"] == 3
         assert calls["sweep_mode_collapse"]["schedule"] == CollapseSchedule(steps=3)
+
+
+class TestUnreadOptions:
+    """An option that differs from its default while none of the inputs that
+    read it is given exits 4, naming its flag, before anything is written."""
+
+    # a value other than the default for each option in the library's table
+    VALUES = {"subset_size": "2", "trials": "3", "pairing": "hungarian", "weighting": "uniform",
+              "real_labels": None}
+
+    def test_every_option_has_readers_or_is_always_read(self):
+        assert set(cli._OPTIONS) - set(_OPTION_READERS) == {"k", "seed"}
+        assert set(self.VALUES) == set(_OPTION_READERS)
+        # the table's defaults are the library's
+        params = inspect.signature(condmetrics.build_report).parameters
+        assert {name: params[name].default for name in _OPTION_READERS} == {
+            name: default for name, (default, _, _) in _OPTION_READERS.items()}
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_option_without_readers_exits_4_naming_its_flag(
+            self, dataset, tmp_path, capsys, name):
+        # probabilities alone: no labels and no features, so nothing reads any option
+        flag = "--" + name.replace("_", "-")
+        value = self.VALUES[name] or str(dataset[name])
+        out = tmp_path / "report.json"
+        assert main(["metrics", "--probs", str(dataset["probs"]), flag, value,
+                     "--out", str(out)]) == 4
+        shown = f" {value}" if name in ("pairing", "weighting") else ""
+        needs = ("generated labels; --gen-labels is missing" if name == "weighting" else
+                 "features on both sides; --real-features and --gen-features are missing")
+        assert capsys.readouterr().err == f"config error: option {flag}{shown} needs {needs}\n"
+        assert not out.exists()
 
 
 class TestCmdSweep:

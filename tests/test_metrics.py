@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from condmetrics import (
     ClassAssignment,
+    ConfigError,
     GaussianStats,
     InvalidInputError,
     accuracy,
@@ -28,7 +29,7 @@ from condmetrics import (
     wcfid_from_stats,
     wcis,
 )
-from condmetrics import metrics
+from condmetrics import evaluate, metrics
 from condmetrics.metrics import (
     PROB_FLOOR,
     WEIGHTINGS,
@@ -142,7 +143,7 @@ class TestInceptionScore:
 
 class TestBCIS:
     def test_identical_rows(self):
-        probs = np.tile([0.3, 0.7], (8, 1))
+        probs = np.tile([0.1, 0.2, 0.3, 0.4], (8, 1))
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         assert bcis(probs, labels) == pytest.approx(1.0, abs=1e-12)
 
@@ -164,6 +165,27 @@ class TestBCIS:
         with pytest.raises(InvalidInputError, match="class 1"):
             bcis(probs, np.array([0, 0, 2, 2]), class_count=3)
 
+    def test_labels_short_of_the_columns_raise_as_the_report_does(self):
+        # the conditioned classes are the K = 10 probability columns, not the
+        # labels' own range: classes 8 and 9 are empty
+        probs = dirichlet_rows(np.ones(10), 80, seed=4)
+        labels = np.arange(80) % 8
+        message = "^class 8 has no samples on the conditioned side$"
+        with pytest.raises(InvalidInputError, match=message):
+            bcis(probs, labels)
+        with pytest.raises(InvalidInputError, match=message):
+            build_report(probs=probs, gen_labels=labels)
+
+    def test_class_count_other_than_the_columns_is_config_error(self):
+        probs = dirichlet_rows(np.ones(3), 12, seed=5)
+        labels = np.arange(12) % 3
+        for call in (bcis, wcis):
+            with pytest.raises(ConfigError, match="^probability matrix has 3 classes, "
+                                                  "expected k=5$"):
+                call(probs, labels, class_count=5)
+        with pytest.raises(ConfigError, match="expected k=2$"):
+            per_class_is(probs, labels % 2, class_count=2)
+
 
 class TestWCIS:
     def test_identical_within_class(self):
@@ -172,11 +194,14 @@ class TestWCIS:
         assert wcis(probs, labels) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_condition_with_spread_rows(self):
-        # one conditioned class holding every one-hot prediction equally often
+        # conditioned class 0 holds every one-hot prediction equally often (its
+        # score is k); each other class holds one row, its own one-hot (score 1)
         k = 4
-        probs = np.repeat(np.eye(k), 2, axis=0)
-        labels = np.zeros(2 * k, dtype=np.int64)
-        assert wcis(probs, labels) == pytest.approx(k, rel=1e-9)
+        probs = np.concatenate([np.repeat(np.eye(k), 2, axis=0), np.eye(k)[1:]])
+        labels = np.concatenate([np.zeros(2 * k, dtype=np.int64), np.arange(1, k)])
+        assert np.allclose(per_class_is(probs, labels), [k, 1, 1, 1], rtol=1e-9)
+        weight = 2 * k / labels.size
+        assert wcis(probs, labels) == pytest.approx(k ** weight, rel=1e-9)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -215,10 +240,10 @@ class TestPerClassIS:
     def test_against_kl_oracle(self):
         rng = rng_for(77)
         probs = dirichlet_rows([1.0, 1.0, 1.0], 30, 5)
-        labels = rng.integers(0, 2, 30).astype(np.int64)
-        labels[:2] = [0, 1]
+        labels = rng.integers(0, 3, 30).astype(np.int64)
+        labels[:3] = [0, 1, 2]
         per = per_class_is(probs, labels)
-        for c in range(2):
+        for c in range(3):
             rows = probs[labels == c]
             avg = rows.mean(axis=0)
             expected = math.exp(np.mean([kl_oracle(r, avg) for r in rows]))
@@ -293,13 +318,19 @@ def dense_is_family(p, y=None, k=None, weighting="empirical"):
     return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
 
 
-def assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block):
+def assert_streamed_is_family_matches_dense(probs, labels, weighting, block):
+    """The public IS functions at ``_IS_BLOCK`` = block equal the dense
+    reference, and the IS is bit for bit the same at other block sizes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_IS_BLOCK", block)
-        got = metrics._is_family(probs, labels, weighting, k)
-        unlabelled = metrics._is_family(probs)
-    want = dense_is_family(probs, labels, k, weighting)
-    assert unlabelled[0] == got[0]
+        got = (inception_score(probs), bcis(probs, labels, weighting),
+               wcis(probs, labels, weighting), per_class_is(probs, labels))
+        others = []
+        for other in (1, 7, block + 5, 2**15):
+            mp.setattr(metrics, "_IS_BLOCK", other)
+            others.append(inception_score(probs))
+    want = dense_is_family(probs, labels, probs.shape[1], weighting)
+    assert others == [got[0]] * len(others)
     assert np.allclose(got[:3], want[:3], rtol=1e-12, atol=0.0)
     assert np.allclose(got[3], want[3], rtol=1e-12, atol=0.0)
 
@@ -307,36 +338,36 @@ def assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block):
 class TestStreamedISFamily:
     """The blocked one-log pass equals the dense two-log computation."""
 
-    @given(st.integers(0, 10_000), st.integers(2, 7), st.integers(1, 5),
+    @given(st.integers(0, 10_000), st.integers(2, 7),
            st.sampled_from(WEIGHTINGS), st.integers(1, 60), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_dense_reference(self, seed, width, k, weighting, block, one_hot):
+    def test_matches_dense_reference(self, seed, width, weighting, block, one_hot):
         rng = rng_for(seed)
-        # unbalanced classes: each conditioned class gets 1 to 12 rows
-        labels = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 13, k)))
+        # unbalanced classes: each of the width conditioned classes gets 1 to 12 rows
+        labels = rng.permutation(np.repeat(np.arange(width), rng.integers(1, 13, width)))
         probs = dirichlet_rows(rng.uniform(0.1, 3.0, width), labels.size, seed)
         if one_hot:  # rows at PROB_FLOOR after cleaning
             probs[::2] = np.eye(width)[rng.integers(0, width, probs[::2].shape[0])]
-        assert_streamed_is_family_matches_dense(probs, labels, k, weighting, block)
+        assert_streamed_is_family_matches_dense(probs, labels, weighting, block)
 
     @pytest.mark.parametrize("case", [
         "block-splits-class", "class-larger-than-block", "one-row-blocks", "ragged-last-block"])
     def test_block_geometry(self, case):
-        width = 6
+        width = 3
         rows, labels = {
             # 4-row blocks: class 0 spans the first two blocks
             "block-splits-class": (4, np.array([1, 0, 0, 2, 0, 0, 1, 2])),
             # class 1 has 7 rows, more than a 3-row block
             "class-larger-than-block": (3, np.array([1, 0, 1, 1, 2, 1, 1, 0, 1, 1, 2, 0])),
-            # width 6 exceeds a 5-entry block: each block is one row
+            # width 3 exceeds a 2-entry block: each block is one row
             "one-row-blocks": (None, np.array([0, 1, 2, 0, 1, 2, 2])),
             # 10 rows in 4-row blocks: the last block has 2
             "ragged-last-block": (4, np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 2])),
         }[case]
-        block = 5 if rows is None else rows * width
+        block = width - 1 if rows is None else rows * width
         probs = dirichlet_rows(np.linspace(0.3, 2.0, width), labels.size, seed=11)
         for weighting in WEIGHTINGS:
-            assert_streamed_is_family_matches_dense(probs, labels, 3, weighting, block)
+            assert_streamed_is_family_matches_dense(probs, labels, weighting, block)
 
     def test_report_memory_is_bounded_by_the_input(self):
         rng = rng_for(20000)
@@ -602,8 +633,31 @@ class TestConditionalFID:
             raise AssertionError("a per-class estimate in bcfid")
 
         monkeypatch.setattr(metrics, "_estimate_gaussian", forbidden)
+        monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
         for w in WEIGHTINGS:
             assert bcfid(x, y, g, gy, k, weighting=w) == want[w]
+
+    def test_wcfid_and_cfid_sum_estimate_no_pooled_gaussian(self, monkeypatch):
+        # the pooled Gaussians are fid's alone; the per-class scores equal the
+        # report's, which estimated them
+        rng = rng_for(19)
+        k, d = 3, 4
+        y = np.repeat(np.arange(k), [6, 8, 7])
+        gy = np.repeat(np.arange(k), [7, 6, 9])
+        x = rng.standard_normal((y.size, d)) + y[:, None]
+        g = 1.2 * rng.standard_normal((gy.size, d)) + gy[:, None]
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a pooled estimate")
+
+        monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
+        total, per = wcfid(x, y, g, gy, k)
+        assert total == rep.wcfid
+        assert np.array_equal(per, rep.per_class_fid)
+        assert cfid_sum(x, y, g, gy, k) == rep.cfid_sum
+        with pytest.raises(AssertionError, match="a pooled estimate"):
+            fid(x, g)
 
 
 class TestClassConditionalStats:

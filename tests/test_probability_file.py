@@ -186,6 +186,12 @@ class TestSameReports:
         assert [report_to_json(r) for _, r in from_file] == [
             report_to_json(r) for _, r in in_memory]
 
+    def test_empty_label_noise_grid_reads_nothing(self, inputs, reads):
+        arrays, paths = inputs
+        with pytest.raises(InvalidInputError, match="^grid is empty$"):
+            sweep_label_noise(grid=[], **dict(arrays, probs=ProbabilityFile(paths["probs"])))
+        assert reads == []
+
     def test_mode_collapse_class_count_fault_reads_nothing(self, inputs, reads):
         # one generated row per class leaves bcfid/wcfid no covariance: the
         # class split of the first step fails before any step reads the file

@@ -234,6 +234,12 @@ class TestModeCollapse:
         with pytest.raises(InvalidInputError, match="label count 4 does not match row count 3"):
             mode_collapse_run(np.zeros((3, 2)), y, CollapseSchedule(), seed=0)
 
+    def test_labels_beyond_the_class_count_rejected(self):
+        # rows of classes >= k would otherwise drop out of every step
+        y = np.repeat(np.arange(10), 4)
+        with pytest.raises(InvalidInputError, match=r"^labels must lie in \[0, 5\), got values up to 9$"):
+            mode_collapse_indices(y, 5, CollapseSchedule(steps=2), seed=0)
+
     def test_missing_collapsed_class_rejected(self):
         y = np.repeat(np.arange(2), 10)
         schedule = CollapseSchedule(collapsed_classes=(5,))
