@@ -61,7 +61,7 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-_OPTIONS = ("k", "subset_size", "trials", "seed", "weighting", "pairing")
+_OPTIONS = ("subset_size", "trials", "seed", "weighting", "pairing")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -80,7 +80,6 @@ def _common_flags(sub) -> None:
     sub.add_argument("--real-labels")
     sub.add_argument("--gen-labels")
     sub.add_argument("--probs")
-    sub.add_argument("--k", type=int)
     sub.add_argument("--subset-size", type=int)
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)

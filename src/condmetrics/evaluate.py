@@ -7,12 +7,14 @@ held whole.  Every path is deterministic given the inputs and the seed.
 
 One core, ``_evaluation``, checks every option and input once, builds every
 point (a vector of generated labels, on all or some generated rows) and splits
-each label vector into classes once, before any score: the K probability
-columns are the classes wherever probabilities are given, and a class fails,
-naming its side, with under 2 rows where wcfid reads it ("real", "generated")
-and with none where only bcis/wcis or bcfid do.  Each public score function
-is a one-point report on only the inputs its score reads.  Points on the
-same generated rows (every label-noise point, and a report's one point) share
+each label vector into classes once, before any score.  K is read off the
+inputs, never set: the K probability columns are the classes wherever
+probabilities are given, else the labels 0 to the largest on either side.  A
+class fails, naming its side, with under 2 rows where wcfid reads it ("real",
+"generated") and with none where only bcis/wcis or bcfid do.  Each public
+score function is a one-point report on only the inputs its score reads, and
+refuses to run without the labels its score needs.  Points on the same
+generated rows (every label-noise point, and a report's one point) share
 the work that does not depend on labels: one IS pass (one read of a
 probability file) per row set, which computes each row's negative entropy and
 argmax once and adds the rows into every point's class sums, held until the
@@ -40,6 +42,7 @@ from .metrics import (
     _accuracy,
     _as_int,
     _check_rows,
+    _class_count,
     _class_scores,
     _class_split,
     _is_classes,
@@ -52,13 +55,16 @@ from .synth import CollapseSchedule, _as_seed, _label_noise, _mode_collapse_indi
 
 PAIRINGS = ("identity", "hungarian")
 
+# the scores a public function cannot give without generated labels
+_CONDITIONAL = frozenset({"bcis", "wcis", "per_class_is", "bcfid", "wcfid", "cfid_sum"})
+
 _FEATURES = "features on both sides; --real-features and --gen-features are missing"
 
-# option -> (default, the input that reads it, what is missing): any other value
-# is refused without that input.  k and seed are read by every run.
+# option -> (default, the argument that reads it, what is missing): any other
+# value is refused without that argument.  seed is read by every run.
 _OPTION_READERS = {
     "subset_size": (None, "real_features", _FEATURES),
-    "trials": (1, "real_features", _FEATURES),
+    "trials": (1, "subset_size", "--subset-size"),
     "real_labels": (None, "real_features", _FEATURES),
     "pairing": ("identity", "real_features", _FEATURES),
     "weighting": ("empirical", "gen_labels", "generated labels; --gen-labels is missing"),
@@ -69,8 +75,6 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
     """The FID family's column sets and score divisor: all columns as one trial
     at scale 1, or ``trials`` draws of ``subset_size`` of the d columns."""
     if subset_size is None:
-        if trials != 1:
-            raise InvalidInputError(f"trials must be 1 without subset_size, got {trials}")
         return [slice(None)], 1.0
     if not 1 <= subset_size <= d:
         raise InvalidInputError(f"subset_size must be in [1, {d}], got {subset_size}")
@@ -94,7 +98,7 @@ def _score_fid(report: MetricReport, scores, scale: float) -> None:
 
 
 def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=None,
-                gen_labels=None, probs=None, k=None, subset_size=None, trials=1, seed=0,
+                gen_labels=None, probs=None, subset_size=None, trials=1, seed=0,
                 weighting="empirical", pairing="identity", mapping=None, scores=None):
     """One report per point of ``row_sets(checked gen_labels, k)``, an iterable
     of ``(rows, label vectors)``: the generated rows ``rows`` (all of them if
@@ -106,9 +110,6 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     rows.  ``scores`` (report fields; None for all) limits the FID family to
     the stages they read.  A probability file's rows are checked as the IS
     pass reads them: after the other inputs, before any FID work."""
-    k = None if k is None else _as_int(k, "class count")
-    if k is not None and k < 1:
-        raise InvalidInputError(f"class count must be >= 1, got {k}")
     seed = _as_seed(seed)
     trials = _as_int(trials, "trials")
     subset_size = None if subset_size is None else _as_int(subset_size, "subset_size")
@@ -133,6 +134,10 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
         missing = "--gen-labels" if gen_labels is None else "--real-labels"
         raise ConfigError(
             f"metrics bcfid/wcfid need labels on both sides; {missing} is missing")
+    conditional = _CONDITIONAL.intersection(scores or ())
+    if conditional and gen_labels is None:
+        raise ConfigError(
+            f"metric {min(conditional)} needs generated labels; --gen-labels is missing")
     discover = pairing == "hungarian"
     if discover and (probs is None or gen_labels is None):
         missing = "--probs" if probs is None else "--gen-labels"
@@ -142,11 +147,9 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     pooled_stage = scores is None or "fid" in scores
     class_stage = scores is None or not {"wcfid", "cfid_sum"}.isdisjoint(scores)
 
+    k = None
     if probs is not None:
         probs = _probability_rows(probs)
-        if k is not None and probs.shape[1] != k:
-            raise ConfigError(
-                f"probability matrix has {probs.shape[1]} classes, expected k={k}")
         k = probs.shape[1]
     if real_features is not None:
         rf, gf = as_feature_matrix(real_features), as_feature_matrix(gen_features)
@@ -161,7 +164,7 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     if k is None and gen_labels is not None:
         # no probabilities: the classes are those the labels reach; without
         # labels (unconditional fid) no score needs k
-        k = max(int(real_labels.max()), int(gen_labels.max())) + 1
+        k = _class_count(real_labels, gen_labels)
     if real_features is not None:
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
     fixed = None if k is None else _resolve_mapping(mapping, k)
@@ -237,21 +240,19 @@ def inception_score(probs) -> float:
     return _report("is_", probs=probs).is_
 
 
-def bcis(probs, labels, weighting: str = "empirical", class_count: int | None = None) -> float:
+def bcis(probs, labels, weighting: str = "empirical") -> float:
     """Between-class score: inception score of the per-class average distributions."""
-    return _report("bcis", probs=probs, gen_labels=labels, weighting=weighting,
-                   k=class_count).bcis
+    return _report("bcis", probs=probs, gen_labels=labels, weighting=weighting).bcis
 
 
-def wcis(probs, labels, weighting: str = "empirical", class_count: int | None = None) -> float:
+def wcis(probs, labels, weighting: str = "empirical") -> float:
     """Within-class score: exp of the class-weighted mean within-class KL."""
-    return _report("wcis", probs=probs, gen_labels=labels, weighting=weighting,
-                   k=class_count).wcis
+    return _report("wcis", probs=probs, gen_labels=labels, weighting=weighting).wcis
 
 
-def per_class_is(probs, labels, class_count: int | None = None) -> np.ndarray:
+def per_class_is(probs, labels) -> np.ndarray:
     """Per-class within-class score; class weights combine these into wcis."""
-    return _report("per_class_is", probs=probs, gen_labels=labels, k=class_count).per_class_is
+    return _report("per_class_is", probs=probs, gen_labels=labels).per_class_is
 
 
 def fid(real_features, gen_features) -> float:
@@ -259,29 +260,29 @@ def fid(real_features, gen_features) -> float:
     return _report("fid", real_features=real_features, gen_features=gen_features).fid
 
 
-def bcfid(real_features, real_labels, gen_features, gen_labels, k: int, *,
+def bcfid(real_features, real_labels, gen_features, gen_labels, *,
           weighting: str = "empirical") -> float:
     """Fréchet distance between the real and generated class-mean distributions."""
     return _report("bcfid", real_features=real_features, real_labels=real_labels,
-                   gen_features=gen_features, gen_labels=gen_labels, k=k,
+                   gen_features=gen_features, gen_labels=gen_labels,
                    weighting=weighting).bcfid
 
 
-def wcfid(real_features, real_labels, gen_features, gen_labels, k: int, *,
+def wcfid(real_features, real_labels, gen_features, gen_labels, *,
           pairing=None, weighting: str = "empirical") -> tuple[float, np.ndarray]:
     """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class),
     and the per-class vector; class c is compared with real class pairing[c]."""
     report = _report("wcfid", real_features=real_features, real_labels=real_labels,
-                     gen_features=gen_features, gen_labels=gen_labels, k=k,
+                     gen_features=gen_features, gen_labels=gen_labels,
                      weighting=weighting, mapping=pairing)
     return report.wcfid, report.per_class_fid
 
 
-def cfid_sum(real_features, real_labels, gen_features, gen_labels, k: int, *,
+def cfid_sum(real_features, real_labels, gen_features, gen_labels, *,
              pairing=None, weighting: str = "empirical") -> float:
     """bcfid + wcfid: a single conditional score that upper-bounds fid."""
     return _report("cfid_sum", real_features=real_features, real_labels=real_labels,
-                   gen_features=gen_features, gen_labels=gen_labels, k=k,
+                   gen_features=gen_features, gen_labels=gen_labels,
                    weighting=weighting, mapping=pairing).cfid_sum
 
 
@@ -292,7 +293,6 @@ def build_report(
     gen_features=None,
     gen_labels=None,
     probs=None,
-    k: int | None = None,
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
@@ -312,7 +312,7 @@ def build_report(
     return _evaluation(
         _one_point,
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)[0]
 
 
@@ -325,14 +325,13 @@ def subsampled_fid_suite(
     trials: int,
     seed: int,
     *,
-    k: int | None = None,
     weighting: str = "empirical",
 ) -> MetricReport:
     """Feature-subsampled, per-dimension-normalized FID family (no probabilities):
     ``build_report`` with ``subset_size``; without labels it holds fid alone."""
     return build_report(
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, k=k, subset_size=subset_size, trials=trials, seed=seed,
+        gen_labels=gen_labels, subset_size=subset_size, trials=trials, seed=seed,
         weighting=weighting)
 
 
@@ -344,7 +343,6 @@ def sweep_label_noise(
     real_labels=None,
     gen_features=None,
     probs=None,
-    k: int | None = None,
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
@@ -363,7 +361,7 @@ def sweep_label_noise(
         lambda labels, _k: [(None, [_label_noise(labels, p, _point_seed(seed, i))
                                     for i, p in enumerate(grid)])],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
     return list(zip(grid, reports))
 
@@ -381,7 +379,6 @@ def sweep_mode_collapse(
     real_features=None,
     real_labels=None,
     probs=None,
-    k: int | None = None,
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
@@ -396,6 +393,6 @@ def sweep_mode_collapse(
         lambda labels, k: [(idx, [labels[idx]])
                            for idx in _mode_collapse_indices(labels, k, schedule, seed)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, probs=probs, k=k, subset_size=subset_size, trials=trials,
+        gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
         seed=seed, weighting=weighting, pairing=pairing)
     return [(float(step), report) for step, report in enumerate(reports)]

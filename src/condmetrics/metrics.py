@@ -30,8 +30,8 @@ also meaningful for unbalanced data but forfeits the exact identities above.
 
 Each input array is checked once, where it enters a public function (the
 score functions other than ``accuracy`` are one-report wrappers in
-``evaluate``); private kernels take checked arrays and labels in [0, k) and
-check nothing.
+``evaluate``); private kernels take checked arrays, labels in [0, K) and the K
+their caller read off the inputs, and check nothing.
 """
 
 from __future__ import annotations
@@ -138,13 +138,8 @@ def as_label_vector(labels, k: int | None, *, n: int | None = None) -> np.ndarra
         raise InvalidInputError("label vector is empty")
     if y.min() < 0:
         raise InvalidInputError(f"labels must be non-negative, got {y.min()}")
-    if k is not None:
-        if k < 1:
-            raise InvalidInputError(f"class count must be >= 1, got {k}")
-        if y.max() >= k:
-            raise InvalidInputError(
-                f"labels must lie in [0, {k}), got values up to {y.max()}"
-            )
+    if k is not None and y.max() >= k:
+        raise InvalidInputError(f"labels must lie in [0, {k}), got values up to {y.max()}")
     if n is not None:
         _check_rows(y, n)
     return y
@@ -177,6 +172,11 @@ def _as_int(value, what: str) -> int:
         if a.dtype.kind != "f":  # an unsigned value beyond int64, already named
             raise
         raise InvalidInputError(f"{what} must be an integer, got {a.item()!r}") from None
+
+
+def _class_count(*labels: np.ndarray) -> int:
+    """K where no probability columns fix it: the largest checked label + 1."""
+    return max(int(y.max()) for y in labels) + 1
 
 
 def _check_rows(labels: np.ndarray, n: int) -> None:
@@ -359,18 +359,13 @@ class ClassConditionalStats:
         return len(self.per_class)
 
 
-def class_conditional_stats(
-    features,
-    labels,
-    k: int,
-    *,
-    weighting: str = "empirical",
-) -> ClassConditionalStats:
-    """Estimate per-class and between-class Gaussian statistics from samples."""
+def class_conditional_stats(features, labels, *,
+                            weighting: str = "empirical") -> ClassConditionalStats:
+    """Estimate per-class and between-class Gaussian statistics from samples;
+    the classes are 0 to the largest label."""
     x = as_feature_matrix(features)
-    k = _as_int(k, "class count")
-    y = as_label_vector(labels, k, n=x.shape[0])
-    idx, priors = _class_split(y, k, weighting, 1, "")
+    y = as_label_vector(labels, None, n=x.shape[0])
+    idx, priors = _class_split(y, _class_count(y), weighting, 1, "")
     return _with_between(tuple(_estimate_gaussian(x[i]) for i in idx), priors)
 
 

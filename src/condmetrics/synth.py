@@ -24,6 +24,7 @@ from .metrics import (
     ClassConditionalStats,
     _as_int,
     _as_int_vector,
+    _class_count,
     as_label_vector,
     class_conditional_from_moments,
     class_index_lists,
@@ -285,18 +286,17 @@ def collapse_pool_sizes(initial: int, schedule: CollapseSchedule) -> list[int]:
     return sizes
 
 
-def mode_collapse_indices(
-    labels, k: int, schedule: CollapseSchedule, seed: int
-) -> list[np.ndarray]:
-    """Row indices of each step's emitted dataset.
+def mode_collapse_indices(labels, schedule: CollapseSchedule, seed: int) -> list[np.ndarray]:
+    """Row indices of each step's emitted dataset; the classes are 0 to the
+    largest label.
 
     Step 0 draws from the full pools.  Before each later step, every collapsed
     class's pool is subsampled (without replacement) to ceil(shrink * size).
     Each step then draws ``per_class_sample`` rows per class from the current
     pool, switching to with-replacement once a pool is smaller than the draw.
     """
-    k = _as_int(k, "class count")
-    return _mode_collapse_indices(as_label_vector(labels, k), k, schedule, seed)
+    y = as_label_vector(labels, None)
+    return _mode_collapse_indices(y, _class_count(y), schedule, seed)
 
 
 def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, seed: int):
@@ -326,8 +326,8 @@ def mode_collapse_run(
     """Emit the per-step (features, labels) datasets of a collapse simulation."""
     x = as_feature_matrix(features)
     y = as_label_vector(labels, None, n=x.shape[0])
-    k = int(y.max()) + 1
-    return [(x[idx], y[idx]) for idx in _mode_collapse_indices(y, k, schedule, seed)]
+    steps = _mode_collapse_indices(y, _class_count(y), schedule, seed)
+    return [(x[idx], y[idx]) for idx in steps]
 
 
 def dirichlet_rows(alpha, n: int, seed: int) -> np.ndarray:

@@ -265,13 +265,13 @@ def open_probabilities(path):
     return load_features(p) if p.suffix.lower() == ".csv" else ProbabilityFile(p)
 
 
-def load_labels(path, k: int | None = None) -> np.ndarray:
+def load_labels(path) -> np.ndarray:
     """Load a rank-1 integer label vector; CSV labels must be integral."""
     arr = load_tensor(path)
     if arr.ndim == 2 and arr.shape[1] == 1:
         arr = arr[:, 0]
     try:
-        return as_label_vector(arr, k)
+        return as_label_vector(arr, None)
     except InvalidInputError as exc:
         # a vector fails on its values; any other rank fails as not 1-D
         code = "bad-value" if arr.ndim == 1 else "bad-rank"

@@ -68,7 +68,7 @@ def test_c02_fid_upper_bound():
         covs = [[_rand_cov(rng, d) for _ in range(k)] for _ in range(2)]
         rx, ry = cm.gen_mixture(cm.MixtureSpec(means[0], covs[0], counts, seed=2 * i))
         gx, gy = cm.gen_mixture(cm.MixtureSpec(means[1], covs[1], counts, seed=2 * i + 1))
-        slack = cm.cfid_sum(rx, ry, gx, gy, k) - cm.fid(rx, gx)
+        slack = cm.cfid_sum(rx, ry, gx, gy) - cm.fid(rx, gx)
         worst_slack = min(worst_slack, slack)
     elapsed = time.monotonic() - t0
     check("2 FID upper bound",
@@ -91,8 +91,8 @@ def test_c03_tightness_construction():
     # sampled level
     pair = cm.gen_tightness_case([1.0, 2.0], [2.0, 1.0], n_per_class=100_000, seed=42)
     fid = cm.fid(pair.real_features, pair.gen_features)
-    bcfid = cm.bcfid(*pair, 2)
-    wcfid = cm.wcfid(*pair, 2)[0]
+    bcfid = cm.bcfid(*pair)
+    wcfid = cm.wcfid(*pair)[0]
     check("3 bound tightness",
           population_fid_is_one=abs(pop_fid - 1.0) <= 1e-12,
           population_wcfid_is_one=abs(pop_wcfid - 1.0) <= 1e-12,
@@ -114,8 +114,8 @@ def test_c04_matched_moment_counterexample():
     # sampled level
     pair = cm.gen_matched_moments(seed=7, n_per_class=100_000)
     fid = cm.fid(pair.real_features, pair.gen_features)
-    bcfid = cm.bcfid(*pair, 2)
-    wcfid = cm.wcfid(*pair, 2)[0]
+    bcfid = cm.bcfid(*pair)
+    wcfid = cm.wcfid(*pair)[0]
     check("4 matched-moment counterexample",
           population_fid_zero=abs(pop_fid) <= 1e-12,
           population_bcfid_two=abs(pop_bcfid - 2.0) <= 1e-12,
@@ -141,10 +141,10 @@ def _label_noise_instance():
 
 def test_c05_label_noise_trends():
     t0 = time.monotonic()
-    real, gen, probs, k = _label_noise_instance()
+    real, gen, probs, _ = _label_noise_instance()
     rows = sweep_label_noise(
         real_features=real[0], real_labels=real[1],
-        gen_features=gen[0], gen_labels=gen[1], probs=probs, k=k, seed=7,
+        gen_features=gen[0], gen_labels=gen[1], probs=probs, seed=7,
         grid=[i / 10 for i in range(11)])
     is_ = [r.is_ for _, r in rows]
     bcis = [r.bcis for _, r in rows]
@@ -177,7 +177,7 @@ def test_c06_mode_collapse_trends():
         steps=11, shrink_factor=2.0 / 3.0, per_class_sample=100, collapsed_classes=(1,))
     rows = sweep_mode_collapse(
         real_features=real[0], real_labels=real[1],
-        gen_features=gen[0], gen_labels=gen[1], k=k, seed=0, schedule=schedule)
+        gen_features=gen[0], gen_labels=gen[1], seed=0, schedule=schedule)
     wcfid = [r.wcfid for _, r in rows]
     bcfid = [r.bcfid for _, r in rows]
     sizes = collapse_pool_sizes(gen_pool, schedule)
@@ -252,7 +252,7 @@ def test_c09_determinism(tmp_path):
         "--gen-features", str(paths["gen_features"]),
         "--gen-labels", str(paths["gen_labels"]),
         "--probs", str(paths["probs"]),
-        "--k", "3", "--seed", "5", "--subset-size", "3", "--trials", "8",
+        "--seed", "5", "--subset-size", "3", "--trials", "8",
     ]
     metrics_outputs, sweep_outputs = [], []
     for run in range(4):
@@ -280,10 +280,10 @@ def test_c10_subsampling_protocol():
 
     # full subset, one trial: exactly the full scores divided by d
     rep = cm.subsampled_fid_suite(
-        real[0], real[1], gen[0], gen[1], subset_size=d, trials=1, seed=9, k=k)
+        real[0], real[1], gen[0], gen[1], subset_size=d, trials=1, seed=9)
     full_fid = cm.fid(real[0], gen[0])
-    full_bcfid = cm.bcfid(real[0], real[1], gen[0], gen[1], k)
-    full_wcfid = cm.wcfid(real[0], real[1], gen[0], gen[1], k)[0]
+    full_bcfid = cm.bcfid(real[0], real[1], gen[0], gen[1])
+    full_wcfid = cm.wcfid(real[0], real[1], gen[0], gen[1])[0]
     exact = (abs(rep.fid - full_fid / d) <= 1e-10
              and abs(rep.bcfid - full_bcfid / d) <= 1e-10
              and abs(rep.wcfid - full_wcfid / d) <= 1e-10)
@@ -294,7 +294,7 @@ def test_c10_subsampling_protocol():
         vals = np.array([
             getattr(cm.subsampled_fid_suite(
                 real[0], real[1], gen[0], gen[1],
-                subset_size=10, trials=100, seed=1000 + outer, k=k), metric)
+                subset_size=10, trials=100, seed=1000 + outer), metric)
             for outer in range(10)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         stable = stable and se < 0.10 * vals.mean()

@@ -59,7 +59,7 @@ def metrics_args(paths, out, extra=()):
         "--gen-features", str(paths["gen_features"]),
         "--gen-labels", str(paths["gen_labels"]),
         "--probs", str(paths["probs"]),
-        "--k", "3", "--seed", "11", "--out", str(out), *extra,
+        "--seed", "11", "--out", str(out), *extra,
     ]
 
 
@@ -163,7 +163,6 @@ class TestBlasThreads:
             for run in range(2):
                 out = tmp_path / f"report-{threads}-{run}.json"
                 argv = metrics_args(paths, out)
-                argv[argv.index("--k") + 1] = "20"
                 proc = subprocess.run([sys.executable, "-m", "condmetrics", *argv],
                                       capture_output=True, text=True, env=env)
                 assert proc.returncode == 0, proc.stderr
@@ -214,8 +213,8 @@ class TestExitCodes:
 
     def test_trials_without_subset_size_is_invalid_input(self, dataset, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(metrics_args(dataset, out, ["--trials", "7"])) == 2
-        assert "trials must be 1 without subset_size, got 7" in capsys.readouterr().err
+        assert main(metrics_args(dataset, out, ["--trials", "7"])) == 4
+        assert capsys.readouterr().err == "config error: option --trials needs --subset-size\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, rc", [
@@ -231,7 +230,10 @@ class TestExitCodes:
                      "--gen-labels", str(dataset["gen_labels"]),
                      "--out", str(out), *extra]) == rc
         if rc:
-            assert "needs features on both sides" in capsys.readouterr().err
+            # the first flag is refused; --trials is read only under --subset-size
+            err = capsys.readouterr().err
+            needs = "--subset-size" if extra[0] == "--trials" else "features on both sides"
+            assert f"config error: option {extra[0]}" in err and f"needs {needs}" in err
         assert out.exists() == (rc == 0)
 
     def test_real_labels_without_features_is_config_error(self, dataset, tmp_path, capsys):
@@ -244,20 +246,6 @@ class TestExitCodes:
                      "--out", str(out)]) == 4
         assert ("config error: option --real-labels needs features on both sides"
                 in capsys.readouterr().err)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("inputs", [
-        ["real_features", "gen_features"],
-        ["probs"],
-        ["real_features", "real_labels", "gen_features", "gen_labels"],
-    ])
-    @pytest.mark.parametrize("k", ["0", "-2"])
-    def test_non_positive_k_is_invalid_input(self, dataset, tmp_path, capsys, inputs, k):
-        flags = [arg for name in inputs
-                 for arg in ("--" + name.replace("_", "-"), str(dataset[name]))]
-        out = tmp_path / "report.json"
-        assert main(["metrics", *flags, "--k", k, "--out", str(out)]) == 2
-        assert f"class count must be >= 1, got {k}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, seed", [
@@ -274,13 +262,6 @@ class TestExitCodes:
         assert main([command, *flags, *extra, "--seed", seed]) == 2
         assert capsys.readouterr().err == (
             f"invalid input: seed must be an integer in [0, 2^63), got {seed}\n")
-        assert not out.exists()
-
-    def test_probability_columns_other_than_k_is_config_error(self, dataset, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert main(["metrics", "--probs", str(dataset["probs"]), "--k", "5",
-                     "--out", str(out)]) == 4
-        assert "probability matrix has 3 classes, expected k=5" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, flags, message", [
@@ -342,7 +323,7 @@ class TestExitCodes:
                    "--real-labels", str(dataset["real_labels"]),
                    "--gen-features", str(dataset["gen_features"]),
                    "--gen-labels", str(dataset["gen_labels"]),
-                   "--k", "3", "--out", str(tmp_path / "c.csv")])
+                   "--out", str(tmp_path / "c.csv")])
         assert rc == 4
         assert "--collapsed-classes" in capsys.readouterr().err
 
@@ -352,7 +333,7 @@ class TestExitCodes:
                    "--real-labels", str(dataset["real_labels"]),
                    "--gen-features", str(dataset["gen_features"]),
                    "--gen-labels", str(dataset["gen_labels"]),
-                   "--k", "3", "--out", str(tmp_path / "c.csv")])
+                   "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "collapsed_classes must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
@@ -374,7 +355,7 @@ class TestExitCodes:
                    "--real-labels", str(dataset["real_labels"]),
                    "--gen-features", str(dataset["gen_features"]),
                    "--gen-labels", str(longer),
-                   "--k", "3", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 2
         assert "label count 160 does not match row count 150" in capsys.readouterr().err
         assert not out.exists()
@@ -409,15 +390,15 @@ class TestLibraryDefaults:
     """The CLI states no default of the library: an option left out is left to it."""
 
     INPUTS = {"real_features", "real_labels", "gen_features", "gen_labels", "probs"}
-    OPTIONS = ["k", "subset_size", "trials", "seed", "weighting", "pairing"]
+    OPTIONS = ["subset_size", "trials", "seed", "weighting", "pairing"]
     SCHEDULE = ["steps", "shrink_factor", "per_class_sample", "collapsed_classes"]
 
     def test_parser_leaves_library_options_unset(self):
         parser = make_parser()
         metrics = parser.parse_args(["metrics"])
         sweep = parser.parse_args(["sweep", "--experiment", "mode_collapse"])
-        assert [getattr(metrics, name) for name in self.OPTIONS] == [None] * 6
-        assert [getattr(sweep, name) for name in self.OPTIONS + self.SCHEDULE] == [None] * 10
+        assert [getattr(metrics, name) for name in self.OPTIONS] == [None] * 5
+        assert [getattr(sweep, name) for name in self.OPTIONS + self.SCHEDULE] == [None] * 9
 
     def test_only_given_options_reach_the_library(self, dataset, tmp_path, monkeypatch):
         calls = {}
@@ -454,7 +435,7 @@ class TestUnreadOptions:
               "real_labels": None}
 
     def test_every_option_has_readers_or_is_always_read(self):
-        assert set(cli._OPTIONS) - set(_OPTION_READERS) == {"k", "seed"}
+        assert set(cli._OPTIONS) - set(_OPTION_READERS) == {"seed"}
         assert set(self.VALUES) == set(_OPTION_READERS)
         # the table's defaults are the library's
         params = inspect.signature(condmetrics.build_report).parameters
@@ -471,10 +452,32 @@ class TestUnreadOptions:
         assert main(["metrics", "--probs", str(dataset["probs"]), flag, value,
                      "--out", str(out)]) == 4
         shown = f" {value}" if name in ("pairing", "weighting") else ""
-        needs = ("generated labels; --gen-labels is missing" if name == "weighting" else
-                 "features on both sides; --real-features and --gen-features are missing")
+        needs = {"weighting": "generated labels; --gen-labels is missing",
+                 "trials": "--subset-size"}.get(
+            name, "features on both sides; --real-features and --gen-features are missing")
         assert capsys.readouterr().err == f"config error: option {flag}{shown} needs {needs}\n"
         assert not out.exists()
+
+
+class TestClassCountIsDerived:
+    """K is read off the inputs: no flag or parameter sets it."""
+
+    @pytest.mark.parametrize("command", [["metrics"], ["sweep", "--experiment", "label_noise"]])
+    def test_k_flag_is_a_usage_error(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        flags = metrics_args(dataset, out)[1:]
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, *flags, "--k", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [
+        name for name, obj in vars(condmetrics).items() if name in condmetrics.__all__
+        and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))])
+    def test_no_public_callable_takes_a_class_count(self, name):
+        params = inspect.signature(getattr(condmetrics, name)).parameters
+        assert not {"k", "class_count"} & set(params)
 
 
 class TestCmdSweep:
@@ -517,7 +520,7 @@ class TestCmdSweep:
             "--real-labels", str(dataset["real_labels"]),
             "--gen-features", str(dataset["gen_features"]),
             "--gen-labels", str(dataset["gen_labels"]),
-            "--k", "3", "--seed", "4", "--out", str(out),
+            "--seed", "4", "--out", str(out),
         ])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
@@ -550,7 +553,7 @@ class TestCmdSweep:
             "--gen-features", str(paths["gen_features"]),
             "--gen-labels", str(paths["gen_labels"]),
             "--probs", str(paths["probs"]),
-            "--k", str(k), "--seed", "7", "--out", str(out),
+            "--seed", "7", "--out", str(out),
         ])
         assert rc == 0
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
@@ -583,7 +586,7 @@ class TestCmdSweep:
             "--real-labels", str(paths["real_labels"]),
             "--gen-features", str(paths["gen_features"]),
             "--gen-labels", str(paths["gen_labels"]),
-            "--k", "2", "--seed", "0", "--out", str(out),
+            "--seed", "0", "--out", str(out),
         ])
         assert rc == 0
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
@@ -689,7 +692,7 @@ class TestCmdSynth:
                    "--seed", "9", "--out-dir", str(tmp_path / "mm")])
         assert rc == 0
         feats = load_tensor(tmp_path / "mm" / "a_features.cfm")
-        labels = load_labels(tmp_path / "mm" / "a_labels.cfm", k=2)
+        labels = load_labels(tmp_path / "mm" / "a_labels.cfm")
         assert feats.shape == (60, 2)
         assert np.array_equal(np.bincount(labels), [30, 30])
 
@@ -705,7 +708,7 @@ class TestCmdSynth:
             "--real-labels", str(synth_dir / "real_labels.cfm"),
             "--gen-features", str(synth_dir / "gen_features.cfm"),
             "--gen-labels", str(synth_dir / "gen_labels.cfm"),
-            "--k", "2", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         payload = json.loads(out.read_text())
@@ -719,7 +722,7 @@ class TestCmdSynth:
         rc = main(["synth", "mixture", "--spec", str(spec_path),
                    "--seed", "2", "--out-dir", str(tmp_path / "mix")])
         assert rc == 0
-        labels = load_labels(tmp_path / "mix" / "labels.cfm", k=2)
+        labels = load_labels(tmp_path / "mix" / "labels.cfm")
         assert np.array_equal(np.bincount(labels), [20, 30])
 
     def test_rings_and_dirichlet(self, tmp_path):
@@ -858,7 +861,7 @@ def test_synth_outputs_are_seeded_and_class_blocked(tmp_path, generator):
         assert load_tensor(tmp_path / "a" / "probs.cfm").shape == (30, 2)
         return
     features, labels, counts, d = SYNTH_FILES[generator]
-    y = load_labels(tmp_path / "a" / f"{labels}.cfm", k=len(counts))
+    y = load_labels(tmp_path / "a" / f"{labels}.cfm")
     assert np.array_equal(y, np.repeat(np.arange(len(counts)), counts))
     assert load_tensor(tmp_path / "a" / f"{features}.cfm").shape == (sum(counts), d)
     if generator == "tightness":

@@ -50,32 +50,32 @@ def one_hot_dominant(labels, k, strength=0.9, seed=0):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def assert_report_equals_standalone(x, y, g, gy, probs, k, *, pairing="identity",
+def assert_report_equals_standalone(x, y, g, gy, probs, *, pairing="identity",
                                     weighting="empirical", subset_size=None):
     """build_report's fields are == the standalone functions on the same inputs
     and, with subset_size and the identity pairing, its subsampled fields are ==
     subsampled_fid_suite's."""
     inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                  probs=probs, k=k, weighting=weighting, pairing=pairing)
+                  probs=probs, weighting=weighting, pairing=pairing)
     rep = build_report(**inputs)
     mapping = align_discovered(probs, gy).mapping if pairing == "hungarian" else None
     if probs is not None:
         assert rep.is_ == inception_score(probs)
-        assert rep.bcis == bcis(probs, gy, weighting, class_count=k)
-        assert rep.wcis == wcis(probs, gy, weighting, class_count=k)
-        assert np.array_equal(rep.per_class_is, per_class_is(probs, gy, class_count=k))
+        assert rep.bcis == bcis(probs, gy, weighting)
+        assert rep.wcis == wcis(probs, gy, weighting)
+        assert np.array_equal(rep.per_class_is, per_class_is(probs, gy))
         overall, per_acc = accuracy(probs, gy)
         assert rep.accuracy == overall
         assert np.array_equal(rep.per_class_accuracy, per_acc)
     assert rep.fid == fid(x, g)
-    assert rep.bcfid == bcfid(x, y, g, gy, k, weighting=weighting)
-    total, per_fid = wcfid(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+    assert rep.bcfid == bcfid(x, y, g, gy, weighting=weighting)
+    total, per_fid = wcfid(x, y, g, gy, pairing=mapping, weighting=weighting)
     assert rep.wcfid == total
     assert np.array_equal(rep.per_class_fid, per_fid)
-    assert rep.cfid_sum == cfid_sum(x, y, g, gy, k, pairing=mapping, weighting=weighting)
+    assert rep.cfid_sum == cfid_sum(x, y, g, gy, pairing=mapping, weighting=weighting)
     if subset_size is not None and pairing == "identity":
         sub_rep = build_report(subset_size=subset_size, trials=3, seed=5, **inputs)
-        suite = subsampled_fid_suite(x, y, g, gy, subset_size, 3, 5, k=k,
+        suite = subsampled_fid_suite(x, y, g, gy, subset_size, 3, 5,
                                      weighting=weighting)
         for key in ("fid", "bcfid", "wcfid", "cfid_sum", "dims_used", "pairing"):
             assert getattr(sub_rep, key) == getattr(suite, key)
@@ -89,7 +89,7 @@ class TestBuildReport:
         probs = one_hot_dominant(y, 3, seed=2)
         rep = build_report(
             real_features=x, real_labels=y, gen_features=x, gen_labels=y,
-            probs=probs, k=3)
+            probs=probs)
         assert rep.fid <= 1e-9
         assert rep.bcfid <= 1e-9
         assert rep.wcfid <= 1e-9
@@ -109,7 +109,7 @@ class TestBuildReport:
         # generated condition c is predicted as class (c + 1) % k
         probs = one_hot_dominant((gy + 1) % k, k, strength=0.6, seed=23)
         _, mapping = assert_report_equals_standalone(
-            x, y, g, gy, probs, k, pairing=pairing, weighting=weighting)
+            x, y, g, gy, probs, pairing=pairing, weighting=weighting)
         if mapping is not None:
             assert mapping.tolist() == [1, 2, 0]
 
@@ -126,7 +126,7 @@ class TestBuildReport:
         g = rng.normal(0.2, 1.5, (gy.size, d)) + gy[:, None]
         probs = one_hot_dominant(rng.permutation(k)[gy], k, strength=0.5, seed=seed)
         assert_report_equals_standalone(
-            x, y, g, gy, probs, k, pairing=pairing, weighting=weighting,
+            x, y, g, gy, probs, pairing=pairing, weighting=weighting,
             subset_size=int(rng.integers(1, d + 1)))
 
     def test_probs_only_skips_fid_family(self):
@@ -142,7 +142,7 @@ class TestBuildReport:
         x, y = make_instance(seed=5)
         g, gy = make_instance(seed=6)
         rep = build_report(
-            real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=3)
+            real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         assert rep.is_ is None and rep.bcis is None and rep.accuracy is None
         assert rep.fid is not None and rep.cfid_sum is not None
 
@@ -162,26 +162,26 @@ class TestBuildReport:
         g, gy = make_instance(seed=8, d=12, n_per_class=5, shift=0.5)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=3)
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         assert rep.fid > 0.0 and rep.bcfid > 0.0 and rep.wcfid > 0.0
 
     def test_unmatched_counts_warn(self):
         x, y = make_instance(seed=7, n_per_class=50)
         g, gy = make_instance(seed=8, n_per_class=60)
         rep = build_report(
-            real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=3)
+            real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         assert any("counts differ" in w for w in rep.warnings)
 
     def test_one_sided_features_rejected(self):
         x, y = make_instance(seed=9)
         with pytest.raises(ConfigError, match="both sides"):
-            build_report(real_features=x, real_labels=y, k=3)
+            build_report(real_features=x, real_labels=y)
 
     def test_one_sided_labels_rejected(self):
         x, y = make_instance(seed=10)
         g, _ = make_instance(seed=11)
         with pytest.raises(ConfigError, match="labels"):
-            build_report(real_features=x, real_labels=y, gen_features=g, k=3)
+            build_report(real_features=x, real_labels=y, gen_features=g)
 
     def test_hungarian_needs_probs(self):
         x, y = make_instance(seed=12)
@@ -189,7 +189,7 @@ class TestBuildReport:
         with pytest.raises(ConfigError, match="hungarian"):
             build_report(
                 real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                k=3, pairing="hungarian")
+                pairing="hungarian")
 
     def test_hungarian_recovers_shifted_classes(self):
         x, y = make_instance(seed=14, k=4)
@@ -198,11 +198,11 @@ class TestBuildReport:
         probs = one_hot_dominant(y, 4, seed=15)  # predictions follow true classes
         rep = build_report(
             real_features=x, real_labels=y, gen_features=x, gen_labels=gy,
-            probs=probs, k=4, pairing="hungarian")
+            probs=probs, pairing="hungarian")
         assert rep.wcfid <= 1e-9
         identity = build_report(
             real_features=x, real_labels=y, gen_features=x, gen_labels=gy,
-            probs=probs, k=4, pairing="identity")
+            probs=probs, pairing="identity")
         assert identity.wcfid > 1.0
 
     def test_hungarian_validates_probs_once(self, monkeypatch):
@@ -212,16 +212,16 @@ class TestBuildReport:
         probs = one_hot_dominant(y, 4, seed=15)
         build_report(
             real_features=x, real_labels=y, gen_features=x, gen_labels=gy,
-            probs=probs, k=4, pairing="hungarian")
+            probs=probs, pairing="hungarian")
         assert sorted(checked) == list(range(len(probs)))
 
     def test_swapping_sides_preserves_fid_family(self):
         x, y = make_instance(seed=16)
         g, gy = make_instance(seed=17)
         fwd = build_report(
-            real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=3)
+            real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         rev = build_report(
-            real_features=g, real_labels=gy, gen_features=x, gen_labels=y, k=3)
+            real_features=g, real_labels=gy, gen_features=x, gen_labels=y)
         assert abs(fwd.fid - rev.fid) <= 1e-8
         assert abs(fwd.bcfid - rev.bcfid) <= 1e-8
         assert abs(fwd.wcfid - rev.wcfid) <= 1e-8
@@ -231,7 +231,7 @@ class TestBuildReport:
         g, gy = make_instance(seed=19)
         rep = build_report(
             real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-            k=3, subset_size=2, trials=3, seed=7)
+            subset_size=2, trials=3, seed=7)
         assert rep.dims_used == 2
         assert rep.fid is not None and rep.per_class_fid.shape == (3,)
 
@@ -240,28 +240,28 @@ class TestBuildReport:
         x, y = make_instance(seed=18, d=6)
         g, gy = make_instance(seed=19, d=6, shift=0.4)
         labels = dict(real_labels=y, gen_labels=gy) if labelled else {}
-        rep = build_report(real_features=x, gen_features=g, k=3, subset_size=4,
+        rep = build_report(real_features=x, gen_features=g, subset_size=4,
                            trials=3, seed=7, **labels)
         sub = subsampled_fid_suite(x, labels.get("real_labels"), g, labels.get("gen_labels"),
-                                   4, 3, 7, k=3)
+                                   4, 3, 7)
         assert report_to_json(rep) == report_to_json(sub)
         assert (rep.bcfid is None) == (not labelled)
 
     def test_no_inputs_is_config_error(self):
         with pytest.raises(ConfigError):
-            build_report(k=3)
+            build_report()
 
     @pytest.mark.parametrize("trials", [0, 7])
     def test_trials_without_subset_size_is_invalid_input(self, trials):
         x, y = make_instance(seed=18)
-        with pytest.raises(InvalidInputError, match=f"trials must be 1 without subset_size, got {trials}"):
+        with pytest.raises(ConfigError, match="^option --trials needs --subset-size$"):
             build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
                          trials=trials)
 
     @pytest.mark.parametrize("option, message", [
         (dict(subset_size=5, trials=7), "option --subset-size needs features on both sides"),
         (dict(subset_size=2), "option --subset-size needs features on both sides"),
-        (dict(trials=7), "option --trials needs features on both sides"),
+        (dict(trials=7), "option --trials needs --subset-size"),
         # without features the class mapping would reach no score
         (dict(pairing="hungarian"), "^option --pairing hungarian needs features on both sides; "
                                     "--real-features and --gen-features are missing$"),
@@ -289,7 +289,7 @@ class TestBuildReport:
         x, y = make_instance(seed=34)
         g, gy = make_instance(seed=35)
         probs = one_hot_dominant(gy, 3, seed=36)
-        inputs = dict(real_features=x, real_labels=y, gen_features=g, probs=probs, k=3)
+        inputs = dict(real_features=x, real_labels=y, gen_features=g, probs=probs)
         assert report_to_json(build_report(gen_labels=gy.astype(np.float64), **inputs)) == \
             report_to_json(build_report(gen_labels=gy, **inputs))
         rows = sweep_label_noise(gen_labels=gy.astype(np.float64), grid=[0.5], **inputs)
@@ -305,7 +305,7 @@ class TestBuildReport:
         probs = dirichlet_rows([0.8, 1.2, 2.0, 0.5], 400, seed=20)
         labels = rng_for(21).integers(0, 4, 400).astype(np.int64)
         labels[:4] = np.arange(4)
-        rep = build_report(probs=probs, gen_labels=labels, k=4)
+        rep = build_report(probs=probs, gen_labels=labels)
         assert abs(math.log(rep.is_) - math.log(rep.bcis) - math.log(rep.wcis)) <= 1e-8
 
 
@@ -319,9 +319,9 @@ class TestSubsampledSuiteFollowsBuildReport:
                                                  (None, gy, "--real-labels")]:
             with pytest.raises(ConfigError, match=missing):
                 build_report(real_features=x, real_labels=real_labels, gen_features=g,
-                             gen_labels=gen_labels, k=3, subset_size=4)
+                             gen_labels=gen_labels, subset_size=4)
             with pytest.raises(ConfigError, match=missing):
-                subsampled_fid_suite(x, real_labels, g, gen_labels, 4, 2, 0, k=3)
+                subsampled_fid_suite(x, real_labels, g, gen_labels, 4, 2, 0)
 
     def test_unequal_counts_give_the_same_warning(self):
         k, d = 3, 5
@@ -329,8 +329,8 @@ class TestSubsampledSuiteFollowsBuildReport:
         x, y = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [30, 40, 50], seed=63))
         g, gy = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [50, 40, 30], seed=64))
         rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                           k=k, subset_size=3, trials=2, seed=4)
-        suite = subsampled_fid_suite(x, y, g, gy, 3, 2, 4, k=k)
+                           subset_size=3, trials=2, seed=4)
+        suite = subsampled_fid_suite(x, y, g, gy, 3, 2, 4)
         assert len(suite.warnings) == 1
         assert suite.warnings == rep.warnings
         assert report_to_json(suite) == report_to_json(rep)
@@ -339,7 +339,7 @@ class TestSubsampledSuiteFollowsBuildReport:
         x, y = make_instance(seed=65, d=6)
         g, gy = make_instance(seed=66, d=6, shift=0.2)
         assert report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1)) == \
-            report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1, k=3))
+            report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1))
 
 
 def _traced_peak(fn) -> int:
@@ -364,9 +364,9 @@ def test_peak_memory_does_not_grow_with_trials(entry):
 
     def run(trials):
         if entry == "subsampled_fid_suite":
-            return subsampled_fid_suite(x, y, g, gy, subset, trials, 0, k=k)
+            return subsampled_fid_suite(x, y, g, gy, subset, trials, 0)
         inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                      k=k, subset_size=subset, trials=trials)
+                      subset_size=subset, trials=trials)
         if entry == "build_report":
             return build_report(**inputs)
         return sweep_label_noise(grid=[0.0, 1.0], **inputs)
@@ -385,9 +385,9 @@ def test_fid_family_peaks_like_fid():
     g = rng.normal(0.0, 1.1, (y.size, d))
     pooled = _traced_peak(lambda: fid(x, g))
     labelled = _traced_peak(lambda: build_report(real_features=x, real_labels=y,
-                                                 gen_features=g, gen_labels=y, k=k))
+                                                 gen_features=g, gen_labels=y))
     assert labelled <= pooled + 2**20, (pooled, labelled)
-    assert _traced_peak(lambda: wcfid(x, y, g, y, k)) <= 4 * 2**20
+    assert _traced_peak(lambda: wcfid(x, y, g, y)) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("trials", [1, 5])
@@ -408,7 +408,7 @@ def test_class_splits_do_not_scale_with_trials(monkeypatch, trials):
     g, gy = make_instance(seed=77, k=3, d=5, shift=0.2)
     probs = one_hot_dominant(gy, 3, seed=78)
     sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                      probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], subset_size=3,
+                      probs=probs, grid=[0.0, 0.3, 0.6, 1.0], subset_size=3,
                       trials=trials)
     assert len(calls) == 1 + 4
 
@@ -477,10 +477,10 @@ class TestSweeps:
         probs = one_hot_dominant(gy, 3, seed=24)
         base = build_report(
             real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-            probs=probs, k=3, seed=5)
+            probs=probs, seed=5)
         rows = sweep_label_noise(
             real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-            probs=probs, k=3, seed=5, grid=[0.0])
+            probs=probs, seed=5, grid=[0.0])
         assert len(rows) == 1
         assert rows[0][0] == 0.0
         assert report_to_json(rows[0][1]) == report_to_json(base)
@@ -505,7 +505,7 @@ class TestSweeps:
         g, gy = make_instance(seed=26, k=4, d=5, shift=0.3)
         probs = one_hot_dominant((gy + 1) % 4, 4, strength=0.5, seed=27)
         inputs = dict(real_features=x, real_labels=y, gen_features=g, probs=probs,
-                      k=4, seed=9, **options)
+                      seed=9, **options)
         grid = [0.0, 0.25, 0.5, 1.0]
         rows = sweep_label_noise(gen_labels=gy, grid=grid, **inputs)
         assert [p for p, _ in rows] == grid
@@ -521,10 +521,10 @@ class TestSweeps:
         probs = one_hot_dominant(gy, 3, strength=0.6, seed=30)
         schedule = CollapseSchedule(steps=4, shrink_factor=0.5, per_class_sample=12,
                                     collapsed_classes=(1,))
-        inputs = dict(real_features=x, real_labels=y, k=3, seed=2, **options)
+        inputs = dict(real_features=x, real_labels=y, seed=2, **options)
         rows = sweep_mode_collapse(gen_features=g, gen_labels=gy, probs=probs,
                                    schedule=schedule, **inputs)
-        steps = mode_collapse_indices(gy, 3, schedule, 2)
+        steps = mode_collapse_indices(gy, schedule, 2)
         assert [p for p, _ in rows] == [0.0, 1.0, 2.0, 3.0]
         for (_, rep), idx in zip(rows, steps):
             assert report_to_json(rep) == report_to_json(build_report(
@@ -549,7 +549,7 @@ class TestSweeps:
         g, gy = make_instance(seed=32, k=3)
         probs = one_hot_dominant(gy, 3, seed=33)
         sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                          probs=probs, k=3, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
+                          probs=probs, grid=[0.0, 0.3, 0.6, 1.0], pairing="hungarian")
         # each probability row once; real side once (pooled + 3 classes), the
         # generated pooled Gaussian once, the generated classes at each of 4 points
         assert sorted(checked) == list(range(len(probs)))
@@ -585,7 +585,7 @@ class TestSweeps:
         estimated, row_passes = self._record_preparation(monkeypatch)
         grid = [0.0, 0.3, 0.6, 1.0]
         sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                          probs=probs, k=3, grid=grid, pairing=pairing, **subset)
+                          probs=probs, grid=grid, pairing=pairing, **subset)
         # per column set: the real and the generated pooled Gaussians once, then
         # for each class its real Gaussian and each point's paired class
         per_trial = [180, 120] + [60, 40, 40, 40, 40] * 3
@@ -621,8 +621,8 @@ class TestSweeps:
                                     collapsed_classes=(1,))
         estimated, row_passes = self._record_preparation(monkeypatch)
         sweep_mode_collapse(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                            probs=probs, k=3, schedule=schedule, seed=2)
-        steps = mode_collapse_indices(gy, 3, schedule, 2)
+                            probs=probs, schedule=schedule, seed=2)
+        steps = mode_collapse_indices(gy, schedule, 2)
         # the real pooled Gaussian and each step's, on its own rows; then for
         # each class its real Gaussian once and each step's class
         counts = [np.bincount(gy[idx], minlength=3) for idx in steps]
@@ -657,14 +657,13 @@ class TestValidationBoundary:
                         monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         return calls
 
-    @pytest.mark.parametrize("k", [4, None])  # passed, or read off the probabilities
     @pytest.mark.parametrize("entry", ["build_report", "sweep_label_noise"])
-    def test_report_and_sweep_check_each_array_once(self, monkeypatch, entry, k):
+    def test_report_and_sweep_check_each_array_once(self, monkeypatch, entry):
         x, y = make_instance(seed=40, k=4, d=5)
         g, gy = make_instance(seed=41, k=4, d=5, shift=0.3)
         probs = one_hot_dominant((gy + 1) % 4, 4, strength=0.5, seed=42)
         inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                      probs=probs, k=k, pairing="hungarian")
+                      probs=probs, pairing="hungarian")
         calls = self._count_checks(monkeypatch)
         if entry == "build_report":
             build_report(**inputs)
@@ -680,9 +679,9 @@ class TestValidationBoundary:
         g, gy = make_instance(seed=44, k=4, d=5, shift=0.3)
         calls = self._count_checks(monkeypatch)
         if entry == "subsampled_fid_suite":
-            subsampled_fid_suite(x, y, g, gy, 3, 5, 7, k=4)
+            subsampled_fid_suite(x, y, g, gy, 3, 5, 7)
         else:
-            wcfid(x, y, g, gy, 4)
+            wcfid(x, y, g, gy)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
                          "_probability_rows": 0}
 
@@ -769,17 +768,17 @@ class TestDegenerateShapes:
         "one-hot-at-PROB_FLOOR",
     ])
     def test_report_equals_standalone_functions(self, name):
-        x, y, g, gy, probs, k = _degenerate_case(name)
+        x, y, g, gy, probs, _ = _degenerate_case(name)
         rep, _ = assert_report_equals_standalone(
-            x, y, g, gy, probs, k, subset_size=1 if x.shape[1] == 1 else 2)
+            x, y, g, gy, probs, subset_size=1 if x.shape[1] == 1 else 2)
         values = [rep.fid, rep.bcfid, rep.wcfid, *rep.per_class_fid]
         assert np.all(np.isfinite(values)) and min(values) >= 0.0
         if probs is not None:
             assert rep.is_ == pytest.approx(rep.bcis * rep.wcis, rel=1e-9)
 
     def test_constant_features_score_the_mean_shift(self):
-        x, y, g, gy, _, k = _degenerate_case("constant-features")
-        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy, k=k)
+        x, y, g, gy, _, _ = _degenerate_case("constant-features")
+        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         shift = 4 * 3.5 ** 2  # every covariance is 0; the means differ by 3.5 per dimension
         assert rep.fid == pytest.approx(shift, rel=1e-12)
         assert rep.bcfid == pytest.approx(shift, rel=1e-12)
@@ -787,7 +786,7 @@ class TestDegenerateShapes:
 
     def test_one_hot_rows_keep_the_floor_perturbation_below_tolerance(self):
         x, y, g, gy, probs, k = _degenerate_case("one-hot-at-PROB_FLOOR")
-        rep = build_report(probs=probs, gen_labels=gy, k=k)
+        rep = build_report(probs=probs, gen_labels=gy)
         # every class is predicted with certainty: IS = BCIS = K and WCIS = 1,
         # up to the PROB_FLOOR perturbation
         assert rep.is_ == pytest.approx(k, rel=k * PROB_FLOOR * 1e3)

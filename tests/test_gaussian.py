@@ -385,7 +385,7 @@ class TestGramFactor:
         rng = np.random.default_rng(4)
         y = np.repeat(np.arange(k), 3)
         x = rng.standard_normal((y.size, d)) + 3.0 * rng.standard_normal((k, d))[y]
-        stats = class_conditional_stats(x, y, k)
+        stats = class_conditional_stats(x, y)
         means = np.stack([s.mean for s in stats.per_class])
         twin = qr_estimate(means)  # equal priors: the rows sqrt(1/k)(mu_c - mu)
         assert stats.between.factor.shape == (d, d)
@@ -431,7 +431,7 @@ class TestFactorRule:
 
         monkeypatch.setattr(np.linalg, "qr", forbidden)
         rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=y)
-        pooled = pooled_gaussian(class_conditional_stats(x, y, k))
+        pooled = pooled_gaussian(class_conditional_stats(x, y))
         assert rep.fid > 0.0 and rep.wcfid > 0.0 and pooled.factor.shape == (k + k * n_c, d)
 
     # n < d and n = d; the QR twin is what the factor was before the rule

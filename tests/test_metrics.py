@@ -163,7 +163,7 @@ class TestBCIS:
     def test_empty_class_rejected(self):
         probs = np.full((4, 3), 1.0 / 3.0)
         with pytest.raises(InvalidInputError, match="class 1"):
-            bcis(probs, np.array([0, 0, 2, 2]), class_count=3)
+            bcis(probs, np.array([0, 0, 2, 2]))
 
     def test_labels_short_of_the_columns_raise_as_the_report_does(self):
         # the conditioned classes are the K = 10 probability columns, not the
@@ -176,15 +176,22 @@ class TestBCIS:
         with pytest.raises(InvalidInputError, match=message):
             build_report(probs=probs, gen_labels=labels)
 
-    def test_class_count_other_than_the_columns_is_config_error(self):
-        probs = dirichlet_rows(np.ones(3), 12, seed=5)
-        labels = np.arange(12) % 3
-        for call in (bcis, wcis):
-            with pytest.raises(ConfigError, match="^probability matrix has 3 classes, "
-                                                  "expected k=5$"):
-                call(probs, labels, class_count=5)
-        with pytest.raises(ConfigError, match="expected k=2$"):
-            per_class_is(probs, labels % 2, class_count=2)
+
+
+@pytest.mark.parametrize("score, inputs", [
+    (bcis, "probs"), (wcis, "probs"), (per_class_is, "probs"),
+    (bcfid, "features"), (wcfid, "features"), (cfid_sum, "features"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_conditional_score_without_generated_labels_is_config_error(score, inputs):
+    # without generated labels the one report has no conditional member to return
+    if inputs == "probs":
+        args = (dirichlet_rows(np.ones(3), 12, seed=5), None)
+    else:
+        x = rng_for(6).normal(size=(12, 2))
+        args = (x, None, x + 1.0, None)
+    with pytest.raises(ConfigError, match=f"^metric {score.__name__} needs generated labels; "
+                                          "--gen-labels is missing$"):
+        score(*args)
 
 
 class TestWCIS:
@@ -383,11 +390,11 @@ class TestStreamedISFamily:
         assert peak <= 0.25 * probs.nbytes
 
 
-def is_family(probs, labels, k, weighting="empirical"):
+def is_family(probs, labels, weighting="empirical"):
     return np.concatenate([
-        [inception_score(probs), bcis(probs, labels, weighting, class_count=k),
-         wcis(probs, labels, weighting, class_count=k)],
-        per_class_is(probs, labels, class_count=k)])
+        [inception_score(probs), bcis(probs, labels, weighting),
+         wcis(probs, labels, weighting)],
+        per_class_is(probs, labels)])
 
 
 class TestInceptionMetamorphic:
@@ -397,10 +404,10 @@ class TestInceptionMetamorphic:
     @given(st.integers(0, 10_000), st.sampled_from(["empirical", "uniform"]))
     @settings(max_examples=60, deadline=None)
     def test_row_permutation_invariance(self, seed, weighting):
-        rng, probs, labels, k = conditioned_probs(seed)
+        rng, probs, labels, _ = conditioned_probs(seed)
         perm = rng.permutation(labels.size)
-        base = is_family(probs, labels, k, weighting)
-        moved = is_family(probs[perm], labels[perm], k, weighting)
+        base = is_family(probs, labels, weighting)
+        moved = is_family(probs[perm], labels[perm], weighting)
         assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
         overall, per = accuracy(probs, labels)
         moved_overall, moved_per = accuracy(probs[perm], labels[perm])
@@ -416,8 +423,8 @@ class TestInceptionMetamorphic:
         relabelled = sigma[labels]
         moved = np.empty_like(probs)
         moved[:, sigma] = probs
-        base_is = per_class_is(probs, labels, class_count=k)
-        new_is = per_class_is(moved, relabelled, class_count=k)
+        base_is = per_class_is(probs, labels)
+        new_is = per_class_is(moved, relabelled)
         assert np.allclose(new_is[sigma], base_is, rtol=1e-12, atol=0.0)
         _, base_acc = accuracy(probs, labels)
         _, new_acc = accuracy(moved, relabelled)
@@ -429,8 +436,8 @@ class TestInceptionMetamorphic:
         # relabelling both sides keeps every class's rows, in order: exact
         rng, (x, y, g, gy), k = labelled_pair(seed)
         sigma = rng.permutation(k)
-        _, base = wcfid(x, y, g, gy, k)
-        _, moved = wcfid(x, sigma[y], g, sigma[gy], k)
+        _, base = wcfid(x, y, g, gy)
+        _, moved = wcfid(x, sigma[y], g, sigma[gy])
         assert np.array_equal(moved[sigma], base)
 
 
@@ -463,9 +470,9 @@ def labelled_pair(seed):
     return rng, sides, k
 
 
-def fid_family(x, y, g, gy, k):
-    total, per = wcfid(x, y, g, gy, k)
-    return np.concatenate([[fid(x, g), bcfid(x, y, g, gy, k), total], per])
+def fid_family(x, y, g, gy):
+    total, per = wcfid(x, y, g, gy)
+    return np.concatenate([[fid(x, g), bcfid(x, y, g, gy), total], per])
 
 
 def second_moment(*sides):
@@ -480,19 +487,19 @@ class TestFrechetMetamorphic:
     @given(st.integers(0, 10_000), st.floats(0.01, 100.0))
     @settings(max_examples=60, deadline=None)
     def test_scaling_multiplies_by_square(self, seed, c):
-        _, (x, y, g, gy), k = labelled_pair(seed)
-        base = fid_family(x, y, g, gy, k)
-        scaled = fid_family(c * x, y, c * g, gy, k)
+        _, (x, y, g, gy), _ = labelled_pair(seed)
+        base = fid_family(x, y, g, gy)
+        scaled = fid_family(c * x, y, c * g, gy)
         atol = 1e-12 * c * c * second_moment(x, g)
         assert np.allclose(scaled, c * c * base, rtol=1e-10, atol=atol)
 
     @given(st.integers(0, 10_000), st.floats(-1e3, 1e3))
     @settings(max_examples=60, deadline=None)
     def test_translation_invariance(self, seed, offset):
-        rng, (x, y, g, gy), k = labelled_pair(seed)
+        rng, (x, y, g, gy), _ = labelled_pair(seed)
         t = offset * rng.uniform(-1.0, 1.0, x.shape[1])
-        base = fid_family(x, y, g, gy, k)
-        moved = fid_family(x + t, y, g + t, gy, k)
+        base = fid_family(x, y, g, gy)
+        moved = fid_family(x + t, y, g + t, gy)
         # centring at |t| leaves errors of about eps * |t| per entry
         atol = 1e-12 * (second_moment(x, g) + float(t @ t))
         assert np.allclose(moved, base, rtol=1e-10, atol=atol)
@@ -500,12 +507,12 @@ class TestFrechetMetamorphic:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_row_permutation_within_a_side(self, seed):
-        rng, (x, y, g, gy), k = labelled_pair(seed)
+        rng, (x, y, g, gy), _ = labelled_pair(seed)
         pr, pg = rng.permutation(y.size), rng.permutation(gy.size)
-        base = fid_family(x, y, g, gy, k)
-        assert np.allclose(fid_family(x[pr], y[pr], g, gy, k), base,
+        base = fid_family(x, y, g, gy)
+        assert np.allclose(fid_family(x[pr], y[pr], g, gy), base,
                            rtol=1e-10, atol=1e-12 * second_moment(x, g))
-        assert np.allclose(fid_family(x, y, g[pg], gy[pg], k), base,
+        assert np.allclose(fid_family(x, y, g[pg], gy[pg]), base,
                            rtol=1e-10, atol=1e-12 * second_moment(x, g))
 
     def test_fid_memory_is_bounded_by_the_inputs(self):
@@ -528,11 +535,11 @@ class TestConditionalFID:
             [[0.0, 0.0], [3.0, 0.0]], [np.eye(2), np.diag([1.0, 2.0])],
             [40, 60], seed=5)
         x, y = gen_mixture(spec)
-        assert bcfid(x, y, x, y, 2) <= 1e-9
-        total, per = wcfid(x, y, x, y, 2)
+        assert bcfid(x, y, x, y) <= 1e-9
+        total, per = wcfid(x, y, x, y)
         assert total <= 1e-9
         assert np.all(per <= 1e-9)
-        assert cfid_sum(x, y, x, y, 2) <= 2e-9
+        assert cfid_sum(x, y, x, y) <= 2e-9
 
     def test_bcfid_label_swap_invariance(self):
         rng = rng_for(6)
@@ -540,14 +547,14 @@ class TestConditionalFID:
         y = np.repeat([0, 1], 40)
         g = rng.standard_normal((80, 3)) + 0.5
         swapped = 1 - y
-        assert bcfid(x, y, g, y, 2) == pytest.approx(
-            bcfid(x, swapped, g, y, 2), abs=1e-12)
+        assert bcfid(x, y, g, y) == pytest.approx(
+            bcfid(x, swapped, g, y), abs=1e-12)
 
     def test_small_class_rejected_by_name(self):
         x = np.arange(10, dtype=float).reshape(5, 2)
         y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(InvalidInputError, match="class 1"):
-            wcfid(x, y, x, y, 2)
+            wcfid(x, y, x, y)
 
     def test_uniform_weighting_is_simple_average(self):
         spec_r = MixtureSpec(
@@ -556,9 +563,9 @@ class TestConditionalFID:
             [[0.5, 0.0], [4.0, 1.0]], [np.eye(2), np.eye(2)], [30, 90], seed=9)
         rx, ry = gen_mixture(spec_r)
         gx, gy = gen_mixture(spec_g)
-        total, per = wcfid(rx, ry, gx, gy, 2, weighting="uniform")
+        total, per = wcfid(rx, ry, gx, gy, weighting="uniform")
         assert total == pytest.approx(float(per.mean()), abs=1e-12)
-        weighted, per_w = wcfid(rx, ry, gx, gy, 2, weighting="empirical")
+        weighted, per_w = wcfid(rx, ry, gx, gy, weighting="empirical")
         assert weighted == pytest.approx(float(np.array([0.25, 0.75]) @ per_w), abs=1e-12)
 
     def test_matched_moment_population_sum(self):
@@ -579,8 +586,8 @@ class TestConditionalFID:
         y = np.repeat([0, 1], 30)
         # generated classes are swapped relative to real ones
         g = np.concatenate([base[30:] + 5.0, base[:30]])
-        identity_total, _ = wcfid(x, y, g, y, 2)
-        swapped_total, _ = wcfid(x, y, g, y, 2, pairing=np.array([1, 0]))
+        identity_total, _ = wcfid(x, y, g, y)
+        swapped_total, _ = wcfid(x, y, g, y, pairing=np.array([1, 0]))
         assert swapped_total <= 1e-9
         assert identity_total > 1.0
 
@@ -595,26 +602,26 @@ class TestConditionalFID:
         x = rng.standard_normal((y.size, d)) + y[:, None]
         g = 1.2 * rng.standard_normal((gy.size, d)) + 0.5
         perm = np.array([2, 0, 3, 1])
-        real = class_conditional_stats(x, y, k, weighting=weighting)
-        gen = class_conditional_stats(g, gy, k, weighting=weighting)
-        total, per = wcfid(x, y, g, gy, k, pairing=perm, weighting=weighting)
+        real = class_conditional_stats(x, y, weighting=weighting)
+        gen = class_conditional_stats(g, gy, weighting=weighting)
+        total, per = wcfid(x, y, g, gy, pairing=perm, weighting=weighting)
         ref_total, ref_per = wcfid_from_stats(real, gen, perm)
         assert total == ref_total
         assert np.array_equal(per, ref_per)
-        between = bcfid(x, y, g, gy, k, weighting=weighting)
+        between = bcfid(x, y, g, gy, weighting=weighting)
         assert between == bcfid_from_stats(real, gen)
-        assert cfid_sum(x, y, g, gy, k, pairing=perm, weighting=weighting) == between + total
+        assert cfid_sum(x, y, g, gy, pairing=perm, weighting=weighting) == between + total
 
     def test_bcfid_takes_single_row_classes_and_wcfid_does_not(self):
         rng = rng_for(17)
         y = np.array([0, 1, 1, 1])
         x = rng.standard_normal((4, 2))
         g = rng.standard_normal((4, 2)) + 1.0
-        assert bcfid(x, y, g, y, 2) == bcfid_from_stats(
-            class_conditional_stats(x, y, 2), class_conditional_stats(g, y, 2))
+        assert bcfid(x, y, g, y) == bcfid_from_stats(
+            class_conditional_stats(x, y), class_conditional_stats(g, y))
         with pytest.raises(InvalidInputError,
                            match=r"class 0 has 1 sample\(s\), needs >= 2 on the real side"):
-            wcfid(x, y, g, y, 2)
+            wcfid(x, y, g, y)
 
     def test_bcfid_takes_class_means_alone(self, monkeypatch):
         # no class's Gaussian is estimated, and the value is still the stats
@@ -625,8 +632,8 @@ class TestConditionalFID:
         gy = np.repeat(np.arange(k), [3, 3, 1, 8, 5])
         x = rng.standard_normal((y.size, d)) + y[:, None]
         g = 1.3 * rng.standard_normal((gy.size, d))
-        want = {w: bcfid_from_stats(class_conditional_stats(x, y, k, weighting=w),
-                                    class_conditional_stats(g, gy, k, weighting=w))
+        want = {w: bcfid_from_stats(class_conditional_stats(x, y, weighting=w),
+                                    class_conditional_stats(g, gy, weighting=w))
                 for w in WEIGHTINGS}
 
         def forbidden(*_args, **_kwargs):
@@ -635,7 +642,7 @@ class TestConditionalFID:
         monkeypatch.setattr(metrics, "_estimate_gaussian", forbidden)
         monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
         for w in WEIGHTINGS:
-            assert bcfid(x, y, g, gy, k, weighting=w) == want[w]
+            assert bcfid(x, y, g, gy, weighting=w) == want[w]
 
     def test_wcfid_and_cfid_sum_estimate_no_pooled_gaussian(self, monkeypatch):
         # the pooled Gaussians are fid's alone; the per-class scores equal the
@@ -652,10 +659,10 @@ class TestConditionalFID:
             raise AssertionError("a pooled estimate")
 
         monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
-        total, per = wcfid(x, y, g, gy, k)
+        total, per = wcfid(x, y, g, gy)
         assert total == rep.wcfid
         assert np.array_equal(per, rep.per_class_fid)
-        assert cfid_sum(x, y, g, gy, k) == rep.cfid_sum
+        assert cfid_sum(x, y, g, gy) == rep.cfid_sum
         with pytest.raises(AssertionError, match="a pooled estimate"):
             fid(x, g)
 
@@ -666,7 +673,7 @@ class TestClassConditionalStats:
         x = rng.standard_normal((120, 3))
         y = rng.integers(0, 3, 120).astype(np.int64)
         y[:3] = [0, 1, 2]
-        stats = class_conditional_stats(x, y, 3)
+        stats = class_conditional_stats(x, y)
         means = np.stack([s.mean for s in stats.per_class])
         assert np.allclose(stats.between.mean, stats.priors @ means, atol=1e-9)
 
@@ -675,7 +682,7 @@ class TestClassConditionalStats:
         x = rng.standard_normal((200, 4)) * rng.uniform(0.5, 2.0, 4)
         y = rng.integers(0, 4, 200).astype(np.int64)
         y[:4] = np.arange(4)
-        stats = class_conditional_stats(x, y, 4)
+        stats = class_conditional_stats(x, y)
         pooled = pooled_gaussian(stats)
         direct = estimate_gaussian(x)
         assert np.all(np.abs(pooled.cov - direct.cov) < 1e-8)
@@ -695,7 +702,7 @@ class TestClassConditionalStats:
                 return gen_mixture(MixtureSpec(means, covs, counts, seed=s))
             rx, ry = draw(2 * seed)
             gx, gy = draw(2 * seed + 1)
-            total = cfid_sum(rx, ry, gx, gy, k)
+            total = cfid_sum(rx, ry, gx, gy)
             assert fid(rx, gx) <= total + 1e-6
 
     @pytest.mark.parametrize("covs, priors, shapes", [
@@ -714,10 +721,10 @@ class TestClassConditionalStats:
 @pytest.mark.parametrize("call", [
     lambda p, y, x, g: bcis(p, y, "bogus"),
     lambda p, y, x, g: wcis(p, y, "bogus"),
-    lambda p, y, x, g: bcfid(x, y, g, y, 3, weighting="bogus"),
-    lambda p, y, x, g: wcfid(x, y, g, y, 3, weighting="bogus"),
-    lambda p, y, x, g: cfid_sum(x, y, g, y, 3, weighting="bogus"),
-    lambda p, y, x, g: class_conditional_stats(x, y, 3, weighting="bogus"),
+    lambda p, y, x, g: bcfid(x, y, g, y, weighting="bogus"),
+    lambda p, y, x, g: wcfid(x, y, g, y, weighting="bogus"),
+    lambda p, y, x, g: cfid_sum(x, y, g, y, weighting="bogus"),
+    lambda p, y, x, g: class_conditional_stats(x, y, weighting="bogus"),
 ], ids=["bcis", "wcis", "bcfid", "wcfid", "cfid_sum", "class_conditional_stats"])
 def test_unknown_weighting_fails_before_any_row_pass_or_estimate(call, monkeypatch):
     probs, labels, _ = random_instance(14, k=3, n=60, balanced=True)
@@ -746,10 +753,10 @@ class TestSubsampledSuite:
 
     def test_full_subset_single_trial_equals_scaled_full(self):
         rx, ry, gx, gy = self._instance()
-        rep = subsampled_fid_suite(rx, ry, gx, gy, subset_size=4, trials=1, seed=0, k=3)
+        rep = subsampled_fid_suite(rx, ry, gx, gy, subset_size=4, trials=1, seed=0)
         full_fid = fid(rx, gx)
-        full_bcfid = bcfid(rx, ry, gx, gy, 3)
-        full_wcfid, full_per = wcfid(rx, ry, gx, gy, 3)
+        full_bcfid = bcfid(rx, ry, gx, gy)
+        full_wcfid, full_per = wcfid(rx, ry, gx, gy)
         assert abs(rep.fid - full_fid / 4) <= 1e-10
         assert abs(rep.bcfid - full_bcfid / 4) <= 1e-10
         assert abs(rep.wcfid - full_wcfid / 4) <= 1e-10
@@ -759,15 +766,15 @@ class TestSubsampledSuite:
 
     def test_identical_inputs_zero(self):
         rx, ry, _, _ = self._instance()
-        rep = subsampled_fid_suite(rx, ry, rx, ry, subset_size=2, trials=5, seed=3, k=3)
+        rep = subsampled_fid_suite(rx, ry, rx, ry, subset_size=2, trials=5, seed=3)
         assert rep.fid <= 1e-9
         assert rep.bcfid <= 1e-9
         assert rep.wcfid <= 1e-9
 
     def test_fixed_seed_bit_identical(self):
         rx, ry, gx, gy = self._instance()
-        a = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5, k=3)
-        b = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5, k=3)
+        a = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5)
+        b = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5)
         assert a.fid == b.fid
         assert a.bcfid == b.bcfid
         assert a.wcfid == b.wcfid
@@ -776,7 +783,7 @@ class TestSubsampledSuite:
     def test_oversized_subset_rejected(self):
         rx, ry, gx, gy = self._instance()
         with pytest.raises(InvalidInputError):
-            subsampled_fid_suite(rx, ry, gx, gy, subset_size=5, trials=1, seed=0, k=3)
+            subsampled_fid_suite(rx, ry, gx, gy, subset_size=5, trials=1, seed=0)
 
 
 def array_holders():
@@ -786,7 +793,7 @@ def array_holders():
     y = np.arange(12) % 3
     makers = [
         lambda: GaussianStats(np.zeros(2), np.eye(2), 4),
-        lambda: class_conditional_stats(x, y, 3),
+        lambda: class_conditional_stats(x, y),
         lambda: ClassAssignment(np.array([1, 0, 2]), 2.5),
         lambda: MixtureSpec(np.zeros((2, 2)), [np.ones(2)] * 2, [3, 3], seed=1),
         lambda: build_report(real_features=x, real_labels=y, gen_features=x + 0.1,

@@ -201,7 +201,7 @@ class TestModeCollapse:
         assert (2.0 / 3.0) ** 10 < 0.02
 
         y = np.repeat(np.arange(2), 1000)
-        steps = mode_collapse_indices(y, 2, schedule, seed=3)
+        steps = mode_collapse_indices(y, schedule, seed=3)
         class0 = np.flatnonzero(y == 0)
         # the final emitted class-0 draw comes from a pool of sizes[-1] rows
         final = steps[-1][:100]
@@ -222,7 +222,7 @@ class TestModeCollapse:
         # in ascending row order, as np.flatnonzero(labels == c) lists it
         y = rng_for(15).permutation(np.repeat(np.arange(3), [4, 5, 6]))
         schedule = CollapseSchedule(steps=1, per_class_sample=7)
-        (step,) = mode_collapse_indices(y, 3, schedule, seed=16)
+        (step,) = mode_collapse_indices(y, schedule, seed=16)
         rng = rng_for(16, 0)
         expected = [rng.choice(np.flatnonzero(y == c), size=7, replace=True) for c in range(3)]
         assert np.array_equal(step, np.concatenate(expected))
@@ -230,21 +230,15 @@ class TestModeCollapse:
     def test_empty_class_and_length_mismatch_rejected(self):
         y = np.array([0, 0, 2, 2])
         with pytest.raises(InvalidInputError, match="class 1 has no samples"):
-            mode_collapse_indices(y, 3, CollapseSchedule(collapsed_classes=(2,)), seed=0)
+            mode_collapse_indices(y, CollapseSchedule(collapsed_classes=(2,)), seed=0)
         with pytest.raises(InvalidInputError, match="label count 4 does not match row count 3"):
             mode_collapse_run(np.zeros((3, 2)), y, CollapseSchedule(), seed=0)
-
-    def test_labels_beyond_the_class_count_rejected(self):
-        # rows of classes >= k would otherwise drop out of every step
-        y = np.repeat(np.arange(10), 4)
-        with pytest.raises(InvalidInputError, match=r"^labels must lie in \[0, 5\), got values up to 9$"):
-            mode_collapse_indices(y, 5, CollapseSchedule(steps=2), seed=0)
 
     def test_missing_collapsed_class_rejected(self):
         y = np.repeat(np.arange(2), 10)
         schedule = CollapseSchedule(collapsed_classes=(5,))
         with pytest.raises(InvalidInputError):
-            mode_collapse_indices(y, 2, schedule, seed=0)
+            mode_collapse_indices(y, schedule, seed=0)
 
     @pytest.mark.parametrize("classes", [(0, 0), (1, 0, 1), (-1,), (0, -2)],
                              ids=["repeated", "repeated-later", "negative", "negative-later"])

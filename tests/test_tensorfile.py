@@ -32,7 +32,7 @@ class TestRoundTrip:
         path = tmp_path / "labels.cfm"
         labels = np.array([0, 3, 1, 2], dtype=np.int64)
         save_tensor(path, labels)
-        loaded = load_labels(path, k=4)
+        loaded = load_labels(path)
         assert np.array_equal(loaded, labels)
         assert loaded.dtype == np.int64
 
@@ -176,17 +176,16 @@ class TestErrors:
             load_labels(path)
         assert err.value.code == "bad-value"
 
-    @pytest.mark.parametrize("labels, k, code, text", [
-        (np.array([0, -1, 1]), None, "bad-value", "non-negative"),
-        (np.array([0, 3, 1]), 3, "bad-value", "[0, 3)"),
-        (np.zeros(0, dtype=np.int64), None, "bad-value", "empty"),
-        (np.array([[0, 1], [1, 0]]), None, "bad-rank", "1-D"),
-    ], ids=["negative", "out-of-range", "empty", "two-columns"])
-    def test_label_checks_map_to_codes(self, tmp_path, labels, k, code, text):
+    @pytest.mark.parametrize("labels, code, text", [
+        (np.array([0, -1, 1]), "bad-value", "non-negative"),
+        (np.zeros(0, dtype=np.int64), "bad-value", "empty"),
+        (np.array([[0, 1], [1, 0]]), "bad-rank", "1-D"),
+    ], ids=["negative", "empty", "two-columns"])
+    def test_label_checks_map_to_codes(self, tmp_path, labels, code, text):
         path = tmp_path / "l.cfm"
         save_tensor(path, labels)
         with pytest.raises(TensorFileError) as err:
-            load_labels(path, k=k)
+            load_labels(path)
         assert err.value.code == code
         assert text in str(err.value) and str(path) in str(err.value)
 
@@ -226,7 +225,7 @@ class TestCSV:
     def test_labels_single_column(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("2\n0\n1\n")
-        assert np.array_equal(load_labels(path, k=3), [2, 0, 1])
+        assert np.array_equal(load_labels(path), [2, 0, 1])
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "r.csv"

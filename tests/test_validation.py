@@ -46,7 +46,6 @@ from condmetrics import (
 from condmetrics.metrics import _as_int, as_label_vector
 from condmetrics.synth import rng_for
 
-K = 2
 LABELS = np.array([0, 1, 0, 1, 0, 1])
 FEATURES = rng_for(1).normal(0.0, 1.0, (6, 2))
 GEN_FEATURES = FEATURES + 0.5
@@ -68,11 +67,11 @@ CALLS = {
     "accuracy": (accuracy, dict(probs=PROBS, labels=LABELS), ["probs", "labels"]),
     "fid": (fid, dict(real_features=FEATURES, gen_features=GEN_FEATURES),
             ["real_features", "gen_features"]),
-    "bcfid": (bcfid, feature_args(k=K),
+    "bcfid": (bcfid, feature_args(),
               ["real_features", "real_labels", "gen_features", "gen_labels"]),
-    "wcfid": (wcfid, feature_args(k=K),
+    "wcfid": (wcfid, feature_args(),
               ["real_features", "real_labels", "gen_features", "gen_labels"]),
-    "cfid_sum": (cfid_sum, feature_args(k=K),
+    "cfid_sum": (cfid_sum, feature_args(),
                  ["real_features", "real_labels", "gen_features", "gen_labels"]),
     "build_report": (build_report, feature_args(probs=PROBS),
                      ["real_features", "real_labels", "gen_features", "gen_labels", "probs"]),
@@ -90,7 +89,7 @@ CALLS = {
                       ["mean", "cov"]),
     "sqrtm_psd": (sqrtm_psd, dict(m=[[2.0, 0.5], [0.5, 1.0]]), ["m"]),
     "class_conditional_stats": (class_conditional_stats,
-                                dict(features=FEATURES, labels=LABELS, k=K),
+                                dict(features=FEATURES, labels=LABELS),
                                 ["features", "labels"]),
     "class_conditional_from_moments": (
         class_conditional_from_moments,
@@ -116,7 +115,7 @@ CALLS = {
     "dirichlet_rows": (dirichlet_rows, dict(alpha=[1.0, 2.0], n=3, seed=0), ["alpha"]),
     "label_noise": (label_noise, dict(labels=LABELS, p=0.5, seed=0), ["labels"]),
     "mode_collapse_indices": (mode_collapse_indices,
-                              dict(labels=LABELS, k=K, schedule=SCHEDULE, seed=0), ["labels"]),
+                              dict(labels=LABELS, schedule=SCHEDULE, seed=0), ["labels"]),
 }
 
 
@@ -167,12 +166,12 @@ def test_malformed_array_is_invalid_input(name, arg, bad):
 
 
 def _stats_pair():
-    return (class_conditional_stats(FEATURES, LABELS, K),
-            class_conditional_stats(GEN_FEATURES, LABELS, K))
+    return (class_conditional_stats(FEATURES, LABELS),
+            class_conditional_stats(GEN_FEATURES, LABELS))
 
 
 PAIRING_CALLS = {
-    "wcfid": lambda pairing: wcfid(**feature_args(k=K), pairing=pairing),
+    "wcfid": lambda pairing: wcfid(**feature_args(), pairing=pairing),
     "wcfid_from_stats": lambda pairing: wcfid_from_stats(*_stats_pair(), pairing),
     "ClassAssignment": lambda pairing: ClassAssignment(mapping=pairing, score=0.0),
 }
@@ -203,8 +202,7 @@ def test_integral_float_beyond_int64_is_not_a_label(labels):
     (lambda: _as_int(np.uint64(2**63), "n"), 2**63),
     (lambda: as_label_vector(np.array([2**64 - 1, 0], dtype=np.uint64), 3), 2**64 - 1),
     (lambda: label_noise(np.array([2**63, 1], dtype=np.uint64), 0.0, 0), 2**63),
-    (lambda: per_class_is(PROBS, LABELS, class_count=np.uint64(2**64 - 1)), 2**64 - 1),
-], ids=["_as_int-2^64-1", "_as_int-2^63", "as_label_vector", "label_noise", "class_count"])
+], ids=["_as_int-2^64-1", "_as_int-2^63", "as_label_vector", "label_noise"])
 def test_unsigned_value_beyond_int64_is_named_not_wrapped(call, value):
     # an int64 cast would read these as negative numbers
     with pytest.raises(InvalidInputError, match=rf" must be below 2\^63, got {value}$"):
@@ -250,7 +248,7 @@ def test_seed_and_subsampling_counts_follow_the_integer_rule(options, message):
     lambda: label_noise(LABELS, 0.5, seed=-1),
     lambda: dirichlet_rows([1.0, 2.0], 3, seed=-3),
     lambda: gen_rings([1.0], 0.1, 3, seed=2.5),
-    lambda: mode_collapse_indices(LABELS, K, SCHEDULE, seed=-2),
+    lambda: mode_collapse_indices(LABELS, SCHEDULE, seed=-2),
     lambda: sweep_label_noise(**feature_args(), grid=[0.5], seed=-2),
 ], ids=["rng_for-negative", "rng_for-2^63", "rng_for-fraction", "rng_for-text",
         "label_noise", "dirichlet_rows", "gen_rings", "mode_collapse_indices",
@@ -283,18 +281,14 @@ def test_scalar_fraction_is_one_finite_number(call, message):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: class_conditional_stats(FEATURES, LABELS, k="2"),
-    lambda: bcfid(**feature_args(k=2.5)),
-    lambda: per_class_is(PROBS, LABELS, class_count="2"),
-    lambda: mode_collapse_indices(LABELS, "2", SCHEDULE, seed=0),
     lambda: gen_rings([1.0, 3.0], 0.1, n_per_class="3", seed=0),
     lambda: dirichlet_rows([1.0, 2.0], n=2.5, seed=0),
     lambda: dirichlet_rows([1.0, 2.0], n=[3], seed=0),
     lambda: CollapseSchedule(collapsed_classes=("a",)),
     lambda: CollapseSchedule(steps="2"),
     lambda: ClassAssignment(mapping=None, score=0.0),
-], ids=["k-text", "k-fraction", "class_count-text", "mode-collapse-k-text", "n_per_class-text",
-        "n-fraction", "n-vector", "collapsed-classes-text", "steps-text", "mapping-none"])
+], ids=["n_per_class-text", "n-fraction", "n-vector", "collapsed-classes-text", "steps-text",
+        "mapping-none"])
 def test_non_integer_count_or_index_is_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
