@@ -1,8 +1,9 @@
 """Command-line interface: metrics, sweep, match, and synth subcommands.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure (a non-PSD
-explicitly supplied covariance; feature inputs never raise it),
-4 configuration error.
+Exit codes: 0 success, 2 invalid input or a usage error (a flag the command
+or synth generator does not define, or a required flag left out: argparse
+prints the usage), 3 numerical failure (a non-PSD explicitly supplied
+covariance; feature inputs never raise it), 4 configuration error.
 """
 
 from __future__ import annotations
@@ -125,8 +126,6 @@ def cmd_sweep(args) -> int:
 def cmd_match(args) -> int:
     probs_path = _existing(args.probs, "--probs")
     labels_path = _existing(args.gen_labels, "--gen-labels")
-    if probs_path is None or labels_path is None:
-        raise ConfigError("match needs --probs and --gen-labels")
     averages = average_class_probabilities(
         open_probabilities(probs_path), load_labels(labels_path))
     assignment = hungarian_max(averages)
@@ -141,18 +140,7 @@ def _parse_list(raw: str, flag: str, cast=float) -> list:
         raise ConfigError(f"unparseable {flag} value: {raw!r}") from None
 
 
-# beside --seed and --out-dir, the flags each generator reads; synth sets only those given
-_SYNTH_READS = {"mixture": ("spec",), "rings": ("radii", "radial_sigma", "n_per_class"),
-                "matched-moments": ("n_per_class",), "dirichlet": ("alpha", "n_per_class"),
-                "tightness": ("sigma_real", "sigma_gen", "n_per_class")}
-
-
 def cmd_synth(args) -> int:
-    unread = [name for name in vars(args) if name not in (
-        "command", "fn", "generator", "seed", "out_dir", *_SYNTH_READS[args.generator])]
-    if unread:
-        raise ConfigError(f"synth {args.generator} does not read option {_flag(unread[0])}")
-    n_per_class = getattr(args, "n_per_class", 1000)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,36 +152,31 @@ def cmd_synth(args) -> int:
             save_tensor(out_dir / f"{name}.cfm", arr)
 
     if args.generator == "mixture":
-        spec_path = _existing(getattr(args, "spec", None), "--spec")
-        if spec_path is None:
-            raise ConfigError("synth mixture needs --spec")
+        spec_path = _existing(args.spec, "--spec")
         try:
             raw = json.loads(spec_path.read_text())
-            spec = MixtureSpec(raw["means"], raw["covs"], raw["counts"], seed=args.seed)
+            means, covs, counts = raw["means"], raw["covs"], raw["counts"]
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad mixture spec {spec_path}: {exc}") from None
-        features, labels = gen_mixture(spec)
+        features, labels = gen_mixture(MixtureSpec(means, covs, counts, seed=args.seed))
         emit(features=features, labels=labels)
     elif args.generator == "rings":
         features, labels = gen_rings(
-            _parse_list(getattr(args, "radii", "1,3"), "--radii"),
-            getattr(args, "radial_sigma", 0.1), n_per_class, args.seed)
+            _parse_list(args.radii, "--radii"), args.radial_sigma, args.n_per_class, args.seed)
         emit(features=features, labels=labels)
     elif args.generator == "matched-moments":
-        pair = gen_matched_moments(args.seed, n_per_class)
+        pair = gen_matched_moments(args.seed, args.n_per_class)
         emit(a_features=pair.real_features, a_labels=pair.real_labels,
              b_features=pair.gen_features, b_labels=pair.gen_labels)
     elif args.generator == "tightness":
         pair = gen_tightness_case(
-            _parse_list(getattr(args, "sigma_real", "1,2"), "--sigma-real"),
-            _parse_list(getattr(args, "sigma_gen", "2,1"), "--sigma-gen"),
-            n_per_class, args.seed)
+            _parse_list(args.sigma_real, "--sigma-real"),
+            _parse_list(args.sigma_gen, "--sigma-gen"), args.n_per_class, args.seed)
         emit(real_features=pair.real_features, real_labels=pair.real_labels,
              gen_features=pair.gen_features, gen_labels=pair.gen_labels)
     else:  # dirichlet
-        probs = dirichlet_rows(
-            _parse_list(getattr(args, "alpha", "1,1"), "--alpha"), n_per_class, args.seed)
-        emit(probs=probs)
+        emit(probs=dirichlet_rows(
+            _parse_list(args.alpha, "--alpha"), args.n_per_class, args.seed))
     return 0
 
 
@@ -219,26 +202,33 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(fn=cmd_sweep)
 
     match = subs.add_parser("match", help="align discovered classes to real classes")
-    match.add_argument("--probs")
-    match.add_argument("--gen-labels")
+    match.add_argument("--probs", required=True)
+    match.add_argument("--gen-labels", required=True)
     match.add_argument("--out")
     match.set_defaults(fn=cmd_match)
 
-    synth = subs.add_parser("synth", help="emit synthetic harness datasets",
-                            argument_default=argparse.SUPPRESS)
-    synth.add_argument("generator",
-                       choices=["mixture", "rings", "matched-moments", "tightness",
-                                "dirichlet"])
-    synth.add_argument("--spec", help="JSON mixture spec (means, covs, counts)")
-    synth.add_argument("--radii")
-    synth.add_argument("--radial-sigma", type=float)
-    synth.add_argument("--sigma-real")
-    synth.add_argument("--sigma-gen")
-    synth.add_argument("--alpha")
-    synth.add_argument("--n-per-class", type=int)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--out-dir", required=True)
+    synth = subs.add_parser("synth", help="emit synthetic harness datasets")
     synth.set_defaults(fn=cmd_synth)
+    generators = synth.add_subparsers(dest="generator", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="default %(default)s")
+    seeded.add_argument("--out-dir", required=True, help="where the .cfm files go")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--n-per-class", type=int, default=1000, help="default %(default)s")
+    mixture = generators.add_parser("mixture", parents=[seeded], help="a Gaussian mixture")
+    mixture.add_argument("--spec", required=True, help="JSON mixture spec (means, covs, counts)")
+    rings = generators.add_parser("rings", parents=[seeded, sized], help="concentric 2-D rings")
+    rings.add_argument("--radii", default="1,3", help="one per class; default %(default)s")
+    rings.add_argument("--radial-sigma", type=float, default=0.1, help="default %(default)s")
+    generators.add_parser("matched-moments", parents=[seeded, sized],
+                          help="the matched-moment pair that fid cannot tell apart")
+    tightness = generators.add_parser("tightness", parents=[seeded, sized],
+                                      help="the pair where fid = bcfid + wcfid")
+    tightness.add_argument("--sigma-real", default="1,2", help="default %(default)s")
+    tightness.add_argument("--sigma-gen", default="2,1", help="default %(default)s")
+    dirichlet = generators.add_parser("dirichlet", parents=[seeded, sized],
+                                      help="Dirichlet probability rows")
+    dirichlet.add_argument("--alpha", default="1,1", help="one per column; default %(default)s")
 
     return parser
 

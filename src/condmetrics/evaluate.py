@@ -114,7 +114,7 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     trials = _as_int(trials, "trials")
     subset_size = None if subset_size is None else _as_int(subset_size, "subset_size")
     if pairing not in PAIRINGS:
-        raise ConfigError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
+        raise InvalidInputError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
     if weighting not in WEIGHTINGS:
         raise InvalidInputError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     if probs is None and real_features is None and gen_features is None:

@@ -69,7 +69,12 @@ class MixtureSpec:
         if means.ndim != 2:
             raise InvalidInputError(f"means must be a K x d matrix, got shape {means.shape}")
         k, d = means.shape
-        covs_in = [_as_finite(cov, f"covariance {c}")[0] for c, cov in enumerate(self.covs)]
+        try:
+            covs_in = list(self.covs)
+        except TypeError:
+            raise InvalidInputError("covs must be a sequence of covariances, one per class, "
+                                    f"got {type(self.covs).__name__}") from None
+        covs_in = [_as_finite(cov, f"covariance {c}")[0] for c, cov in enumerate(covs_in)]
         if len(covs_in) != k:
             raise InvalidInputError(f"expected {k} covariances, got {len(covs_in)}")
         covs = np.empty((k, d, d))
@@ -300,6 +305,9 @@ def mode_collapse_indices(labels, schedule: CollapseSchedule, seed: int) -> list
 
 
 def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, seed: int):
+    if not isinstance(schedule, CollapseSchedule):
+        raise InvalidInputError(
+            f"schedule must be a CollapseSchedule, got {type(schedule).__name__}")
     for c in schedule.collapsed_classes:
         if not 0 <= c < k:
             raise InvalidInputError(f"collapsed class {c} outside [0, {k})")

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,7 +212,7 @@ class TestExitCodes:
         assert rc == 2
         assert "probability row 7 sums to" in capsys.readouterr().err
 
-    def test_trials_without_subset_size_is_invalid_input(self, dataset, tmp_path, capsys):
+    def test_trials_without_subset_size_is_config_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(metrics_args(dataset, out, ["--trials", "7"])) == 4
         assert capsys.readouterr().err == "config error: option --trials needs --subset-size\n"
@@ -609,11 +610,15 @@ class TestCmdSweep:
 
 class TestCmdMatch:
     @pytest.mark.parametrize("given", ["probs", "gen_labels"])
-    def test_missing_input_is_config_error(self, dataset, tmp_path, capsys, given):
+    def test_missing_input_is_usage_error(self, dataset, tmp_path, capsys, given):
         out = tmp_path / "match.json"
-        assert main(["match", "--" + given.replace("_", "-"), str(dataset[given]),
-                     "--out", str(out)]) == 4
-        assert capsys.readouterr().err == "config error: match needs --probs and --gen-labels\n"
+        with pytest.raises(SystemExit) as exit_:
+            main(["match", "--" + given.replace("_", "-"), str(dataset[given]),
+                  "--out", str(out)])
+        assert exit_.value.code == 2
+        missing = "--gen-labels" if given == "probs" else "--probs"
+        assert f"error: the following arguments are required: {missing}\n" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_module_form_writes_the_output(self, dataset, tmp_path):
@@ -743,8 +748,13 @@ class TestCmdSynth:
                      "--out-dir", str(tmp_path / "mix")]) == 2
         assert "means must be a K x d matrix, got shape (2, 1, 2)" in capsys.readouterr().err
 
-    def test_mixture_without_spec_is_config_error(self, tmp_path):
-        assert main(["synth", "mixture", "--out-dir", str(tmp_path)]) == 4
+    def test_mixture_without_spec_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "mix"
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", "mixture", "--out-dir", str(out_dir)])
+        assert exit_.value.code == 2
+        assert "error: the following arguments are required: --spec\n" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_out_dir_naming_a_file_is_config_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -756,7 +766,8 @@ class TestCmdSynth:
     @pytest.mark.parametrize("text, detail", [
         ("{not json", "Expecting property name"),
         ('{"means": [[0, 0]], "covs": [[1, 1]]}', "'counts'"),
-    ], ids=["not-json", "missing-key"])
+        ("[[0, 0], [1, 1]]", "list indices must be integers"),
+    ], ids=["not-json", "missing-key", "not-an-object"])
     def test_unreadable_spec_is_config_error(self, tmp_path, capsys, text, detail):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -774,7 +785,9 @@ class TestCmdSynth:
          "means is ragged: its rows differ in length"),
         ({"means": [[0, 0], [4, 4]], "covs": [[1, float("nan")], [2, 1]], "counts": [20, 30]},
          "covariance 0 contains non-finite entries"),
-    ], ids=["non-numeric", "ragged", "nan"])
+        ({"means": [[0, 0], [4, 4]], "covs": 1.0, "counts": [20, 30]},
+         "covs must be a sequence of covariances, one per class, got float"),
+    ], ids=["non-numeric", "ragged", "nan", "scalar-covs"])
     def test_malformed_mixture_spec_is_invalid_input(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -798,15 +811,30 @@ class TestCmdSynth:
         ("rings", ["--alpha", "1,2", "--sigma-gen", "5,5"], "--alpha"),
         ("dirichlet", ["--radii", "9"], "--radii"),
         ("tightness", ["--radial-sigma", "0.5"], "--radial-sigma"),
-        ("mixture", ["--n-per-class", "10"], "--n-per-class"),
+        ("mixture", ["--spec", "absent.json", "--n-per-class", "10"], "--n-per-class"),
     ])
-    def test_flag_the_generator_does_not_read_is_config_error(
+    def test_flag_the_generator_does_not_define_is_usage_error(
             self, tmp_path, capsys, generator, flags, unread):
         out_dir = tmp_path / "dir"
-        assert main(["synth", generator, *flags, "--out-dir", str(out_dir)]) == 4
-        assert capsys.readouterr().err == \
-            f"config error: synth {generator} does not read option {unread}\n"
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", generator, *flags, "--out-dir", str(out_dir)])
+        assert exit_.value.code == 2
+        assert f"error: unrecognized arguments: {unread} " in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("generator, flags", [
+        ("mixture", ["--spec"]),
+        ("rings", ["--n-per-class", "--radii", "--radial-sigma"]),
+        ("matched-moments", ["--n-per-class"]),
+        ("tightness", ["--n-per-class", "--sigma-real", "--sigma-gen"]),
+        ("dirichlet", ["--n-per-class", "--alpha"]),
+    ])
+    def test_generator_help_lists_only_its_flags(self, capsys, generator, flags):
+        with pytest.raises(SystemExit) as exit_:
+            main(["synth", generator, "--help"])
+        assert exit_.value.code == 0
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert shown == {"--help", "--seed", "--out-dir", *flags}
 
     @pytest.mark.parametrize("generator, defaults", [
         ("rings", ["--radii", "1,3", "--radial-sigma", "0.1", "--n-per-class", "1000"]),

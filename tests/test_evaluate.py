@@ -252,7 +252,7 @@ class TestBuildReport:
             build_report()
 
     @pytest.mark.parametrize("trials", [0, 7])
-    def test_trials_without_subset_size_is_invalid_input(self, trials):
+    def test_trials_without_subset_size_is_config_error(self, trials):
         x, y = make_instance(seed=18)
         with pytest.raises(ConfigError, match="^option --trials needs --subset-size$"):
             build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,

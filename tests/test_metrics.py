@@ -739,6 +739,22 @@ def test_unknown_weighting_fails_before_any_row_pass_or_estimate(call, monkeypat
         call(probs, labels, x, x + 1.0)
 
 
+def test_unknown_pairing_fails_before_any_row_pass_or_estimate(monkeypatch):
+    # an unknown value of one argument is invalid input, as for weighting
+    probs, labels, _ = random_instance(16, k=3, n=60, balanced=True)
+    x = rng_for(17).standard_normal((60, 2))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("work was done before the pairing was checked")
+
+    monkeypatch.setattr(metrics, "_neg_entropy_rows", forbidden)
+    monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
+    with pytest.raises(InvalidInputError, match=r"^unknown pairing 'bogus', expected one of "
+                                                r"\('identity', 'hungarian'\)$"):
+        build_report(real_features=x, real_labels=labels, gen_features=x + 1.0,
+                     gen_labels=labels, probs=probs, pairing="bogus")
+
+
 class TestSubsampledSuite:
     def _instance(self):
         spec_r = MixtureSpec(

@@ -19,6 +19,7 @@ from condmetrics import (
     align_discovered,
     average_class_probabilities,
     bcfid,
+    bcfid_from_stats,
     bcis,
     build_report,
     cfid_sum,
@@ -33,6 +34,7 @@ from condmetrics import (
     inception_score,
     label_noise,
     mode_collapse_indices,
+    mode_collapse_run,
     per_class_is,
     sqrtm_psd,
     subsampled_fid_suite,
@@ -232,9 +234,10 @@ SEED_RULE = r"seed must be an integer in \[0, 2\^63\), got "
     (dict(subset_size=1, trials=2.5), "trials must be an integer, got 2.5"),
     (dict(subset_size=1, trials="2"), "trials has unsupported dtype"),
     (dict(subset_size=1, trials=True), "trials has unsupported dtype bool"),
+    (dict(subset_size=1, trials=0), "^trials must be >= 1, got 0$"),
 ], ids=["seed-negative", "seed-2^70", "seed-uint64-2^63", "seed-fraction", "seed-text",
         "seed-bool", "subset-fraction", "subset-text", "subset-bool", "trials-fraction",
-        "trials-text", "trials-bool"])
+        "trials-text", "trials-bool", "trials-zero"])
 def test_seed_and_subsampling_counts_follow_the_integer_rule(options, message):
     with pytest.raises(InvalidInputError, match=message):
         build_report(**feature_args(), **options)
@@ -292,3 +295,60 @@ def test_scalar_fraction_is_one_finite_number(call, message):
 def test_non_integer_count_or_index_is_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+THREE_CLASSES = np.array([0, 1, 2, 0, 1, 2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inception_score([0.5, 0.5]), r"probability matrix must be 2-D, got shape \(2,\)"),
+    (lambda: class_conditional_from_moments([[0.0], [1.0]], [[[1.0]], [[1.0]]], [0.5, 0.6]),
+     "priors must be non-negative and sum to 1"),
+    (lambda: wcfid(FEATURES, THREE_CLASSES, GEN_FEATURES, THREE_CLASSES, pairing=[0, 0, 1]),
+     r"pairing must be a permutation of \[0, 3\)"),
+    (lambda: bcfid_from_stats(class_conditional_stats(FEATURES, LABELS),
+                              class_conditional_stats(GEN_FEATURES, THREE_CLASSES)),
+     "class count mismatch: 2 vs 3"),
+    (lambda: wcfid_from_stats(class_conditional_stats(FEATURES, THREE_CLASSES),
+                              class_conditional_stats(GEN_FEATURES, LABELS)),
+     "class count mismatch: 3 vs 2"),
+    (lambda: fid(FEATURES[0], GEN_FEATURES), r"feature matrix must be 2-D, got shape \(2,\)"),
+    (lambda: GaussianStats(mean=[], cov=np.zeros((0, 0))), "mean vector must be non-empty"),
+    (lambda: MixtureSpec(means=[[0.0]], covs=1.0, counts=[2]),
+     "covs must be a sequence of covariances, one per class, got float"),
+    (lambda: MixtureSpec(means=[[0.0]], covs=None, counts=[2]),
+     "covs must be a sequence of covariances, one per class, got NoneType"),
+    (lambda: MixtureSpec(means=[[0.0], [1.0]], covs=[[1.0]], counts=[2, 2]),
+     "expected 2 covariances, got 1"),
+    (lambda: MixtureSpec(means=[[0.0, 0.0]], covs=[[1.0, 1.0, 1.0]], counts=[2]),
+     "diagonal covariance 0 has wrong length"),
+    (lambda: MixtureSpec(means=[[0.0, 0.0]], covs=[np.eye(3)], counts=[2]),
+     r"covariance 0 has shape \(3, 3\), expected \(2, 2\)"),
+    (lambda: tightness_population([1.0, 2.0, 3.0]),
+     r"sigma must be 2 non-negative real\(s\), got \[1.0, 2.0, 3.0\]"),
+    (lambda: gen_rings([1.0], 0.1, n_per_class=0, seed=0), "n_per_class must be >= 1"),
+    (lambda: gen_tightness_case([1.0, 2.0], [2.0, 1.0], n_per_class=1, seed=0),
+     "n_per_class must be >= 2"),
+    (lambda: CollapseSchedule(steps=0), "steps must be >= 1"),
+    (lambda: CollapseSchedule(per_class_sample=0), "per_class_sample must be >= 1"),
+    (lambda: dirichlet_rows([1.0, 2.0], n=0, seed=0), "n must be >= 1"),
+], ids=["probs-1-d", "priors-sum", "pairing-repeated", "bcfid-class-counts",
+        "wcfid-class-counts", "features-1-d", "mean-empty", "covs-scalar", "covs-none",
+        "covs-count", "covs-diagonal-length", "covs-shape", "sigma-count", "rings-n-zero",
+        "pair-n-one", "steps-zero", "per-class-sample-zero", "dirichlet-n-zero"])
+def test_argument_outside_its_domain_is_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda schedule: sweep_mode_collapse(**feature_args(), schedule=schedule),
+    lambda schedule: mode_collapse_indices(LABELS, schedule, 0),
+    lambda schedule: mode_collapse_run(FEATURES, LABELS, schedule, 0),
+], ids=["sweep_mode_collapse", "mode_collapse_indices", "mode_collapse_run"])
+@pytest.mark.parametrize("schedule, shown", [(None, "NoneType"), ({"steps": 2}, "dict")],
+                         ids=["none", "dict"])
+def test_schedule_that_is_not_a_collapse_schedule_is_invalid_input(call, schedule, shown):
+    with pytest.raises(InvalidInputError,
+                       match=f"^schedule must be a CollapseSchedule, got {shown}$"):
+        call(schedule)
