@@ -141,13 +141,12 @@ def _parse_list(raw: str, flag: str, cast=float) -> list:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
-
-    def emit(**arrays):
+    def emit(**arrays):  # the directory is made only once the generator has succeeded
+        out_dir = Path(args.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
         for name, arr in arrays.items():
             save_tensor(out_dir / f"{name}.cfm", arr)
 

@@ -3,32 +3,23 @@
 Each Gaussian is held as its mean and one row factor F (r x d, r <= d) with
 covariance F^T F, built once.  Estimates start from rows whose Gram matrix is
 the covariance (the centred samples over sqrt(N), or sqrt(pi_c) (mu_c - mu)
-for the Gaussian over class means).  Three regimes, by the row count N:
+for the Gaussian over class means).  Two regimes, by the row count N:
 
 * N <= d: the rows are the factor itself.
-* d < N < 4d: the factor is the d x d triangular R of the rows' QR.
-* N >= 4d (``GRAM_ROWS_PER_DIM``): the factor is diag(sqrt(w)) V^T from one
-  ``eigh`` of the d x d Gram matrix V diag(w) V^T, which a sample estimate
-  accumulates over centred blocks of ``_GRAM_BLOCK`` rows in one reused
-  buffer, so no centred N x d copy is made.  Eigenvalues below zero are
-  round-off and clamp to zero.
+* N > d: the factor is the d x d ``_gram_factor`` of the rows' Gram matrix,
+  which a sample estimate accumulates over centred blocks of ``_GRAM_BLOCK``
+  rows in one reused buffer, so no centred N x d copy is made.
 
-In every regime r is at most min(N, d), memory is O(min(N, d) * d) per
-Gaussian, and the covariance is PSD by construction.  The Fréchet cross-term
-reads only the singular values of Fa Fb^T, which a left rotation of either
-factor leaves unchanged, so the three factors give the same distance up to
-round-off.  The QR is worth running only where it makes the factor smaller,
-and the Gram matrix only where it is cheaper: it takes about N d^2 flops
-against the QR's 2 N d^2, plus one eigh of O(d^3), so it wins once N is a few
-times d.  Measured, that is from 4d at Inception-scale d >= 128; at d = 64
-only from 8d and at d = 32 not even at 16d, where either takes under a
-millisecond.  A plain N > d rule would put many small per-class estimates
-(say 50 rows at d = 32) on the slower path.
+So r is at most min(N, d), memory is O(min(N, d) * d) per Gaussian, and the
+covariance is PSD by construction.  The Fréchet cross-term reads only the
+singular values of Fa Fb^T, which a left rotation of either factor leaves
+unchanged, so any F with F^T F equal to the covariance gives the same distance
+up to round-off.
 
-An explicitly supplied covariance is factored by the Gram path's rule,
-``_factor``, whose floor check is the only place a non-PSD matrix raises
-NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
-array input of the package (tensor files aside) for numbers and finiteness.
+An explicitly supplied covariance is factored by ``_factor``, one ``eigh``
+whose floor check is the only place a non-PSD matrix raises NotPSDError (the
+CLI's exit code 3).  ``_as_finite`` coerces and checks every array input of
+the package (tensor files aside) for numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -47,10 +38,6 @@ from .errors import InvalidInputError, NotPSDError
 # Negative eigenvalues within -EIG_TOL * max(1, scale) are round-off and get
 # clamped to zero; anything lower is treated as genuinely non-PSD input.
 EIG_TOL = 1e-8
-
-# Estimates with at least this many rows per column take their factor from the
-# Gram matrix rather than a QR (see the module docstring).
-GRAM_ROWS_PER_DIM = 4
 
 # Rows per centred block of a sample estimate's Gram accumulation: large
 # enough that each block is one efficient BLAS call at any d.
@@ -118,15 +105,11 @@ class GaussianStats:
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
-        """Gaussian with covariance rows^T rows, for a fresh array of rows.  Up
-        to d rows are the factor itself; below ``GRAM_ROWS_PER_DIM * d`` the
-        factor is the d x d R of their QR, and from there ``_factor`` of
-        rows^T rows."""
+        """Gaussian with covariance rows^T rows, for a fresh array of rows: up
+        to d rows are the factor itself, more give ``_gram_factor(rows^T rows)``."""
         n, d = rows.shape
-        if n >= GRAM_ROWS_PER_DIM * d:
-            rows = _factor(rows.T @ rows, error=None)
-        elif n > d:
-            rows = np.linalg.qr(rows, mode="r")
+        if n > d:
+            rows = _gram_factor(rows.T @ rows)
         stats = cls.__new__(cls)
         stats.__dict__.update(mean=mean, factor=rows, count=count)
         return stats
@@ -148,10 +131,10 @@ def estimate_gaussian(features) -> GaussianStats:
 def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
     n, d = x.shape
     mean = x.mean(axis=0)
-    if n < GRAM_ROWS_PER_DIM * d:
+    if n <= d:
         rows = (x - mean) / np.sqrt(n)
     else:  # d rows, which _from_rows keeps: no centred n x d copy is made
-        rows = _factor(_centred_gram(x, mean) / n, error=None)
+        rows = _gram_factor(_centred_gram(x, mean) / n)
     return GaussianStats._from_rows(mean, rows, n)
 
 
@@ -189,19 +172,36 @@ def sqrtm_psd(m) -> np.ndarray:
 
 
 def _eigh_psd(a: np.ndarray, what: str = "matrix", error=NotPSDError):
-    """Clamped eigenvalues and eigenvectors of symmetric a; ``error`` (if any) below the floor."""
+    """Clamped eigenvalues and eigenvectors of symmetric a; ``error`` below the floor."""
     w, v = np.linalg.eigh(a)
-    floor = -EIG_TOL * max(1.0, float(np.abs(w).max())) if error else -np.inf
+    floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
     if float(w[0]) < floor:
         raise error(f"{what} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
     return np.clip(w, 0.0, None), v
 
 
 def _factor(a: np.ndarray, what: str = "matrix", error=NotPSDError) -> np.ndarray:
-    """The d x d factor diag(sqrt(w)) V^T of symmetric a = V diag(w) V^T, by
-    ``_eigh_psd``.  An estimate's Gram matrix passes ``error`` None: its
-    negative eigenvalues are round-off and never raise."""
+    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric matrix
+    a = V diag(w) V^T, by ``_eigh_psd``."""
     w, v = _eigh_psd(a, what, error)
+    return np.sqrt(w)[:, None] * v.T
+
+
+def _gram_factor(g: np.ndarray) -> np.ndarray:
+    """A d x d factor R with R^T R = g of an estimate's Gram matrix g: its
+    Cholesky factor, unless g is singular to round-off (Cholesky fails or a
+    pivot^2 is at most d eps max(diag g)).  Then it is diag(sqrt(w)) V^T of
+    g = V diag(w) V^T with every w at most d eps max(w) set to zero: kept,
+    those round-off eigenvalues would add sqrt(eps)-sized directions."""
+    tol = len(g) * np.finfo(np.float64).eps
+    try:
+        r = np.linalg.cholesky(g).T
+        if float(np.diagonal(r).min()) ** 2 > tol * float(np.diagonal(g).max()):
+            return r
+    except np.linalg.LinAlgError:
+        pass
+    w, v = np.linalg.eigh(g)
+    w[w <= tol * w[-1]] = 0.0
     return np.sqrt(w)[:, None] * v.T
 
 

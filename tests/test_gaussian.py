@@ -15,7 +15,7 @@ from condmetrics import (
     frechet_distance_raw,
     sqrtm_psd,
 )
-from condmetrics.gaussian import GRAM_ROWS_PER_DIM, as_feature_matrix
+from condmetrics.gaussian import as_feature_matrix
 from condmetrics.synth import rng_for
 
 
@@ -353,12 +353,38 @@ def trace(stats):
     return float(np.vdot(stats.factor, stats.factor))
 
 
-class TestGramFactor:
-    """Estimates of at least GRAM_ROWS_PER_DIM * d rows against their QR twins."""
+def power_law_sample(rng, n, d, power, constant):
+    # rows of a Gaussian whose covariance has eigenvalues i^-power along random
+    # directions, with two constant columns if asked
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    x = (rng.standard_normal((n, d)) * np.arange(1.0, d + 1) ** (-power / 2)) @ q.T
+    if constant:
+        x[:, 0], x[:, -1] = 3.0, -1.5
+    return x
 
-    # (9000, 4100, 8): both sides span several accumulation blocks
+
+def assert_matches_qr_twins(xa, xb):
+    a, b = estimate_gaussian(xa), estimate_gaussian(xb)
+    qa, qb = qr_estimate(xa), qr_estimate(xb)
+    d = xa.shape[1]
+    assert a.factor.shape == b.factor.shape == (d, d)
+    scale = 1e-12 * (trace(qa) + trace(qb))
+    want = frechet_distance_raw(qa, qb)
+    assert abs(frechet_distance_raw(a, b) - want) <= scale
+    assert abs(frechet_distance_raw(a, qb) - want) <= scale
+    assert abs(frechet_distance_raw(a, a)) <= 1e-12 * trace(a)
+    assert np.allclose(a.cov, qa.cov, rtol=0, atol=scale)
+
+
+class TestGramFactor:
+    """Estimates of more than d rows against their QR twins."""
+
+    # (50, 50, 32): a class of the classes benchmark; (128, 128, 64): the
+    # discovery sweep's class means; (9000, 4100, 8): both sides span several
+    # accumulation blocks
     @pytest.mark.parametrize("kind", ["plain", "constant", "duplicated", "offset", 1e8, 1e12])
-    @pytest.mark.parametrize("na,nb,d", [(48, 60, 12), (300, 200, 32), (9000, 4100, 8)])
+    @pytest.mark.parametrize("na,nb,d", [(48, 60, 12), (300, 200, 32), (9000, 4100, 8),
+                                         (50, 50, 32), (128, 128, 64)])
     def test_distances_match_the_qr_factor(self, kind, na, nb, d):
         rng = np.random.default_rng([na, nb, d, 3])
         for _ in range(3):
@@ -366,15 +392,17 @@ class TestGramFactor:
                 xa, xb = feature_sample(rng, na, d, kind), feature_sample(rng, nb, d, kind)
             else:
                 xa, xb = spectrum_sample(rng, na, d, kind), spectrum_sample(rng, nb, d, kind)
-            a, b = estimate_gaussian(xa), estimate_gaussian(xb)
-            qa, qb = qr_estimate(xa), qr_estimate(xb)
-            assert a.factor.shape == b.factor.shape == (d, d)
-            scale = 1e-12 * (trace(qa) + trace(qb))
-            want = frechet_distance_raw(qa, qb)
-            assert abs(frechet_distance_raw(a, b) - want) <= scale
-            assert abs(frechet_distance_raw(a, qb) - want) <= scale
-            assert abs(frechet_distance_raw(a, a)) <= 1e-12 * trace(a)
-            assert np.allclose(a.cov, qa.cov, rtol=0, atol=scale)
+            assert_matches_qr_twins(xa, xb)
+
+    # n = 8d, eigenvalues i^-2 to i^-4: forming the Gram matrix squares their
+    # condition number
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+    @pytest.mark.parametrize("power", [2, 3, 4])
+    @pytest.mark.parametrize("d", [256, 512])
+    def test_power_law_spectra_match_the_qr_factor(self, d, power, constant):
+        rng = np.random.default_rng([d, power, int(constant)])
+        assert_matches_qr_twins(power_law_sample(rng, 8 * d, d, power, constant),
+                                power_law_sample(rng, 8 * d, d, power, constant))
 
     def test_rows_of_the_class_means_match_the_qr_factor(self):
         # K = 40 class means at d = 8: the between-class and pooled Gaussians
@@ -407,9 +435,48 @@ class TestGramFactor:
         assert peak < 2 * 2**20
 
 
+def repeated_rows(rng, n, unique, d):
+    # n rows drawn from `unique` distinct ones, as a mode-collapse step draws
+    # them: more rows than columns, but a Gram matrix of rank below d
+    return (rng.standard_normal((unique, d)) + rng.normal(0.0, 1.0, d))[rng.integers(0, unique, n)]
+
+
+class TestSingularGram:
+    """Estimates with n > d whose Gram matrix is singular, against their QR twins."""
+
+    # rank 9 or less: round-off eigenvalues left in the factor would put the
+    # distance to a full-rank partner 1e-8 relative away from the QR twin's
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    def test_repeated_rows_against_a_full_rank_partner(self, d):
+        rng = np.random.default_rng([d, 9])
+        for _ in range(3):
+            assert_matches_qr_twins(repeated_rows(rng, 100, 10, d),
+                                    feature_sample(rng, 100, d, "plain"))
+
+    def test_singular_gram_that_cholesky_accepts(self, monkeypatch):
+        # a few such draws in a hundred pass Cholesky with a round-off pivot;
+        # the pivot guard sends them to the floored eigh
+        import condmetrics.gaussian as gaussian_mod
+
+        d = 16
+        for seed in range(200):
+            rng = np.random.default_rng([seed, 10])
+            x = repeated_rows(rng, 37, 15, d)
+            try:
+                np.linalg.cholesky(gaussian_mod._centred_gram(x, x.mean(axis=0)) / len(x))
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            pytest.fail("Cholesky refused every draw")
+        calls = TestFactorRule._count_decompositions(monkeypatch)
+        assert_matches_qr_twins(x, feature_sample(rng, 37, d, "plain"))
+        assert calls == {"qr": 2, "cholesky": 2, "eigh": 1}  # both QRs build the twins
+
+
 class TestFactorRule:
-    """Up to d rows are the factor, a QR reduces d < n < GRAM_ROWS_PER_DIM * d
-    rows, and one eigh of the Gram matrix factors any more."""
+    """Up to d rows are the factor, and one Cholesky of the Gram matrix factors
+    any more."""
 
     @pytest.mark.parametrize("n,d", [(1, 4), (5, 12), (12, 12)])
     def test_rows_up_to_the_dimension_are_the_factor(self, n, d):
@@ -427,9 +494,10 @@ class TestFactorRule:
         g = rng.standard_normal((y.size, d)) * 1.2
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("a QR ran on a factor it cannot shrink")
+            raise AssertionError("a decomposition ran on a factor it cannot shrink")
 
-        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        for name in ("qr", "cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
         rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=y)
         pooled = pooled_gaussian(class_conditional_stats(x, y))
         assert rep.fid > 0.0 and rep.wcfid > 0.0 and pooled.factor.shape == (k + k * n_c, d)
@@ -449,7 +517,7 @@ class TestFactorRule:
 
     @staticmethod
     def _count_decompositions(monkeypatch):
-        calls = {"qr": 0, "eigh": 0}
+        calls = {"qr": 0, "cholesky": 0, "eigh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -461,15 +529,18 @@ class TestFactorRule:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         return calls
 
+    # n = d keeps its rows; from n = d + 1 on, four rows per column included,
+    # every estimate takes the Gram path
     @pytest.mark.parametrize("d", [1, 3, 16])
-    @pytest.mark.parametrize("extra,want", [(-1, {"qr": 1, "eigh": 0}), (0, {"qr": 0, "eigh": 1})],
-                             ids=["4d-1", "4d"])
-    def test_four_rows_per_column_select_the_gram_path(self, monkeypatch, d, extra, want):
-        x = feature_sample(np.random.default_rng([d, 1 + extra]), GRAM_ROWS_PER_DIM * d + extra,
+    @pytest.mark.parametrize("per_dim,extra,cholesky", [(1, 0, 0), (1, 1, 1), (4, -1, 1), (4, 0, 1)],
+                             ids=["d", "d+1", "4d-1", "4d"])
+    def test_four_rows_per_column_select_the_gram_path(self, monkeypatch, d, per_dim, extra,
+                                                       cholesky):
+        x = feature_sample(np.random.default_rng([d, per_dim, 1 + extra]), per_dim * d + extra,
                            d, "plain")
         calls = self._count_decompositions(monkeypatch)
         assert estimate_gaussian(x).factor.shape == (d, d)
-        assert calls == want
+        assert calls == {"qr": 0, "cholesky": cholesky, "eigh": 0}
 
     def test_report_runs_one_eigh_per_tall_estimate(self, monkeypatch):
         import condmetrics.gaussian as gaussian_mod
@@ -478,8 +549,8 @@ class TestFactorRule:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a PSD root on the feature path")
 
-        # d = 4: pooled 60 and 36 rows and the real classes' 20 rows reach 16,
-        # the generated classes' 12 rows do not, the 3 class means stay rows
+        # d = 4: pooled 60 and 36 rows and every class's 20 or 12 rows take
+        # the Gram path, the 3 class means stay rows
         k, d = 3, 4
         rng = np.random.default_rng(8)
         y, gy = np.repeat(np.arange(k), 20), np.repeat(np.arange(k), 12)
@@ -488,5 +559,5 @@ class TestFactorRule:
         monkeypatch.setattr(gaussian_mod, "sqrtm_psd", forbidden)
         calls = self._count_decompositions(monkeypatch)
         rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
-        assert calls == {"eigh": 2 + k, "qr": k}
+        assert calls == {"qr": 0, "cholesky": 2 + 2 * k, "eigh": 0}
         assert rep.fid > 0.0 and rep.wcfid > 0.0
