@@ -16,7 +16,6 @@ from .evaluate import (
     fid,
     inception_score,
     per_class_is,
-    subsampled_fid_suite,
     sweep_label_noise,
     sweep_mode_collapse,
     wcfid,
@@ -31,7 +30,6 @@ from .gaussian import (
 )
 from .matching import (
     ClassAssignment,
-    align_discovered,
     average_class_probabilities,
     hungarian_max,
 )
@@ -57,7 +55,6 @@ from .synth import (
     label_noise,
     matched_moments_population,
     mode_collapse_indices,
-    mode_collapse_run,
     rng_for,
     tightness_population,
 )
@@ -77,17 +74,15 @@ __all__ = [
     "TensorFileError",
     "GaussianStats", "estimate_gaussian", "frechet_distance",
     "frechet_distance_raw", "sqrtm_psd",
-    "ClassAssignment", "align_discovered", "average_class_probabilities",
-    "hungarian_max",
+    "ClassAssignment", "average_class_probabilities", "hungarian_max",
     "ClassConditionalStats", "MetricReport", "accuracy", "bcfid",
     "bcfid_from_stats", "bcis", "cfid_sum", "class_conditional_from_moments",
     "class_conditional_stats", "fid", "inception_score", "per_class_is",
-    "pooled_gaussian", "subsampled_fid_suite", "wcfid", "wcfid_from_stats",
-    "wcis",
+    "pooled_gaussian", "wcfid", "wcfid_from_stats", "wcis",
     "CollapseSchedule", "LabeledPair", "MixtureSpec", "dirichlet_rows",
     "gen_matched_moments", "gen_mixture", "gen_rings", "gen_tightness_case",
     "label_noise", "matched_moments_population", "mode_collapse_indices",
-    "mode_collapse_run", "rng_for", "tightness_population",
+    "rng_for", "tightness_population",
     "load_features", "load_labels", "load_tensor", "open_probabilities",
     "save_csv", "save_tensor",
     "build_report", "sweep_label_noise", "sweep_mode_collapse",

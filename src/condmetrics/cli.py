@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input or a usage error (a flag the command
 or synth generator does not define, or a required flag left out: argparse
-prints the usage), 3 numerical failure (a non-PSD explicitly supplied
-covariance; feature inputs never raise it), 4 configuration error.
+prints the usage of the command given), 3 numerical failure (a non-PSD
+explicitly supplied covariance; feature inputs never raise it), 4
+configuration error.
 """
 
 from __future__ import annotations
@@ -229,11 +230,16 @@ def make_parser() -> argparse.ArgumentParser:
                                       help="Dirichlet probability rows")
     dirichlet.add_argument("--alpha", default="1,1", help="one per column; default %(default)s")
 
+    for sub in (*subs.choices.values(), *generators.choices.values()):
+        sub.set_defaults(parser=sub)  # a generator's default overrides synth's
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    # argparse hands a command's undefined flags back to the root parser
+    args, undefined = make_parser().parse_known_args(argv)
+    if undefined:
+        args.parser.error(f"unrecognized arguments: {' '.join(undefined)}")
     try:
         return args.fn(args)
     except ConfigError as exc:

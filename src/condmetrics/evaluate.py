@@ -316,25 +316,6 @@ def build_report(
         seed=seed, weighting=weighting, pairing=pairing)[0]
 
 
-def subsampled_fid_suite(
-    real_features,
-    real_labels,
-    gen_features,
-    gen_labels,
-    subset_size: int,
-    trials: int,
-    seed: int,
-    *,
-    weighting: str = "empirical",
-) -> MetricReport:
-    """Feature-subsampled, per-dimension-normalized FID family (no probabilities):
-    ``build_report`` with ``subset_size``; without labels it holds fid alone."""
-    return build_report(
-        real_features=real_features, real_labels=real_labels, gen_features=gen_features,
-        gen_labels=gen_labels, subset_size=subset_size, trials=trials, seed=seed,
-        weighting=weighting)
-
-
 def sweep_label_noise(
     *,
     gen_labels,

@@ -224,7 +224,3 @@ def hungarian_max(value) -> ClassAssignment:
     mapping = _lex_smallest_optimal(v, match, _assignment_score(v, match), u, w)
     return ClassAssignment(mapping=mapping, score=_assignment_score(v, mapping))
 
-
-def align_discovered(probs, conds) -> ClassAssignment:
-    """Pair conditioned classes with real classes via average prediction mass."""
-    return hungarian_max(average_class_probabilities(probs, conds))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import _as_finite, _factor, as_feature_matrix
+from .gaussian import _as_finite, _factor
 from .metrics import (
     ClassConditionalStats,
     _as_int,
@@ -326,16 +326,6 @@ def _mode_collapse_indices(y: np.ndarray, k: int, schedule: CollapseSchedule, se
             picks.append(rng.choice(pool, size=schedule.per_class_sample, replace=replace))
         steps.append(np.concatenate(picks))
     return steps
-
-
-def mode_collapse_run(
-    features, labels, schedule: CollapseSchedule, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Emit the per-step (features, labels) datasets of a collapse simulation."""
-    x = as_feature_matrix(features)
-    y = as_label_vector(labels, None, n=x.shape[0])
-    steps = _mode_collapse_indices(y, _class_count(y), schedule, seed)
-    return [(x[idx], y[idx]) for idx in steps]
 
 
 def dirichlet_rows(alpha, n: int, seed: int) -> np.ndarray:

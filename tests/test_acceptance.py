@@ -279,8 +279,8 @@ def test_c10_subsampling_protocol():
         means + rng.normal(0, 0.3, (k, d)), [np.eye(d) * 1.2] * k, [300] * k, seed=2))
 
     # full subset, one trial: exactly the full scores divided by d
-    rep = cm.subsampled_fid_suite(
-        real[0], real[1], gen[0], gen[1], subset_size=d, trials=1, seed=9)
+    rep = cm.build_report(real_features=real[0], real_labels=real[1], gen_features=gen[0],
+                          gen_labels=gen[1], subset_size=d, trials=1, seed=9)
     full_fid = cm.fid(real[0], gen[0])
     full_bcfid = cm.bcfid(real[0], real[1], gen[0], gen[1])
     full_wcfid = cm.wcfid(real[0], real[1], gen[0], gen[1])[0]
@@ -292,9 +292,9 @@ def test_c10_subsampling_protocol():
     stable = True
     for metric in ("fid", "bcfid", "wcfid"):
         vals = np.array([
-            getattr(cm.subsampled_fid_suite(
-                real[0], real[1], gen[0], gen[1],
-                subset_size=10, trials=100, seed=1000 + outer), metric)
+            getattr(cm.build_report(
+                real_features=real[0], real_labels=real[1], gen_features=gen[0],
+                gen_labels=gen[1], subset_size=10, trials=100, seed=1000 + outer), metric)
             for outer in range(10)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         stable = stable and se < 0.10 * vals.mean()

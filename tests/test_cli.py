@@ -470,7 +470,9 @@ class TestClassCountIsDerived:
         with pytest.raises(SystemExit) as exit_:
             main([*command, *flags, "--k", "3"])
         assert exit_.value.code == 2
-        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: condmetrics {command[0]} [-h] ")
+        assert "unrecognized arguments: --k 3" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", [
@@ -819,7 +821,9 @@ class TestCmdSynth:
         with pytest.raises(SystemExit) as exit_:
             main(["synth", generator, *flags, "--out-dir", str(out_dir)])
         assert exit_.value.code == 2
-        assert f"error: unrecognized arguments: {unread} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: condmetrics synth {generator} [-h] ")
+        assert f"error: unrecognized arguments: {unread} " in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("generator, flags", [

@@ -12,16 +12,16 @@ from condmetrics import (
     InvalidInputError,
     MixtureSpec,
     accuracy,
-    align_discovered,
+    average_class_probabilities,
     bcfid,
     bcis,
     build_report,
     cfid_sum,
     fid,
     gen_mixture,
+    hungarian_max,
     inception_score,
     per_class_is,
-    subsampled_fid_suite,
     wcfid,
     wcis,
 )
@@ -54,11 +54,12 @@ def assert_report_equals_standalone(x, y, g, gy, probs, *, pairing="identity",
                                     weighting="empirical", subset_size=None):
     """build_report's fields are == the standalone functions on the same inputs
     and, with subset_size and the identity pairing, its subsampled fields are ==
-    subsampled_fid_suite's."""
+    those of the same subsampled report without probabilities."""
     inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                   probs=probs, weighting=weighting, pairing=pairing)
     rep = build_report(**inputs)
-    mapping = align_discovered(probs, gy).mapping if pairing == "hungarian" else None
+    mapping = (hungarian_max(average_class_probabilities(probs, gy)).mapping
+               if pairing == "hungarian" else None)
     if probs is not None:
         assert rep.is_ == inception_score(probs)
         assert rep.bcis == bcis(probs, gy, weighting)
@@ -75,8 +76,8 @@ def assert_report_equals_standalone(x, y, g, gy, probs, *, pairing="identity",
     assert rep.cfid_sum == cfid_sum(x, y, g, gy, pairing=mapping, weighting=weighting)
     if subset_size is not None and pairing == "identity":
         sub_rep = build_report(subset_size=subset_size, trials=3, seed=5, **inputs)
-        suite = subsampled_fid_suite(x, y, g, gy, subset_size, 3, 5,
-                                     weighting=weighting)
+        suite = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                             subset_size=subset_size, trials=3, seed=5, weighting=weighting)
         for key in ("fid", "bcfid", "wcfid", "cfid_sum", "dims_used", "pairing"):
             assert getattr(sub_rep, key) == getattr(suite, key)
         assert np.array_equal(sub_rep.per_class_fid, suite.per_class_fid)
@@ -235,18 +236,6 @@ class TestBuildReport:
         assert rep.dims_used == 2
         assert rep.fid is not None and rep.per_class_fid.shape == (3,)
 
-    @pytest.mark.parametrize("labelled", [True, False])
-    def test_subset_fields_equal_subsampled_suite(self, labelled):
-        x, y = make_instance(seed=18, d=6)
-        g, gy = make_instance(seed=19, d=6, shift=0.4)
-        labels = dict(real_labels=y, gen_labels=gy) if labelled else {}
-        rep = build_report(real_features=x, gen_features=g, subset_size=4,
-                           trials=3, seed=7, **labels)
-        sub = subsampled_fid_suite(x, labels.get("real_labels"), g, labels.get("gen_labels"),
-                                   4, 3, 7)
-        assert report_to_json(rep) == report_to_json(sub)
-        assert (rep.bcfid is None) == (not labelled)
-
     def test_no_inputs_is_config_error(self):
         with pytest.raises(ConfigError):
             build_report()
@@ -310,7 +299,7 @@ class TestBuildReport:
 
 
 class TestSubsampledSuiteFollowsBuildReport:
-    """subsampled_fid_suite is build_report with subset_size and no probabilities."""
+    """build_report with subset_size follows the rules of the full-dimension report."""
 
     def test_one_sided_labels_are_config_errors(self):
         x, y = make_instance(seed=60, d=6)
@@ -320,26 +309,17 @@ class TestSubsampledSuiteFollowsBuildReport:
             with pytest.raises(ConfigError, match=missing):
                 build_report(real_features=x, real_labels=real_labels, gen_features=g,
                              gen_labels=gen_labels, subset_size=4)
-            with pytest.raises(ConfigError, match=missing):
-                subsampled_fid_suite(x, real_labels, g, gen_labels, 4, 2, 0)
 
     def test_unequal_counts_give_the_same_warning(self):
         k, d = 3, 5
         means = rng_for(62).normal(0.0, 3.0, (k, d))
         x, y = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [30, 40, 50], seed=63))
         g, gy = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [50, 40, 30], seed=64))
-        rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                           subset_size=3, trials=2, seed=4)
-        suite = subsampled_fid_suite(x, y, g, gy, 3, 2, 4)
+        full = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
+        suite = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                             subset_size=3, trials=2, seed=4)
         assert len(suite.warnings) == 1
-        assert suite.warnings == rep.warnings
-        assert report_to_json(suite) == report_to_json(rep)
-
-    def test_omitted_k_is_inferred(self):
-        x, y = make_instance(seed=65, d=6)
-        g, gy = make_instance(seed=66, d=6, shift=0.2)
-        assert report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1)) == \
-            report_to_json(subsampled_fid_suite(x, y, g, gy, 4, 3, 1))
+        assert suite.warnings == full.warnings
 
 
 def _traced_peak(fn) -> int:
@@ -351,7 +331,7 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("entry", ["build_report", "subsampled_fid_suite", "sweep_label_noise"])
+@pytest.mark.parametrize("entry", ["build_report", "sweep_label_noise"])
 def test_peak_memory_does_not_grow_with_trials(entry):
     # one trial's column gathers and class means are held at a time, so 20
     # trials peak like one
@@ -363,8 +343,6 @@ def test_peak_memory_does_not_grow_with_trials(entry):
     g = rng.normal(0.0, 1.1, (gy.size, d))
 
     def run(trials):
-        if entry == "subsampled_fid_suite":
-            return subsampled_fid_suite(x, y, g, gy, subset, trials, 0)
         inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
                       subset_size=subset, trials=trials)
         if entry == "build_report":
@@ -673,13 +651,14 @@ class TestValidationBoundary:
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,
                          "_probability_rows": 1}
 
-    @pytest.mark.parametrize("entry", ["subsampled_fid_suite", "wcfid"])
+    @pytest.mark.parametrize("entry", ["build_report_subset", "wcfid"])
     def test_fid_functions_check_each_array_once(self, monkeypatch, entry):
         x, y = make_instance(seed=43, k=4, d=5)
         g, gy = make_instance(seed=44, k=4, d=5, shift=0.3)
         calls = self._count_checks(monkeypatch)
-        if entry == "subsampled_fid_suite":
-            subsampled_fid_suite(x, y, g, gy, 3, 5, 7)
+        if entry == "build_report_subset":
+            build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                         subset_size=3, trials=5, seed=7)
         else:
             wcfid(x, y, g, gy)
         assert calls == {"as_feature_matrix": 2, "as_label_vector": 2,

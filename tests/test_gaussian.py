@@ -534,15 +534,15 @@ class TestFactorRule:
     @pytest.mark.parametrize("d", [1, 3, 16])
     @pytest.mark.parametrize("per_dim,extra,cholesky", [(1, 0, 0), (1, 1, 1), (4, -1, 1), (4, 0, 1)],
                              ids=["d", "d+1", "4d-1", "4d"])
-    def test_four_rows_per_column_select_the_gram_path(self, monkeypatch, d, per_dim, extra,
-                                                       cholesky):
+    def test_more_rows_than_columns_take_one_cholesky(self, monkeypatch, d, per_dim, extra,
+                                                      cholesky):
         x = feature_sample(np.random.default_rng([d, per_dim, 1 + extra]), per_dim * d + extra,
                            d, "plain")
         calls = self._count_decompositions(monkeypatch)
         assert estimate_gaussian(x).factor.shape == (d, d)
         assert calls == {"qr": 0, "cholesky": cholesky, "eigh": 0}
 
-    def test_report_runs_one_eigh_per_tall_estimate(self, monkeypatch):
+    def test_report_runs_one_cholesky_per_tall_estimate(self, monkeypatch):
         import condmetrics.gaussian as gaussian_mod
         from condmetrics import build_report
 

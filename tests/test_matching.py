@@ -14,7 +14,6 @@ import condmetrics
 import condmetrics.matching as matching
 from condmetrics import (
     InvalidInputError,
-    align_discovered,
     average_class_probabilities,
     hungarian_max,
 )
@@ -309,18 +308,19 @@ class TestAlignDiscovered:
 
     def test_identity_clusters(self):
         probs, conds = self._clustered(4, shift=0, noise=0.0, seed=1)
-        assert np.array_equal(align_discovered(probs, conds).mapping, np.arange(4))
+        assert np.array_equal(
+            hungarian_max(average_class_probabilities(probs, conds)).mapping, np.arange(4))
 
     def test_shifted_clusters_recover_cycle(self):
         k = 5
         probs, conds = self._clustered(k, shift=1, noise=0.0, seed=2)
-        assert np.array_equal(
-            align_discovered(probs, conds).mapping, (np.arange(k) + 1) % k)
+        mapping = hungarian_max(average_class_probabilities(probs, conds)).mapping
+        assert np.array_equal(mapping, (np.arange(k) + 1) % k)
 
     def test_noisy_clusters_match_brute_force(self):
         for k in range(2, 7):
             probs, conds = self._clustered(k, shift=k // 2, noise=0.25, seed=30 + k)
-            result = align_discovered(probs, conds)
+            result = hungarian_max(average_class_probabilities(probs, conds))
             value = average_class_probabilities(probs, conds)
             best_score, best_perm = brute_force_max(value)
             assert result.score == best_score

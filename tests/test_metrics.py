@@ -24,7 +24,6 @@ from condmetrics import (
     inception_score,
     per_class_is,
     pooled_gaussian,
-    subsampled_fid_suite,
     wcfid,
     wcfid_from_stats,
     wcis,
@@ -769,7 +768,8 @@ class TestSubsampledSuite:
 
     def test_full_subset_single_trial_equals_scaled_full(self):
         rx, ry, gx, gy = self._instance()
-        rep = subsampled_fid_suite(rx, ry, gx, gy, subset_size=4, trials=1, seed=0)
+        rep = build_report(real_features=rx, real_labels=ry, gen_features=gx, gen_labels=gy,
+                           subset_size=4, trials=1, seed=0)
         full_fid = fid(rx, gx)
         full_bcfid = bcfid(rx, ry, gx, gy)
         full_wcfid, full_per = wcfid(rx, ry, gx, gy)
@@ -782,15 +782,18 @@ class TestSubsampledSuite:
 
     def test_identical_inputs_zero(self):
         rx, ry, _, _ = self._instance()
-        rep = subsampled_fid_suite(rx, ry, rx, ry, subset_size=2, trials=5, seed=3)
+        rep = build_report(real_features=rx, real_labels=ry, gen_features=rx, gen_labels=ry,
+                           subset_size=2, trials=5, seed=3)
         assert rep.fid <= 1e-9
         assert rep.bcfid <= 1e-9
         assert rep.wcfid <= 1e-9
 
     def test_fixed_seed_bit_identical(self):
         rx, ry, gx, gy = self._instance()
-        a = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5)
-        b = subsampled_fid_suite(rx, ry, gx, gy, subset_size=2, trials=7, seed=5)
+        a = build_report(real_features=rx, real_labels=ry, gen_features=gx, gen_labels=gy,
+                         subset_size=2, trials=7, seed=5)
+        b = build_report(real_features=rx, real_labels=ry, gen_features=gx, gen_labels=gy,
+                         subset_size=2, trials=7, seed=5)
         assert a.fid == b.fid
         assert a.bcfid == b.bcfid
         assert a.wcfid == b.wcfid
@@ -799,7 +802,8 @@ class TestSubsampledSuite:
     def test_oversized_subset_rejected(self):
         rx, ry, gx, gy = self._instance()
         with pytest.raises(InvalidInputError):
-            subsampled_fid_suite(rx, ry, gx, gy, subset_size=5, trials=1, seed=0)
+            build_report(real_features=rx, real_labels=ry, gen_features=gx, gen_labels=gy,
+                         subset_size=5, trials=1, seed=0)
 
 
 def array_holders():

@@ -21,7 +21,6 @@ from condmetrics import (
     MixtureSpec,
     TensorFileError,
     accuracy,
-    align_discovered,
     average_class_probabilities,
     bcis,
     build_report,
@@ -106,7 +105,8 @@ PROBABILITY_FUNCTIONS = {
     "accuracy": lambda probs, a: accuracy(probs, a["gen_labels"]),
     "average_class_probabilities": lambda probs, a: (
         average_class_probabilities(probs, a["gen_labels"]),),
-    "align_discovered": lambda probs, a: astuple(align_discovered(probs, a["gen_labels"])),
+    "hungarian_max": lambda probs, a: astuple(
+        hungarian_max(average_class_probabilities(probs, a["gen_labels"]))),
     "build_report": lambda probs, a: (
         report_to_json(build_report(**dict(a, probs=probs), pairing="hungarian")),),
 }

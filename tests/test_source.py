@@ -1,5 +1,7 @@
 """The package's own source: every name a module imports is used in it, and
-every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package.  The README
+keeps step with it: each public name it or ``__all__`` gives exists, and its
+quick start runs.
 
 No linter ships with the test dependencies, and private names are often
 renamed or deleted; an import or a definition left behind would keep a stale
@@ -8,6 +10,7 @@ names to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import condmetrics
 PACKAGE = Path(condmetrics.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +79,15 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names(SOURCES) == []
+
+
+def test_every_documented_public_name_exists():
+    documented = set(re.findall(r"\bcm\.(\w+)", README)) | set(condmetrics.__all__)
+    assert sorted(name for name in documented if not hasattr(condmetrics, name)) == []
+
+
+def test_readme_quick_start_runs():
+    # exec compiles in memory, so the run writes no __pycache__
+    section = README.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -16,8 +16,8 @@ from condmetrics import (
     label_noise,
     matched_moments_population,
     mode_collapse_indices,
-    mode_collapse_run,
     pooled_gaussian,
+    sweep_mode_collapse,
     tightness_population,
     wcis,
 )
@@ -178,17 +178,17 @@ class TestModeCollapse:
     def test_single_step_counts(self):
         x, y = self._dataset()
         schedule = CollapseSchedule(steps=1, per_class_sample=50, collapsed_classes=(0,))
-        runs = mode_collapse_run(x, y, schedule, seed=1)
+        runs = [(x[i], y[i]) for i in mode_collapse_indices(y, schedule, seed=1)]
         assert len(runs) == 1
         fx, fy = runs[0]
         assert fx.shape == (150, 2)
         assert np.array_equal(np.bincount(fy), [50, 50, 50])
 
     def test_every_step_emits_exact_per_class_counts(self):
-        x, y = self._dataset()
+        _, y = self._dataset()
         schedule = CollapseSchedule(steps=6, per_class_sample=40, collapsed_classes=(1,))
-        for fx, fy in mode_collapse_run(x, y, schedule, seed=2):
-            assert np.array_equal(np.bincount(fy, minlength=3), [40, 40, 40])
+        for idx in mode_collapse_indices(y, schedule, seed=2):
+            assert np.array_equal(np.bincount(y[idx], minlength=3), [40, 40, 40])
 
     def test_pool_shrinks_monotonically_below_two_percent(self):
         from condmetrics.synth import collapse_pool_sizes
@@ -211,7 +211,7 @@ class TestModeCollapse:
     def test_with_replacement_when_pool_small(self):
         x, y = self._dataset(n_per_class=30)
         schedule = CollapseSchedule(steps=8, per_class_sample=25, collapsed_classes=(0,))
-        runs = mode_collapse_run(x, y, schedule, seed=4)
+        runs = [(x[i], y[i]) for i in mode_collapse_indices(y, schedule, seed=4)]
         fx, fy = runs[-1]
         # pool shrank below 25, so the draw must repeat rows
         class0 = fx[fy == 0]
@@ -232,7 +232,9 @@ class TestModeCollapse:
         with pytest.raises(InvalidInputError, match="class 1 has no samples"):
             mode_collapse_indices(y, CollapseSchedule(collapsed_classes=(2,)), seed=0)
         with pytest.raises(InvalidInputError, match="label count 4 does not match row count 3"):
-            mode_collapse_run(np.zeros((3, 2)), y, CollapseSchedule(), seed=0)
+            sweep_mode_collapse(real_features=np.zeros((4, 2)), real_labels=y,
+                                gen_features=np.zeros((3, 2)), gen_labels=y,
+                                schedule=CollapseSchedule())
 
     def test_missing_collapsed_class_rejected(self):
         y = np.repeat(np.arange(2), 10)

@@ -16,7 +16,6 @@ from condmetrics import (
     InvalidInputError,
     MixtureSpec,
     accuracy,
-    align_discovered,
     average_class_probabilities,
     bcfid,
     bcfid_from_stats,
@@ -34,10 +33,8 @@ from condmetrics import (
     inception_score,
     label_noise,
     mode_collapse_indices,
-    mode_collapse_run,
     per_class_is,
     sqrtm_psd,
-    subsampled_fid_suite,
     sweep_label_noise,
     sweep_mode_collapse,
     tightness_population,
@@ -77,8 +74,8 @@ CALLS = {
                  ["real_features", "real_labels", "gen_features", "gen_labels"]),
     "build_report": (build_report, feature_args(probs=PROBS),
                      ["real_features", "real_labels", "gen_features", "gen_labels", "probs"]),
-    "subsampled_fid_suite": (
-        subsampled_fid_suite, feature_args(subset_size=1, trials=2, seed=0),
+    "build_report_subset": (
+        build_report, feature_args(subset_size=1, trials=2, seed=0),
         ["real_features", "real_labels", "gen_features", "gen_labels"]),
     "sweep_label_noise": (sweep_label_noise, feature_args(probs=PROBS, grid=[0.0, 0.5]),
                           ["real_features", "real_labels", "gen_features", "gen_labels",
@@ -101,8 +98,6 @@ CALLS = {
     "hungarian_max": (hungarian_max, dict(value=[[0.2, 0.8], [0.6, 0.4]]), ["value"]),
     "average_class_probabilities": (average_class_probabilities,
                                     dict(probs=PROBS, conds=LABELS), ["probs", "conds"]),
-    "align_discovered": (align_discovered, dict(probs=PROBS, conds=LABELS),
-                         ["probs", "conds"]),
     "MixtureSpec": (MixtureSpec,
                     dict(means=[[0.0, 0.0], [1.0, 2.0]], covs=[np.eye(2), 2.0 * np.eye(2)],
                          counts=[3, 4]),
@@ -344,8 +339,7 @@ def test_argument_outside_its_domain_is_invalid_input(call, message):
 @pytest.mark.parametrize("call", [
     lambda schedule: sweep_mode_collapse(**feature_args(), schedule=schedule),
     lambda schedule: mode_collapse_indices(LABELS, schedule, 0),
-    lambda schedule: mode_collapse_run(FEATURES, LABELS, schedule, 0),
-], ids=["sweep_mode_collapse", "mode_collapse_indices", "mode_collapse_run"])
+], ids=["sweep_mode_collapse", "mode_collapse_indices"])
 @pytest.mark.parametrize("schedule, shown", [(None, "NoneType"), ({"steps": 2}, "dict")],
                          ids=["none", "dict"])
 def test_schedule_that_is_not_a_collapse_schedule_is_invalid_input(call, schedule, shown):
