@@ -50,7 +50,6 @@ from .synth import (
     dirichlet_rows,
     gen_matched_moments,
     gen_mixture,
-    gen_rings,
     gen_tightness_case,
     label_noise,
     matched_moments_population,
@@ -80,7 +79,7 @@ __all__ = [
     "class_conditional_stats", "fid", "inception_score", "per_class_is",
     "pooled_gaussian", "wcfid", "wcfid_from_stats", "wcis",
     "CollapseSchedule", "LabeledPair", "MixtureSpec", "dirichlet_rows",
-    "gen_matched_moments", "gen_mixture", "gen_rings", "gen_tightness_case",
+    "gen_matched_moments", "gen_mixture", "gen_tightness_case",
     "label_noise", "matched_moments_population", "mode_collapse_indices",
     "rng_for", "tightness_population",
     "load_features", "load_labels", "load_tensor", "open_probabilities",

@@ -31,7 +31,6 @@ from .synth import (
     dirichlet_rows,
     gen_matched_moments,
     gen_mixture,
-    gen_rings,
     gen_tightness_case,
 )
 from .tensorfile import load_features, load_labels, open_probabilities, save_tensor
@@ -160,10 +159,6 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"bad mixture spec {spec_path}: {exc}") from None
         features, labels = gen_mixture(MixtureSpec(means, covs, counts, seed=args.seed))
         emit(features=features, labels=labels)
-    elif args.generator == "rings":
-        features, labels = gen_rings(
-            _parse_list(args.radii, "--radii"), args.radial_sigma, args.n_per_class, args.seed)
-        emit(features=features, labels=labels)
     elif args.generator == "matched-moments":
         pair = gen_matched_moments(args.seed, args.n_per_class)
         emit(a_features=pair.real_features, a_labels=pair.real_labels,
@@ -217,9 +212,6 @@ def make_parser() -> argparse.ArgumentParser:
     sized.add_argument("--n-per-class", type=int, default=1000, help="default %(default)s")
     mixture = generators.add_parser("mixture", parents=[seeded], help="a Gaussian mixture")
     mixture.add_argument("--spec", required=True, help="JSON mixture spec (means, covs, counts)")
-    rings = generators.add_parser("rings", parents=[seeded, sized], help="concentric 2-D rings")
-    rings.add_argument("--radii", default="1,3", help="one per class; default %(default)s")
-    rings.add_argument("--radial-sigma", type=float, default=0.1, help="default %(default)s")
     generators.add_parser("matched-moments", parents=[seeded, sized],
                           help="the matched-moment pair that fid cannot tell apart")
     tightness = generators.add_parser("tightness", parents=[seeded, sized],

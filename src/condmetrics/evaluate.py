@@ -21,12 +21,12 @@ argmax once and adds the rows into every point's class sums, held until the
 pass ends; and the generated pooled Gaussian and fid once per trial.  Each
 point adds only its labelled work: bcis/wcis from its class sums, accuracy
 against the argmaxes, its pairing, bcfid and wcfid.  Each trial streams the
-classes through ``metrics._class_scores`` and drops its column gathers, so
-memory is the inputs, one pooled Gaussian and K x d means per point at any
-trial count.  Under feature subsampling each trial draws ``subset_size``
-distinct columns from ``rng_for(seed)``, shared by both sides and
-fid/bcfid/wcfid; the report holds each score's mean over trials, divided by
-``subset_size``.
+classes through ``metrics._class_scores``, drops its column gathers and adds
+each point's per-class vector into one sum, so memory is the inputs, one pooled
+Gaussian and O(K d) per point, plus 3 floats per trial and point.  Under feature
+subsampling each trial draws ``subset_size`` distinct columns from
+``rng_for(seed)`` as it starts, shared by both sides and fid/bcfid/wcfid; the
+report holds each score's mean over trials, divided by ``subset_size``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _OPTION_READERS = {
 
 def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
     """The FID family's column sets and score divisor: all columns as one trial
-    at scale 1, or ``trials`` draws of ``subset_size`` of the d columns."""
+    at scale 1, or ``trials`` lazy draws of ``subset_size`` of the d columns."""
     if subset_size is None:
         return [slice(None)], 1.0
     if not 1 <= subset_size <= d:
@@ -81,17 +81,17 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     rng = rng_for(seed)
-    cols = [np.sort(rng.choice(d, size=subset_size, replace=False)) for _ in range(trials)]
+    cols = (np.sort(rng.choice(d, size=subset_size, replace=False)) for _ in range(trials))
     return cols, float(subset_size)
 
 
-def _score_fid(report: MetricReport, scores, scale: float) -> None:
+def _score_fid(report: MetricReport, scores, trials: int, scale: float) -> None:
     """Set the FID family of ``report``: each score is its mean over the trials'
-    (fid, bcfid, wcfid, per-class vector) scores, None where not computed,
-    divided by ``scale``."""
-    for name, trials in zip(("fid", "bcfid", "wcfid", "per_class_fid"), zip(*scores)):
-        if trials[0] is not None:
-            mean = np.mean(trials, axis=0) / scale
+    (fid, bcfid, wcfid, per-class vector) lists, None where not computed,
+    divided by ``scale``.  A list shorter than the trials holds their sum."""
+    for name, kept in zip(("fid", "bcfid", "wcfid", "per_class_fid"), scores):
+        if kept[0] is not None:
+            mean = (np.mean(kept, axis=0) if len(kept) == trials else kept[0] / trials) / scale
             setattr(report, name, mean if mean.ndim else float(mean))
     if report.wcfid is not None:
         report.cfid_sum = report.bcfid + report.wcfid
@@ -202,7 +202,9 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     if real_features is None:
         return reports
 
-    trials_scores = []
+    # per point, each trial's fid, bcfid, wcfid and per-class vector; K > 1 vectors
+    # are summed in trial order, as np.mean adds rows (a K = 1 column it adds pairwise)
+    trial_scores = [([], [], [], []) for _ in points]
     for cols in column_sets:
         rx, gx = rf[:, cols], gf[:, cols]
         fids = [None] * len(row_sets)
@@ -214,11 +216,17 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
             del pooled
         classes = [(None,) * 3] * len(points) if real is None else _class_scores(
             rx, real, gx, points, means_only=not class_stage)
-        trials_scores.append([(fids[r], *c) for r, c in zip(sets, classes)])
+        for (*lists, per_class), r, (between, within, per) in zip(trial_scores, sets, classes):
+            for values, value in zip(lists, (fids[r], between, within)):
+                values.append(value)
+            if per_class and per is not None and per.size > 1:
+                per_class[0] += per
+            else:
+                per_class.append(per)
         del rx, gx  # before the next trial's columns are gathered
-    for report, trials_of_point in zip(reports, zip(*trials_scores)):
+    for report, point_scores in zip(reports, trial_scores):
         report.dims_used = rf.shape[1] if subset_size is None else subset_size
-        _score_fid(report, trials_of_point, scale)
+        _score_fid(report, point_scores, trials, scale)
     return reports
 
 

@@ -30,24 +30,22 @@ from .metrics import (
     class_index_lists,
 )
 
-TWO_PI = 2.0 * math.pi
 
-
-def _as_seed(seed) -> int:
+def _as_seed(seed, what: str = "seed") -> int:
     """seed as an integer in [0, 2^63) by the ``_as_int`` rule; an integer is
     taken exactly, so one beyond int64 fails on the range, by name."""
     exact = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    value = int(seed) if exact else _as_int(seed, "seed")
+    value = int(seed) if exact else _as_int(seed, what)
     if not 0 <= value < 2**63:
-        raise InvalidInputError(f"seed must be an integer in [0, 2^63), got {value}")
+        raise InvalidInputError(f"{what} must be an integer in [0, 2^63), got {value}")
     return value
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator of ``SeedSequence(seed, spawn_key=key)``: the one place a
-    seed becomes a stream."""
-    ss = np.random.SeedSequence(_as_seed(seed), spawn_key=tuple(int(x) for x in key))
-    return np.random.default_rng(ss)
+    seed becomes a stream.  Each key follows the seed's integer rule."""
+    key = tuple(_as_seed(x, f"key {i}") for i, x in enumerate(key))
+    return np.random.default_rng(np.random.SeedSequence(_as_seed(seed), spawn_key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +102,11 @@ class MixtureSpec:
         return self.means.shape[1]
 
 
-def _sigmas(sigma, size: int = 2, name: str = "sigma") -> np.ndarray:
-    """sigma as ``size`` finite non-negative standard deviations."""
-    s = _as_finite(sigma, name)[0].reshape(-1)
-    if s.size != size or np.any(s < 0):
-        raise InvalidInputError(f"{name} must be {size} non-negative real(s), got {s.tolist()}")
+def _sigmas(sigma) -> np.ndarray:
+    """sigma as 2 finite non-negative standard deviations."""
+    s = _as_finite(sigma, "sigma")[0].reshape(-1)
+    if s.size != 2 or np.any(s < 0):
+        raise InvalidInputError(f"sigma must be 2 non-negative real(s), got {s.tolist()}")
     return s
 
 
@@ -131,33 +129,6 @@ def _draw(rng: np.random.Generator, means, factors, counts) -> tuple[np.ndarray,
 def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw the mixture: class-blocked features and matching labels."""
     return _draw(rng_for(spec.seed), spec.means, spec._factors, spec.counts)
-
-
-def gen_rings(
-    radii, radial_sigma: float, n_per_class: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concentric 2-D rings: radius R_c plus Gaussian jitter, uniform angle.
-
-    Qualitative illustration only; per-axis class variance is
-    (R^2 + sigma^2) / 2 and per-class means tend to the origin.
-    """
-    radii = _as_finite(radii, "radii")[0].reshape(-1)
-    if radii.size < 1 or np.any(radii <= 0):
-        raise InvalidInputError("radii must be positive")
-    radial_sigma = _sigmas(radial_sigma, 1, "radial_sigma")[0]
-    n_per_class = _as_int(n_per_class, "n_per_class")
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be >= 1")
-    rng = rng_for(seed)
-    blocks = []
-    for radius in radii:
-        r = radius + rng.normal(0.0, radial_sigma, n_per_class) if radial_sigma > 0 \
-            else np.full(n_per_class, radius)
-        theta = rng.uniform(0.0, TWO_PI, n_per_class)
-        blocks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-    features = np.concatenate(blocks, axis=0)
-    labels = np.repeat(np.arange(radii.size, dtype=np.int64), n_per_class)
-    return features, labels
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,24 @@ class TestCmdMetrics:
         assert json.loads(out.read_text())["fid"] >= 0
 
 
+@pytest.mark.parametrize("command", ["metrics", "sweep", "match"])
+def test_stdout_gets_the_bytes_of_the_out_file(dataset, tmp_path, capsysbinary, command):
+    # --out - and no --out both write the report to stdout
+    flags = metrics_args(dataset, "-")[1:-2]
+    argv = {
+        "metrics": ["metrics", *flags],
+        "sweep": ["sweep", "--experiment", "label_noise", "--grid", "0,0.5", *flags],
+        "match": ["match", "--probs", str(dataset["probs"]),
+                  "--gen-labels", str(dataset["gen_labels"])],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    for to_stdout in (["--out", "-"], []):
+        assert main([*argv, *to_stdout]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 class TestBlasThreads:
     """Reports are byte-identical for one numpy/BLAS build and thread count;
     across BLAS thread counts they agree to round-off."""
@@ -732,10 +750,7 @@ class TestCmdSynth:
         labels = load_labels(tmp_path / "mix" / "labels.cfm")
         assert np.array_equal(np.bincount(labels), [20, 30])
 
-    def test_rings_and_dirichlet(self, tmp_path):
-        assert main(["synth", "rings", "--radii", "1,3", "--n-per-class", "40",
-                     "--out-dir", str(tmp_path / "rings")]) == 0
-        assert load_tensor(tmp_path / "rings" / "features.cfm").shape == (80, 2)
+    def test_dirichlet_rows_take_alpha_columns(self, tmp_path):
         assert main(["synth", "dirichlet", "--alpha", "1,1,1",
                      "--n-per-class", "25", "--out-dir", str(tmp_path / "dir")]) == 0
         probs = load_tensor(tmp_path / "dir" / "probs.cfm")
@@ -799,7 +814,7 @@ class TestCmdSynth:
         assert capsys.readouterr().err == f"invalid input: {message}\n"
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("generator", ["rings", "matched-moments", "tightness", "dirichlet"])
+    @pytest.mark.parametrize("generator", ["matched-moments", "tightness", "dirichlet"])
     def test_negative_seed_is_invalid_input(self, tmp_path, capsys, generator):
         out_dir = tmp_path / "dir"
         assert main(["synth", generator, "--n-per-class", "5", "--seed", "-3",
@@ -810,9 +825,9 @@ class TestCmdSynth:
 
     @pytest.mark.parametrize("generator, flags, unread", [
         ("matched-moments", ["--spec", "absent.json", "--n-per-class", "10"], "--spec"),
-        ("rings", ["--alpha", "1,2", "--sigma-gen", "5,5"], "--alpha"),
-        ("dirichlet", ["--radii", "9"], "--radii"),
-        ("tightness", ["--radial-sigma", "0.5"], "--radial-sigma"),
+        ("tightness", ["--alpha", "1,2", "--spec", "absent.json"], "--alpha"),
+        ("dirichlet", ["--sigma-real", "9"], "--sigma-real"),
+        ("tightness", ["--spec", "absent.json"], "--spec"),
         ("mixture", ["--spec", "absent.json", "--n-per-class", "10"], "--n-per-class"),
     ])
     def test_flag_the_generator_does_not_define_is_usage_error(
@@ -828,7 +843,6 @@ class TestCmdSynth:
 
     @pytest.mark.parametrize("generator, flags", [
         ("mixture", ["--spec"]),
-        ("rings", ["--n-per-class", "--radii", "--radial-sigma"]),
         ("matched-moments", ["--n-per-class"]),
         ("tightness", ["--n-per-class", "--sigma-real", "--sigma-gen"]),
         ("dirichlet", ["--n-per-class", "--alpha"]),
@@ -841,7 +855,7 @@ class TestCmdSynth:
         assert shown == {"--help", "--seed", "--out-dir", *flags}
 
     @pytest.mark.parametrize("generator, defaults", [
-        ("rings", ["--radii", "1,3", "--radial-sigma", "0.1", "--n-per-class", "1000"]),
+        ("matched-moments", ["--n-per-class", "1000"]),
         ("tightness", ["--sigma-real", "1,2", "--sigma-gen", "2,1", "--n-per-class", "1000"]),
         ("dirichlet", ["--alpha", "1,1", "--n-per-class", "1000"]),
     ])
@@ -870,7 +884,6 @@ SYNTH_SPEC = {
 # `synth <generator> --n-per-class 30` writes (mixture: SYNTH_SPEC)
 SYNTH_FILES = {
     "mixture": ("features", "labels", [30, 40, 25], 3),
-    "rings": ("features", "labels", [30, 30], 2),
     "matched-moments": ("a_features", "a_labels", [30, 30], 2),
     "tightness": ("real_features", "real_labels", [30, 30], 2),
 }

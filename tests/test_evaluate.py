@@ -353,6 +353,35 @@ def test_peak_memory_does_not_grow_with_trials(entry):
     assert twenty <= 1.1 * one, (one, twenty)
 
 
+def test_peak_memory_does_not_grow_with_trials_at_many_classes():
+    # at K=1000 a per-class vector held per trial and point would show: the
+    # trials' columns are drawn lazily and each point keeps one running sum
+    rng = rng_for(68)
+    k, n, d = 1000, 3, 8
+    y = np.repeat(np.arange(k), n)
+    x = rng.normal(0.0, 1.0, (y.size, d)) + 0.1 * y[:, None]
+    g = rng.normal(0.0, 1.1, (y.size, d))
+
+    def run(trials):
+        return sweep_label_noise(real_features=x, real_labels=y, gen_features=g, gen_labels=y,
+                                 grid=[0.0, 0.5, 1.0], subset_size=4, trials=trials)
+
+    one, twelve = _traced_peak(lambda: run(1)), _traced_peak(lambda: run(12))
+    assert twelve <= 1.1 * one, (one, twelve)
+
+
+def test_one_class_per_class_fid_is_wcfid_at_any_trial_count():
+    # with one class each trial's wcfid is its one per-class score, and both
+    # means over the trials sum them the same way
+    y = np.zeros(12, dtype=np.int64)
+    for trials in range(8, 40):
+        rng = rng_for(trials)
+        x, g = rng.normal(0.0, 1.0, (12, 6)), rng.normal(0.0, 1.2, (12, 6)) ** 3
+        report = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=y,
+                              subset_size=3, trials=trials, seed=trials)
+        assert report.per_class_fid.tolist() == [report.wcfid], trials
+
+
 def test_fid_family_peaks_like_fid():
     # classes stream through one kernel: beyond one pooled Gaussian only the
     # K x d class means are held, never K class factors per side

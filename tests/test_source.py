@@ -1,7 +1,8 @@
 """The package's own source: every name a module imports is used in it, and
 every private module-level name is read somewhere in the package.  The README
-keeps step with it: each public name it or ``__all__`` gives exists, and its
-quick start runs.
+keeps step with it: each public name it or ``__all__`` gives exists, its
+quick start runs, and its lists of ``synth`` generators and their flags are
+the CLI's.
 
 No linter ships with the test dependencies, and private names are often
 renamed or deleted; an import or a definition left behind would keep a stale
@@ -9,6 +10,7 @@ name alive.  ``__init__.py`` is left out of the import check, since it imports
 names to re-export them.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import condmetrics
+from condmetrics.cli import make_parser
 
 PACKAGE = Path(condmetrics.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -91,3 +94,22 @@ def test_readme_quick_start_runs():
     section = README.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_names_every_synth_generator_and_its_flags():
+    # the generator list under the CLI usage and the per-generator flag list
+    generators = _subcommands(_subcommands(make_parser())["synth"])
+    listed = re.search(r"\(generators: (.*?)\)", README, re.S).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == list(generators)
+    section = README.split("Each `synth` generator is its own subcommand", 1)[1].split("\n\n")[0]
+    bullets = dict(re.findall(r"^- `([\w-]+)`: (.*?)(?=^- |\Z)", section, re.M | re.S))
+    assert list(bullets) == list(generators)
+    common = {"--help", "--seed", "--out-dir"}
+    for name, parser in generators.items():
+        flags = {f for a in parser._actions for f in a.option_strings if f.startswith("--")}
+        assert set(re.findall(r"--[a-z-]+", bullets[name])) == flags - common, name

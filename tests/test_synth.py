@@ -10,7 +10,6 @@ from condmetrics import (
     dirichlet_rows,
     gen_matched_moments,
     gen_mixture,
-    gen_rings,
     gen_tightness_case,
     inception_score,
     label_noise,
@@ -56,30 +55,6 @@ class TestGenMixture:
     def test_tiny_counts_rejected(self):
         with pytest.raises(InvalidInputError):
             MixtureSpec([[0.0]], [np.ones(1)], [1], seed=0)
-
-
-class TestGenRings:
-    def test_zero_sigma_points_lie_on_their_radius(self):
-        x, y = gen_rings([2.5, 4.0], radial_sigma=0.0, n_per_class=50, seed=0)
-        assert np.allclose(np.hypot(x[:, 0], x[:, 1]), np.repeat([2.5, 4.0], 50))
-        assert np.array_equal(y, np.repeat([0, 1], 50))
-
-    def test_class_means_near_origin(self):
-        n = 20_000
-        x, y = gen_rings([1.0, 3.0], radial_sigma=0.1, n_per_class=n, seed=4)
-        for c, _ in enumerate([1.0, 3.0]):
-            assert np.all(np.abs(x[y == c].mean(axis=0)) < 5.0 / np.sqrt(n) * 3.0)
-
-    def test_per_axis_variance(self):
-        # E[(r cos t)^2] = E[r^2]/2 = (R^2 + sigma^2)/2
-        n, radius, sigma = 40_000, 2.0, 0.5
-        x, y = gen_rings([radius], radial_sigma=sigma, n_per_class=n, seed=5)
-        expected = (radius**2 + sigma**2) / 2.0
-        assert np.allclose(x.var(axis=0), expected, rtol=0.05)
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(InvalidInputError):
-            gen_rings([0.0], 0.1, 10, 0)
 
 
 class TestMatchedMoments:

@@ -27,7 +27,6 @@ from condmetrics import (
     dirichlet_rows,
     estimate_gaussian,
     fid,
-    gen_rings,
     gen_tightness_case,
     hungarian_max,
     inception_score,
@@ -102,8 +101,6 @@ CALLS = {
                     dict(means=[[0.0, 0.0], [1.0, 2.0]], covs=[np.eye(2), 2.0 * np.eye(2)],
                          counts=[3, 4]),
                     ["means", "covs", "counts"]),
-    "gen_rings": (gen_rings, dict(radii=[1.0, 3.0], radial_sigma=0.1, n_per_class=3, seed=0),
-                  ["radii", "radial_sigma"]),
     "tightness_population": (tightness_population, dict(sigma=[1.0, 2.0]), ["sigma"]),
     "gen_tightness_case": (gen_tightness_case,
                            dict(sigma_real=[1.0, 2.0], sigma_gen=[2.0, 1.0], n_per_class=3,
@@ -245,15 +242,31 @@ def test_seed_and_subsampling_counts_follow_the_integer_rule(options, message):
     lambda: rng_for("3"),
     lambda: label_noise(LABELS, 0.5, seed=-1),
     lambda: dirichlet_rows([1.0, 2.0], 3, seed=-3),
-    lambda: gen_rings([1.0], 0.1, 3, seed=2.5),
+    lambda: gen_tightness_case([1.0, 2.0], [2.0, 1.0], 3, seed=2.5),
     lambda: mode_collapse_indices(LABELS, SCHEDULE, seed=-2),
     lambda: sweep_label_noise(**feature_args(), grid=[0.5], seed=-2),
 ], ids=["rng_for-negative", "rng_for-2^63", "rng_for-fraction", "rng_for-text",
-        "label_noise", "dirichlet_rows", "gen_rings", "mode_collapse_indices",
+        "label_noise", "dirichlet_rows", "gen_tightness_case", "mode_collapse_indices",
         "sweep_label_noise"])
 def test_every_seed_follows_the_integer_rule(call):
     with pytest.raises(InvalidInputError, match="^seed "):
         call()
+
+
+KEY_RULE = r"^key 1 must be an integer in \[0, 2\^63\), got "
+
+
+@pytest.mark.parametrize("key, message", [
+    (-1, KEY_RULE + "-1$"),
+    (2**63, KEY_RULE + f"{2**63}$"),
+    (np.uint64(2**63), KEY_RULE + f"{2**63}$"),
+    (1.5, "^key 1 must be an integer, got 1.5$"),
+    ("a", "^key 1 has unsupported dtype"),
+    (True, "^key 1 has unsupported dtype bool$"),
+], ids=["negative", "2^63", "uint64-2^63", "fraction", "text", "bool"])
+def test_every_rng_key_follows_the_integer_rule(key, message):
+    with pytest.raises(InvalidInputError, match=message):
+        rng_for(0, 2, key)
 
 
 def test_integral_float_seed_equals_integer_seed():
@@ -261,6 +274,7 @@ def test_integral_float_seed_equals_integer_seed():
     assert repr(build_report(**feature_args(), seed=3.0, **options)) == \
         repr(build_report(**feature_args(), seed=3, subset_size=1, trials=2))
     assert np.array_equal(rng_for(np.int64(3)).random(4), rng_for(3.0).random(4))
+    assert np.array_equal(rng_for(3, np.int64(2)).random(4), rng_for(3, 2.0).random(4))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -279,7 +293,7 @@ def test_scalar_fraction_is_one_finite_number(call, message):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gen_rings([1.0, 3.0], 0.1, n_per_class="3", seed=0),
+    lambda: gen_tightness_case([1.0, 2.0], [2.0, 1.0], n_per_class="3", seed=0),
     lambda: dirichlet_rows([1.0, 2.0], n=2.5, seed=0),
     lambda: dirichlet_rows([1.0, 2.0], n=[3], seed=0),
     lambda: CollapseSchedule(collapsed_classes=("a",)),
@@ -321,7 +335,6 @@ THREE_CLASSES = np.array([0, 1, 2, 0, 1, 2])
      r"covariance 0 has shape \(3, 3\), expected \(2, 2\)"),
     (lambda: tightness_population([1.0, 2.0, 3.0]),
      r"sigma must be 2 non-negative real\(s\), got \[1.0, 2.0, 3.0\]"),
-    (lambda: gen_rings([1.0], 0.1, n_per_class=0, seed=0), "n_per_class must be >= 1"),
     (lambda: gen_tightness_case([1.0, 2.0], [2.0, 1.0], n_per_class=1, seed=0),
      "n_per_class must be >= 2"),
     (lambda: CollapseSchedule(steps=0), "steps must be >= 1"),
@@ -329,8 +342,8 @@ THREE_CLASSES = np.array([0, 1, 2, 0, 1, 2])
     (lambda: dirichlet_rows([1.0, 2.0], n=0, seed=0), "n must be >= 1"),
 ], ids=["probs-1-d", "priors-sum", "pairing-repeated", "bcfid-class-counts",
         "wcfid-class-counts", "features-1-d", "mean-empty", "covs-scalar", "covs-none",
-        "covs-count", "covs-diagonal-length", "covs-shape", "sigma-count", "rings-n-zero",
-        "pair-n-one", "steps-zero", "per-class-sample-zero", "dirichlet-n-zero"])
+        "covs-count", "covs-diagonal-length", "covs-shape", "sigma-count", "pair-n-one",
+        "steps-zero", "per-class-sample-zero", "dirichlet-n-zero"])
 def test_argument_outside_its_domain_is_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         call()
