@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import ConfigError, InvalidInputError, NotPSDError
 from .evaluate import PAIRINGS, build_report, sweep_label_noise, sweep_mode_collapse
 from .matching import average_class_probabilities, hungarian_max
-from .metrics import WEIGHTINGS
 from .report import (
     assignment_to_json,
     report_to_csv,
@@ -62,7 +61,7 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-_OPTIONS = ("subset_size", "trials", "seed", "weighting", "pairing")
+_OPTIONS = ("subset_size", "trials", "seed", "pairing")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -84,7 +83,6 @@ def _common_flags(sub) -> None:
     sub.add_argument("--subset-size", type=int)
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--weighting", choices=WEIGHTINGS)
     sub.add_argument("--pairing", choices=PAIRINGS)
     sub.add_argument("--out")
     sub.add_argument("--format", choices=["json", "csv"])

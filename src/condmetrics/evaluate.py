@@ -37,7 +37,6 @@ from .errors import ConfigError, InvalidInputError
 from .gaussian import _as_finite, _estimate_gaussian, as_feature_matrix, frechet_distance
 from .matching import hungarian_max
 from .metrics import (
-    WEIGHTINGS,
     MetricReport,
     _accuracy,
     _as_int,
@@ -67,7 +66,6 @@ _OPTION_READERS = {
     "trials": (1, "subset_size", "--subset-size"),
     "real_labels": (None, "real_features", _FEATURES),
     "pairing": ("identity", "real_features", _FEATURES),
-    "weighting": ("empirical", "gen_labels", "generated labels; --gen-labels is missing"),
 }
 
 
@@ -99,7 +97,7 @@ def _score_fid(report: MetricReport, scores, trials: int, scale: float) -> None:
 
 def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=None,
                 gen_labels=None, probs=None, subset_size=None, trials=1, seed=0,
-                weighting="empirical", pairing="identity", mapping=None, scores=None):
+                pairing="identity", mapping=None, scores=None):
     """One report per point of ``row_sets(checked gen_labels, k)``, an iterable
     of ``(rows, label vectors)``: the generated rows ``rows`` (all of them if
     None) and the checked generated labels of each point scored on them.  The
@@ -115,16 +113,13 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     subset_size = None if subset_size is None else _as_int(subset_size, "subset_size")
     if pairing not in PAIRINGS:
         raise InvalidInputError(f"unknown pairing {pairing!r}, expected one of {PAIRINGS}")
-    if weighting not in WEIGHTINGS:
-        raise InvalidInputError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
     if probs is None and real_features is None and gen_features is None:
         raise ConfigError("no inputs given; nothing to compute")
     if (real_features is None) != (gen_features is None):
         missing = "--gen-features" if gen_features is None else "--real-features"
         raise ConfigError(f"metric fid needs features on both sides; {missing} is missing")
     given = dict(subset_size=subset_size, trials=trials, real_labels=real_labels,
-                 pairing=pairing, weighting=weighting, real_features=real_features,
-                 gen_labels=gen_labels)
+                 pairing=pairing, real_features=real_features)
     for name, (default, reader, missing) in _OPTION_READERS.items():
         value = given[name]
         if given[reader] is None and (value is not None if default is None else value != default):
@@ -170,8 +165,8 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     fixed = None if k is None else _resolve_mapping(mapping, k)
     # the strictest score that reads a split sets its least class size
     least = 2 if real_features is not None and class_stage else 1
-    real = None if real_labels is None else _class_split(real_labels, k, weighting, least, "real")
-    rule = (k, weighting, least, "conditioned" if real is None else "generated")
+    real = None if real_labels is None else _class_split(real_labels, k, least, "real")
+    rule = (k, least, "conditioned" if real is None else "generated")
     row_sets = [(rows, labelled, [y if y is None else _class_split(y, *rule) for y in labelled])
                 for rows, labelled in row_sets(gen_labels, k)]
 
@@ -248,14 +243,14 @@ def inception_score(probs) -> float:
     return _report("is_", probs=probs).is_
 
 
-def bcis(probs, labels, weighting: str = "empirical") -> float:
+def bcis(probs, labels) -> float:
     """Between-class score: inception score of the per-class average distributions."""
-    return _report("bcis", probs=probs, gen_labels=labels, weighting=weighting).bcis
+    return _report("bcis", probs=probs, gen_labels=labels).bcis
 
 
-def wcis(probs, labels, weighting: str = "empirical") -> float:
+def wcis(probs, labels) -> float:
     """Within-class score: exp of the class-weighted mean within-class KL."""
-    return _report("wcis", probs=probs, gen_labels=labels, weighting=weighting).wcis
+    return _report("wcis", probs=probs, gen_labels=labels).wcis
 
 
 def per_class_is(probs, labels) -> np.ndarray:
@@ -268,30 +263,26 @@ def fid(real_features, gen_features) -> float:
     return _report("fid", real_features=real_features, gen_features=gen_features).fid
 
 
-def bcfid(real_features, real_labels, gen_features, gen_labels, *,
-          weighting: str = "empirical") -> float:
+def bcfid(real_features, real_labels, gen_features, gen_labels) -> float:
     """Fréchet distance between the real and generated class-mean distributions."""
     return _report("bcfid", real_features=real_features, real_labels=real_labels,
-                   gen_features=gen_features, gen_labels=gen_labels,
-                   weighting=weighting).bcfid
+                   gen_features=gen_features, gen_labels=gen_labels).bcfid
 
 
 def wcfid(real_features, real_labels, gen_features, gen_labels, *,
-          pairing=None, weighting: str = "empirical") -> tuple[float, np.ndarray]:
+          pairing=None) -> tuple[float, np.ndarray]:
     """Class-weighted mean of per-class Fréchet distances (needs >= 2 per class),
     and the per-class vector; class c is compared with real class pairing[c]."""
     report = _report("wcfid", real_features=real_features, real_labels=real_labels,
-                     gen_features=gen_features, gen_labels=gen_labels,
-                     weighting=weighting, mapping=pairing)
+                     gen_features=gen_features, gen_labels=gen_labels, mapping=pairing)
     return report.wcfid, report.per_class_fid
 
 
 def cfid_sum(real_features, real_labels, gen_features, gen_labels, *,
-             pairing=None, weighting: str = "empirical") -> float:
+             pairing=None) -> float:
     """bcfid + wcfid: a single conditional score that upper-bounds fid."""
     return _report("cfid_sum", real_features=real_features, real_labels=real_labels,
-                   gen_features=gen_features, gen_labels=gen_labels,
-                   weighting=weighting, mapping=pairing).cfid_sum
+                   gen_features=gen_features, gen_labels=gen_labels, mapping=pairing).cfid_sum
 
 
 def build_report(
@@ -304,7 +295,6 @@ def build_report(
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
-    weighting: str = "empirical",
     pairing: str = "identity",
 ) -> MetricReport:
     """Compute every metric its inputs allow and collect them into one report.
@@ -321,7 +311,7 @@ def build_report(
         _one_point,
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing)[0]
+        seed=seed, pairing=pairing)[0]
 
 
 def sweep_label_noise(
@@ -335,7 +325,6 @@ def sweep_label_noise(
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
-    weighting: str = "empirical",
     pairing: str = "identity",
 ) -> list[tuple[float, MetricReport]]:
     """One report per noise fraction p of ``grid`` (by default 0, 0.1, ..., 1);
@@ -351,7 +340,7 @@ def sweep_label_noise(
                                     for i, p in enumerate(grid)])],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing)
+        seed=seed, pairing=pairing)
     return list(zip(grid, reports))
 
 
@@ -371,7 +360,6 @@ def sweep_mode_collapse(
     subset_size: int | None = None,
     trials: int = 1,
     seed: int = 0,
-    weighting: str = "empirical",
     pairing: str = "identity",
 ) -> list[tuple[float, MetricReport]]:
     """One report per collapse step; the generated side at step s is the
@@ -383,5 +371,5 @@ def sweep_mode_collapse(
                            for idx in _mode_collapse_indices(labels, k, schedule, seed)],
         real_features=real_features, real_labels=real_labels, gen_features=gen_features,
         gen_labels=gen_labels, probs=probs, subset_size=subset_size, trials=trials,
-        seed=seed, weighting=weighting, pairing=pairing)
+        seed=seed, pairing=pairing)
     return [(float(step), report) for step, report in enumerate(reports)]

@@ -81,17 +81,15 @@ def as_feature_matrix(features) -> np.ndarray:
 class GaussianStats:
     """Mean vector and population covariance of one (sub)population.
 
-    ``GaussianStats(mean, cov, count)`` symmetrizes ``cov``, which must be PSD
-    up to the round-off floor, and keeps diag(sqrt(w)) V^T of it as ``factor``;
-    ``cov`` is rebuilt from the factor when read.  ``count`` records how many
-    samples produced the estimate (0 for analytically constructed statistics).
+    ``GaussianStats(mean, cov)`` symmetrizes ``cov``, which must be PSD up to
+    the round-off floor, and keeps diag(sqrt(w)) V^T of it as ``factor``;
+    ``cov`` is rebuilt from the factor when read.
     """
 
     mean: np.ndarray
     factor: np.ndarray
-    count: int = 0
 
-    def __init__(self, mean, cov, count: int = 0):
+    def __init__(self, mean, cov):
         mean = _as_finite(mean, "mean vector")[0].reshape(-1)
         cov = _as_finite(cov, "covariance")[0]
         if mean.size < 1:
@@ -100,18 +98,17 @@ class GaussianStats:
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T), "covariance"),
-                             count=count)
+        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T), "covariance"))
 
     @classmethod
-    def _from_rows(cls, mean: np.ndarray, rows: np.ndarray, count: int) -> GaussianStats:
+    def _from_rows(cls, mean: np.ndarray, rows: np.ndarray) -> GaussianStats:
         """Gaussian with covariance rows^T rows, for a fresh array of rows: up
         to d rows are the factor itself, more give ``_gram_factor(rows^T rows)``."""
         n, d = rows.shape
         if n > d:
             rows = _gram_factor(rows.T @ rows)
         stats = cls.__new__(cls)
-        stats.__dict__.update(mean=mean, factor=rows, count=count)
+        stats.__dict__.update(mean=mean, factor=rows)
         return stats
 
     @property
@@ -135,7 +132,7 @@ def _estimate_gaussian(x: np.ndarray) -> GaussianStats:
         rows = (x - mean) / np.sqrt(n)
     else:  # d rows, which _from_rows keeps: no centred n x d copy is made
         rows = _gram_factor(_centred_gram(x, mean) / n)
-    return GaussianStats._from_rows(mean, rows, n)
+    return GaussianStats._from_rows(mean, rows)
 
 
 def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:

@@ -24,9 +24,8 @@ Score families
   one kernel, ``_class_scores``, which streams the classes; the
   ``*_from_stats`` functions are the reference path for analytic populations.
 
-Class weights default to empirical frequencies ("empirical"); passing
-``weighting="uniform"`` averages classes with equal weight instead, which is
-also meaningful for unbalanced data but forfeits the exact identities above.
+Classes are weighted by their empirical frequencies, the class prior p(c)
+of the paper's expectations.
 
 Each input array is checked once, where it enters a public function (the
 score functions other than ``accuracy`` are one-report wrappers in
@@ -53,8 +52,6 @@ from .gaussian import (
 # Probabilities are floored here and rows renormalized before any log, so
 # hard one-hot rows stay finite; the perturbation is < 1e-10 relative.
 PROB_FLOOR = 1e-12
-
-WEIGHTINGS = ("empirical", "uniform")
 
 # Entries per row block of the IS family's passes (see ``_is_pass``).
 _IS_BLOCK = 2**15
@@ -201,18 +198,12 @@ def class_index_lists(
     return [order[end - n:end] for n, end in zip(counts, ends)]
 
 
-def _class_split(y: np.ndarray, k: int, weighting: str, min_count: int, side: str):
-    """Per-class row indices of labels in [0, k) and the class priors."""
+def _class_split(y: np.ndarray, k: int, min_count: int, side: str):
+    """Per-class row indices of labels in [0, k) and the class priors, their
+    empirical frequencies."""
     idx = class_index_lists(y, k, min_count=min_count, side=side)
-    return idx, class_priors(np.array([i.size for i in idx]), weighting)
-
-
-def class_priors(counts: np.ndarray, weighting: str = "empirical") -> np.ndarray:
-    if weighting == "empirical":
-        return counts / counts.sum()
-    if weighting == "uniform":
-        return np.full(counts.size, 1.0 / counts.size)
-    raise InvalidInputError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
+    counts = np.array([i.size for i in idx])
+    return idx, counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +350,26 @@ class ClassConditionalStats:
         return len(self.per_class)
 
 
-def class_conditional_stats(features, labels, *,
-                            weighting: str = "empirical") -> ClassConditionalStats:
+def class_conditional_stats(features, labels) -> ClassConditionalStats:
     """Estimate per-class and between-class Gaussian statistics from samples;
     the classes are 0 to the largest label."""
     x = as_feature_matrix(features)
     y = as_label_vector(labels, None, n=x.shape[0])
-    idx, priors = _class_split(y, _class_count(y), weighting, 1, "")
+    idx, priors = _class_split(y, _class_count(y), 1, "")
     return _with_between(tuple(_estimate_gaussian(x[i]) for i in idx), priors)
 
 
-def _between(means: np.ndarray, priors: np.ndarray, count: int) -> GaussianStats:
+def _between(means: np.ndarray, priors: np.ndarray) -> GaussianStats:
     """The Gaussian over the K x d class means, weighted by priors."""
     mu_b = priors @ means
     rows = np.sqrt(priors)[:, None] * (means - mu_b)
-    return GaussianStats._from_rows(mu_b, rows, count)
+    return GaussianStats._from_rows(mu_b, rows)
 
 
 def _with_between(per_class, priors: np.ndarray) -> ClassConditionalStats:
     """Add the Gaussian over class means, weighted by priors, to per-class stats."""
-    between = _between(np.stack([s.mean for s in per_class]), priors,
-                       sum(s.count for s in per_class))
-    return ClassConditionalStats(per_class, between, priors)
+    return ClassConditionalStats(
+        per_class, _between(np.stack([s.mean for s in per_class]), priors), priors)
 
 
 def class_conditional_from_moments(means, covs, priors) -> ClassConditionalStats:
@@ -409,7 +398,7 @@ def pooled_gaussian(stats: ClassConditionalStats) -> GaussianStats:
     """Pooled Gaussian via the law of total covariance, as stacked factors."""
     rows = np.vstack([stats.between.factor] + [
         np.sqrt(p) * s.factor for p, s in zip(stats.priors, stats.per_class)])
-    return GaussianStats._from_rows(stats.between.mean, rows, stats.between.count)
+    return GaussianStats._from_rows(stats.between.mean, rows)
 
 
 def _resolve_mapping(pairing, k: int | None = None) -> np.ndarray:
@@ -457,10 +446,10 @@ def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points, *, means_only: b
     alone, and no class's Gaussian is estimated."""
     ridx, rpriors = real
     if means_only:
-        between = _class_between(np.stack([rx[i].mean(axis=0) for i in ridx]), real)
-        return [(frechet_distance(between, _class_between(np.stack(
-            [gx[i if rows is None else rows[i]].mean(axis=0) for i in gen[0]]), gen)), None, None)
-            for rows, gen, _ in points]
+        between = _between(np.stack([rx[i].mean(axis=0) for i in ridx]), rpriors)
+        return [(frechet_distance(between, _between(np.stack(
+            [gx[i if rows is None else rows[i]].mean(axis=0) for i in gidx]), gpriors)), None, None)
+            for rows, (gidx, gpriors), _ in points]
     means = np.empty((1 + len(points), len(ridx), rx.shape[1]))  # real, then each point
     per = np.empty((len(points), len(ridx)))
     paired = [np.argsort(mapping) for _, _, mapping in points]  # real class -> point's class
@@ -472,15 +461,9 @@ def _class_scores(rx: np.ndarray, real, gx: np.ndarray, points, *, means_only: b
             gen = _estimate_gaussian(gx[gidx[g] if rows is None else rows[gidx[g]]])
             means[1 + j, g] = gen.mean
             per[j, g] = frechet_distance(r, gen)
-    between = _class_between(means[0], real)
-    return [(frechet_distance(between, _class_between(m, gen)), float(rpriors[mapping] @ p), p)
-            for (_, gen, mapping), m, p in zip(points, means[1:], per)]
-
-
-def _class_between(means: np.ndarray, split) -> GaussianStats:
-    """``_between`` of one side's K x d class means, for its (row indices, priors)."""
-    idx, priors = split
-    return _between(means, priors, sum(i.size for i in idx))
+    between = _between(means[0], rpriors)
+    return [(frechet_distance(between, _between(m, gpriors)), float(rpriors[mapping] @ p), p)
+            for (_, (_, gpriors), mapping), m, p in zip(points, means[1:], per)]
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,6 @@ class MixtureSpec:
         object.__setattr__(self, "_factors", tuple(
             _factor(cov, f"covariance {c}", InvalidInputError) for c, cov in enumerate(covs)))
 
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 def _sigmas(sigma) -> np.ndarray:
     """sigma as 2 finite non-negative standard deviations."""

@@ -15,7 +15,7 @@ import condmetrics.cli as cli
 from condmetrics.cli import main, make_parser
 from condmetrics.evaluate import _OPTION_READERS
 from condmetrics.metrics import MetricReport
-from condmetrics.report import JSON_KEYS
+from condmetrics.report import JSON_KEYS, report_to_json
 from condmetrics.synth import CollapseSchedule, rng_for
 
 
@@ -102,6 +102,15 @@ class TestCmdMetrics:
         # round-trip: parsing and re-formatting with %.17g is stable
         text = out.read_text()
         assert format(payload["fid"], ".17g") in text
+
+    def test_non_finite_numbers_are_written_as_null(self):
+        report = MetricReport(fid=float("nan"), bcfid=float("inf"), wcfid=-np.inf,
+                              per_class_fid=np.array([np.nan, np.inf, -np.inf, 1.5]))
+        text = report_to_json(report)
+        assert '"fid":null,"bcfid":null,"wcfid":null,' in text
+        assert '"per_class_fid":[null,null,null,1.5],' in text
+        payload = json.loads(text)
+        assert [payload[key] for key in ("fid", "bcfid", "wcfid")] == [None] * 3
 
     def test_csv_output_format(self, dataset, tmp_path):
         out = tmp_path / "report.csv"
@@ -409,15 +418,15 @@ class TestLibraryDefaults:
     """The CLI states no default of the library: an option left out is left to it."""
 
     INPUTS = {"real_features", "real_labels", "gen_features", "gen_labels", "probs"}
-    OPTIONS = ["subset_size", "trials", "seed", "weighting", "pairing"]
+    OPTIONS = ["subset_size", "trials", "seed", "pairing"]
     SCHEDULE = ["steps", "shrink_factor", "per_class_sample", "collapsed_classes"]
 
     def test_parser_leaves_library_options_unset(self):
         parser = make_parser()
         metrics = parser.parse_args(["metrics"])
         sweep = parser.parse_args(["sweep", "--experiment", "mode_collapse"])
-        assert [getattr(metrics, name) for name in self.OPTIONS] == [None] * 5
-        assert [getattr(sweep, name) for name in self.OPTIONS + self.SCHEDULE] == [None] * 9
+        assert [getattr(metrics, name) for name in self.OPTIONS] == [None] * 4
+        assert [getattr(sweep, name) for name in self.OPTIONS + self.SCHEDULE] == [None] * 8
 
     def test_only_given_options_reach_the_library(self, dataset, tmp_path, monkeypatch):
         calls = {}
@@ -450,8 +459,7 @@ class TestUnreadOptions:
     read it is given exits 4, naming its flag, before anything is written."""
 
     # a value other than the default for each option in the library's table
-    VALUES = {"subset_size": "2", "trials": "3", "pairing": "hungarian", "weighting": "uniform",
-              "real_labels": None}
+    VALUES = {"subset_size": "2", "trials": "3", "pairing": "hungarian", "real_labels": None}
 
     def test_every_option_has_readers_or_is_always_read(self):
         assert set(cli._OPTIONS) - set(_OPTION_READERS) == {"seed"}
@@ -470,35 +478,49 @@ class TestUnreadOptions:
         out = tmp_path / "report.json"
         assert main(["metrics", "--probs", str(dataset["probs"]), flag, value,
                      "--out", str(out)]) == 4
-        shown = f" {value}" if name in ("pairing", "weighting") else ""
-        needs = {"weighting": "generated labels; --gen-labels is missing",
-                 "trials": "--subset-size"}.get(
+        shown = f" {value}" if name == "pairing" else ""
+        needs = {"trials": "--subset-size"}.get(
             name, "features on both sides; --real-features and --gen-features are missing")
         assert capsys.readouterr().err == f"config error: option {flag}{shown} needs {needs}\n"
         assert not out.exists()
 
 
 class TestClassCountIsDerived:
-    """K is read off the inputs: no flag or parameter sets it."""
+    """K and the class weights are read off the inputs: no flag or parameter
+    sets them.  The weights are the classes' empirical frequencies."""
 
-    @pytest.mark.parametrize("command", [["metrics"], ["sweep", "--experiment", "label_noise"]])
-    def test_k_flag_is_a_usage_error(self, dataset, tmp_path, capsys, command):
+    COMMANDS = [["metrics"], ["sweep", "--experiment", "label_noise"]]
+    PUBLIC = [name for name, obj in vars(condmetrics).items() if name in condmetrics.__all__
+              and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))]
+
+    @staticmethod
+    def assert_usage_error(dataset, tmp_path, capsys, command, extra):
         out = tmp_path / "out"
         flags = metrics_args(dataset, out)[1:]
         with pytest.raises(SystemExit) as exit_:
-            main([*command, *flags, "--k", "3"])
+            main([*command, *flags, *extra])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: condmetrics {command[0]} [-h] ")
-        assert "unrecognized arguments: --k 3" in err
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", [
-        name for name, obj in vars(condmetrics).items() if name in condmetrics.__all__
-        and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_k_flag_is_a_usage_error(self, dataset, tmp_path, capsys, command):
+        self.assert_usage_error(dataset, tmp_path, capsys, command, ["--k", "3"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_weighting_flag_is_a_usage_error(self, dataset, tmp_path, capsys, command):
+        self.assert_usage_error(dataset, tmp_path, capsys, command, ["--weighting", "empirical"])
+
+    @pytest.mark.parametrize("name", PUBLIC)
     def test_no_public_callable_takes_a_class_count(self, name):
         params = inspect.signature(getattr(condmetrics, name)).parameters
         assert not {"k", "class_count"} & set(params)
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_no_public_callable_takes_a_weighting(self, name):
+        assert "weighting" not in inspect.signature(getattr(condmetrics, name)).parameters
 
 
 class TestCmdSweep:

@@ -51,33 +51,33 @@ def one_hot_dominant(labels, k, strength=0.9, seed=0):
 
 
 def assert_report_equals_standalone(x, y, g, gy, probs, *, pairing="identity",
-                                    weighting="empirical", subset_size=None):
+                                    subset_size=None):
     """build_report's fields are == the standalone functions on the same inputs
     and, with subset_size and the identity pairing, its subsampled fields are ==
     those of the same subsampled report without probabilities."""
     inputs = dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                  probs=probs, weighting=weighting, pairing=pairing)
+                  probs=probs, pairing=pairing)
     rep = build_report(**inputs)
     mapping = (hungarian_max(average_class_probabilities(probs, gy)).mapping
                if pairing == "hungarian" else None)
     if probs is not None:
         assert rep.is_ == inception_score(probs)
-        assert rep.bcis == bcis(probs, gy, weighting)
-        assert rep.wcis == wcis(probs, gy, weighting)
+        assert rep.bcis == bcis(probs, gy)
+        assert rep.wcis == wcis(probs, gy)
         assert np.array_equal(rep.per_class_is, per_class_is(probs, gy))
         overall, per_acc = accuracy(probs, gy)
         assert rep.accuracy == overall
         assert np.array_equal(rep.per_class_accuracy, per_acc)
     assert rep.fid == fid(x, g)
-    assert rep.bcfid == bcfid(x, y, g, gy, weighting=weighting)
-    total, per_fid = wcfid(x, y, g, gy, pairing=mapping, weighting=weighting)
+    assert rep.bcfid == bcfid(x, y, g, gy)
+    total, per_fid = wcfid(x, y, g, gy, pairing=mapping)
     assert rep.wcfid == total
     assert np.array_equal(rep.per_class_fid, per_fid)
-    assert rep.cfid_sum == cfid_sum(x, y, g, gy, pairing=mapping, weighting=weighting)
+    assert rep.cfid_sum == cfid_sum(x, y, g, gy, pairing=mapping)
     if subset_size is not None and pairing == "identity":
         sub_rep = build_report(subset_size=subset_size, trials=3, seed=5, **inputs)
         suite = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
-                             subset_size=subset_size, trials=3, seed=5, weighting=weighting)
+                             subset_size=subset_size, trials=3, seed=5)
         for key in ("fid", "bcfid", "wcfid", "cfid_sum", "dims_used", "pairing"):
             assert getattr(sub_rep, key) == getattr(suite, key)
         assert np.array_equal(sub_rep.per_class_fid, suite.per_class_fid)
@@ -100,26 +100,22 @@ class TestBuildReport:
         assert rep.warnings == []
         assert rep.accuracy == 1.0
 
-    @pytest.mark.parametrize("weighting", ["empirical", "uniform"])
     @pytest.mark.parametrize("pairing", ["identity", "hungarian"])
-    def test_fields_equal_standalone_functions(self, pairing, weighting):
+    def test_fields_equal_standalone_functions(self, pairing):
         k, d = 3, 4
         means = rng_for(20).normal(0.0, 3.0, (k, d))
         x, y = gen_mixture(MixtureSpec(means, [np.eye(d)] * k, [30, 50, 70], seed=21))
         g, gy = gen_mixture(MixtureSpec(means + 0.3, [np.eye(d)] * k, [40, 50, 60], seed=22))
         # generated condition c is predicted as class (c + 1) % k
         probs = one_hot_dominant((gy + 1) % k, k, strength=0.6, seed=23)
-        _, mapping = assert_report_equals_standalone(
-            x, y, g, gy, probs, pairing=pairing, weighting=weighting)
+        _, mapping = assert_report_equals_standalone(x, y, g, gy, probs, pairing=pairing)
         if mapping is not None:
             assert mapping.tolist() == [1, 2, 0]
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 5),
-           pairing=st.sampled_from(["identity", "hungarian"]),
-           weighting=st.sampled_from(["empirical", "uniform"]))
+           pairing=st.sampled_from(["identity", "hungarian"]))
     @settings(max_examples=40, deadline=None)
-    def test_fields_equal_standalone_functions_on_random_shapes(
-            self, seed, k, d, pairing, weighting):
+    def test_fields_equal_standalone_functions_on_random_shapes(self, seed, k, d, pairing):
         rng = rng_for(seed)
         y = rng.permutation(np.repeat(np.arange(k), rng.integers(2, 7, k)))
         gy = rng.permutation(np.repeat(np.arange(k), rng.integers(2, 7, k)))
@@ -127,8 +123,7 @@ class TestBuildReport:
         g = rng.normal(0.2, 1.5, (gy.size, d)) + gy[:, None]
         probs = one_hot_dominant(rng.permutation(k)[gy], k, strength=0.5, seed=seed)
         assert_report_equals_standalone(
-            x, y, g, gy, probs, pairing=pairing, weighting=weighting,
-            subset_size=int(rng.integers(1, d + 1)))
+            x, y, g, gy, probs, pairing=pairing, subset_size=int(rng.integers(1, d + 1)))
 
     def test_probs_only_skips_fid_family(self):
         _, y = make_instance(seed=3)
@@ -447,19 +442,6 @@ class TestChecksBeforeScores:
             build_report(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
                          probs=probs, subset_size=5, trials=2)
 
-    @pytest.mark.parametrize("inputs", ["probs", "features", "everything"])
-    def test_unknown_weighting(self, inputs):
-        x, y = make_instance(seed=73, d=4)
-        probs = one_hot_dominant(y, 3, seed=74)
-        given = {
-            "probs": dict(probs=probs),
-            "features": dict(real_features=x, gen_features=x),
-            "everything": dict(real_features=x, real_labels=y, gen_features=x, gen_labels=y,
-                               probs=probs),
-        }[inputs]
-        with pytest.raises(InvalidInputError, match="unknown weighting 'bogus', expected one of"):
-            build_report(weighting="bogus", **given)
-
     @pytest.mark.parametrize("side", ["real", "generated"])
     def test_class_with_one_row(self, side):
         # bcfid/wcfid need a covariance per class: one row of class 2 on either
@@ -502,7 +484,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("options", [
         dict(pairing="hungarian"),
-        dict(pairing="hungarian", weighting="uniform", subset_size=3, trials=4),
+        dict(pairing="hungarian", subset_size=3, trials=4),
         dict(subset_size=4, trials=2),
     ])
     def test_label_noise_rows_equal_pointwise_reports(self, options):

@@ -21,7 +21,7 @@ from condmetrics.synth import rng_for
 
 def random_stats(rng, d, scale=1.0):
     b = rng.normal(0.0, scale, (d, d))
-    return GaussianStats(rng.normal(0.0, scale, d), b @ b.T, count=0)
+    return GaussianStats(rng.normal(0.0, scale, d), b @ b.T)
 
 
 def diagonal_frechet(mu1, var1, mu2, var2):
@@ -55,7 +55,6 @@ class TestEstimateGaussian:
         stats = estimate_gaussian([[3.0, 5.0]])
         assert np.array_equal(stats.mean, [3.0, 5.0])
         assert np.array_equal(stats.cov, np.zeros((2, 2)))
-        assert stats.count == 1
 
     def test_two_rows_population_covariance(self):
         stats = estimate_gaussian([[0.0, 0.0], [2.0, 0.0]])
@@ -328,8 +327,7 @@ class TestFactorKernel:
 def with_qr_factor(stats):
     # the same Gaussian held as the triangular QR factor of its rows
     twin = GaussianStats.__new__(GaussianStats)
-    twin.__dict__.update(mean=stats.mean, factor=np.linalg.qr(stats.factor, mode="r"),
-                         count=stats.count)
+    twin.__dict__.update(mean=stats.mean, factor=np.linalg.qr(stats.factor, mode="r"))
     return twin
 
 
@@ -337,7 +335,7 @@ def qr_estimate(x):
     # the sample estimate as a QR of its centred rows over sqrt(n), whatever n is
     rows = GaussianStats.__new__(GaussianStats)
     mean = x.mean(axis=0)
-    rows.__dict__.update(mean=mean, factor=(x - mean) / np.sqrt(len(x)), count=len(x))
+    rows.__dict__.update(mean=mean, factor=(x - mean) / np.sqrt(len(x)))
     return with_qr_factor(rows)
 
 

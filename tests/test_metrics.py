@@ -31,10 +31,8 @@ from condmetrics import (
 from condmetrics import evaluate, metrics
 from condmetrics.metrics import (
     PROB_FLOOR,
-    WEIGHTINGS,
     _probability_rows,
     class_index_lists,
-    class_priors,
 )
 from condmetrics.synth import MixtureSpec, dirichlet_rows, gen_mixture, label_noise, rng_for
 
@@ -305,7 +303,7 @@ def conditioned_probs(seed):
     return rng, probs, labels.astype(np.int64), k
 
 
-def dense_is_family(p, y=None, k=None, weighting="empirical"):
+def dense_is_family(p, y=None, k=None):
     """Reference: the IS family from the whole cleaned matrix and its KL rows."""
     def kl_rows(a, b):
         return np.sum(a * (np.log(a) - np.log(b)), axis=1)
@@ -317,25 +315,26 @@ def dense_is_family(p, y=None, k=None, weighting="empirical"):
         return is_, None, None, None
     idx = class_index_lists(y, k, min_count=1, side="conditioned")
     averages = np.stack([clean[i].mean(axis=0) for i in idx])
-    priors = class_priors(np.array([i.size for i in idx]), weighting)
+    counts = np.array([i.size for i in idx])
+    priors = counts / counts.sum()
     within = np.array(
         [float(np.mean(kl_rows(clean[i], averages[c]))) for c, i in enumerate(idx)])
     between = priors @ kl_rows(averages, priors @ averages)
     return is_, float(np.exp(between)), float(np.exp(priors @ within)), np.exp(within)
 
 
-def assert_streamed_is_family_matches_dense(probs, labels, weighting, block):
+def assert_streamed_is_family_matches_dense(probs, labels, block):
     """The public IS functions at ``_IS_BLOCK`` = block equal the dense
     reference, and the IS is bit for bit the same at other block sizes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_IS_BLOCK", block)
-        got = (inception_score(probs), bcis(probs, labels, weighting),
-               wcis(probs, labels, weighting), per_class_is(probs, labels))
+        got = (inception_score(probs), bcis(probs, labels),
+               wcis(probs, labels), per_class_is(probs, labels))
         others = []
         for other in (1, 7, block + 5, 2**15):
             mp.setattr(metrics, "_IS_BLOCK", other)
             others.append(inception_score(probs))
-    want = dense_is_family(probs, labels, probs.shape[1], weighting)
+    want = dense_is_family(probs, labels, probs.shape[1])
     assert others == [got[0]] * len(others)
     assert np.allclose(got[:3], want[:3], rtol=1e-12, atol=0.0)
     assert np.allclose(got[3], want[3], rtol=1e-12, atol=0.0)
@@ -344,17 +343,16 @@ def assert_streamed_is_family_matches_dense(probs, labels, weighting, block):
 class TestStreamedISFamily:
     """The blocked one-log pass equals the dense two-log computation."""
 
-    @given(st.integers(0, 10_000), st.integers(2, 7),
-           st.sampled_from(WEIGHTINGS), st.integers(1, 60), st.booleans())
+    @given(st.integers(0, 10_000), st.integers(2, 7), st.integers(1, 60), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_dense_reference(self, seed, width, weighting, block, one_hot):
+    def test_matches_dense_reference(self, seed, width, block, one_hot):
         rng = rng_for(seed)
         # unbalanced classes: each of the width conditioned classes gets 1 to 12 rows
         labels = rng.permutation(np.repeat(np.arange(width), rng.integers(1, 13, width)))
         probs = dirichlet_rows(rng.uniform(0.1, 3.0, width), labels.size, seed)
         if one_hot:  # rows at PROB_FLOOR after cleaning
             probs[::2] = np.eye(width)[rng.integers(0, width, probs[::2].shape[0])]
-        assert_streamed_is_family_matches_dense(probs, labels, weighting, block)
+        assert_streamed_is_family_matches_dense(probs, labels, block)
 
     @pytest.mark.parametrize("case", [
         "block-splits-class", "class-larger-than-block", "one-row-blocks", "ragged-last-block"])
@@ -372,8 +370,7 @@ class TestStreamedISFamily:
         }[case]
         block = width - 1 if rows is None else rows * width
         probs = dirichlet_rows(np.linspace(0.3, 2.0, width), labels.size, seed=11)
-        for weighting in WEIGHTINGS:
-            assert_streamed_is_family_matches_dense(probs, labels, weighting, block)
+        assert_streamed_is_family_matches_dense(probs, labels, block)
 
     def test_report_memory_is_bounded_by_the_input(self):
         rng = rng_for(20000)
@@ -389,10 +386,9 @@ class TestStreamedISFamily:
         assert peak <= 0.25 * probs.nbytes
 
 
-def is_family(probs, labels, weighting="empirical"):
+def is_family(probs, labels):
     return np.concatenate([
-        [inception_score(probs), bcis(probs, labels, weighting),
-         wcis(probs, labels, weighting)],
+        [inception_score(probs), bcis(probs, labels), wcis(probs, labels)],
         per_class_is(probs, labels)])
 
 
@@ -400,13 +396,13 @@ class TestInceptionMetamorphic:
     """The IS family and accuracy under reorderings whose effect is known:
     the scores see a set of rows, and class names carry no meaning."""
 
-    @given(st.integers(0, 10_000), st.sampled_from(["empirical", "uniform"]))
+    @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
-    def test_row_permutation_invariance(self, seed, weighting):
+    def test_row_permutation_invariance(self, seed):
         rng, probs, labels, _ = conditioned_probs(seed)
         perm = rng.permutation(labels.size)
-        base = is_family(probs, labels, weighting)
-        moved = is_family(probs[perm], labels[perm], weighting)
+        base = is_family(probs, labels)
+        moved = is_family(probs[perm], labels[perm])
         assert np.allclose(moved, base, rtol=1e-12, atol=0.0)
         overall, per = accuracy(probs, labels)
         moved_overall, moved_per = accuracy(probs[perm], labels[perm])
@@ -555,16 +551,14 @@ class TestConditionalFID:
         with pytest.raises(InvalidInputError, match="class 1"):
             wcfid(x, y, x, y)
 
-    def test_uniform_weighting_is_simple_average(self):
+    def test_wcfid_weights_classes_by_their_counts(self):
         spec_r = MixtureSpec(
             [[0.0, 0.0], [4.0, 0.0]], [np.eye(2), np.eye(2)], [30, 90], seed=8)
         spec_g = MixtureSpec(
             [[0.5, 0.0], [4.0, 1.0]], [np.eye(2), np.eye(2)], [30, 90], seed=9)
         rx, ry = gen_mixture(spec_r)
         gx, gy = gen_mixture(spec_g)
-        total, per = wcfid(rx, ry, gx, gy, weighting="uniform")
-        assert total == pytest.approx(float(per.mean()), abs=1e-12)
-        weighted, per_w = wcfid(rx, ry, gx, gy, weighting="empirical")
+        weighted, per_w = wcfid(rx, ry, gx, gy)
         assert weighted == pytest.approx(float(np.array([0.25, 0.75]) @ per_w), abs=1e-12)
 
     def test_matched_moment_population_sum(self):
@@ -590,8 +584,7 @@ class TestConditionalFID:
         assert swapped_total <= 1e-9
         assert identity_total > 1.0
 
-    @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    def test_sample_scores_equal_the_stats_reference(self, weighting):
+    def test_sample_scores_equal_the_stats_reference(self):
         # the streamed sample path and the stats-level path take the same
         # estimates and distances, so they agree bit for bit
         rng = rng_for(16)
@@ -601,15 +594,15 @@ class TestConditionalFID:
         x = rng.standard_normal((y.size, d)) + y[:, None]
         g = 1.2 * rng.standard_normal((gy.size, d)) + 0.5
         perm = np.array([2, 0, 3, 1])
-        real = class_conditional_stats(x, y, weighting=weighting)
-        gen = class_conditional_stats(g, gy, weighting=weighting)
-        total, per = wcfid(x, y, g, gy, pairing=perm, weighting=weighting)
+        real = class_conditional_stats(x, y)
+        gen = class_conditional_stats(g, gy)
+        total, per = wcfid(x, y, g, gy, pairing=perm)
         ref_total, ref_per = wcfid_from_stats(real, gen, perm)
         assert total == ref_total
         assert np.array_equal(per, ref_per)
-        between = bcfid(x, y, g, gy, weighting=weighting)
+        between = bcfid(x, y, g, gy)
         assert between == bcfid_from_stats(real, gen)
-        assert cfid_sum(x, y, g, gy, pairing=perm, weighting=weighting) == between + total
+        assert cfid_sum(x, y, g, gy, pairing=perm) == between + total
 
     def test_bcfid_takes_single_row_classes_and_wcfid_does_not(self):
         rng = rng_for(17)
@@ -631,17 +624,14 @@ class TestConditionalFID:
         gy = np.repeat(np.arange(k), [3, 3, 1, 8, 5])
         x = rng.standard_normal((y.size, d)) + y[:, None]
         g = 1.3 * rng.standard_normal((gy.size, d))
-        want = {w: bcfid_from_stats(class_conditional_stats(x, y, weighting=w),
-                                    class_conditional_stats(g, gy, weighting=w))
-                for w in WEIGHTINGS}
+        want = bcfid_from_stats(class_conditional_stats(x, y), class_conditional_stats(g, gy))
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a per-class estimate in bcfid")
 
         monkeypatch.setattr(metrics, "_estimate_gaussian", forbidden)
         monkeypatch.setattr(evaluate, "_estimate_gaussian", forbidden)
-        for w in WEIGHTINGS:
-            assert bcfid(x, y, g, gy, weighting=w) == want[w]
+        assert bcfid(x, y, g, gy) == want
 
     def test_wcfid_and_cfid_sum_estimate_no_pooled_gaussian(self, monkeypatch):
         # the pooled Gaussians are fid's alone; the per-class scores equal the
@@ -717,29 +707,8 @@ class TestClassConditionalStats:
         assert all(shape in str(err.value) for shape in shapes), err.value
 
 
-@pytest.mark.parametrize("call", [
-    lambda p, y, x, g: bcis(p, y, "bogus"),
-    lambda p, y, x, g: wcis(p, y, "bogus"),
-    lambda p, y, x, g: bcfid(x, y, g, y, weighting="bogus"),
-    lambda p, y, x, g: wcfid(x, y, g, y, weighting="bogus"),
-    lambda p, y, x, g: cfid_sum(x, y, g, y, weighting="bogus"),
-    lambda p, y, x, g: class_conditional_stats(x, y, weighting="bogus"),
-], ids=["bcis", "wcis", "bcfid", "wcfid", "cfid_sum", "class_conditional_stats"])
-def test_unknown_weighting_fails_before_any_row_pass_or_estimate(call, monkeypatch):
-    probs, labels, _ = random_instance(14, k=3, n=60, balanced=True)
-    x = rng_for(15).standard_normal((60, 2))
-
-    def forbidden(*_args, **_kwargs):
-        raise AssertionError("work was done before the weighting was checked")
-
-    for name in ("_neg_entropy_rows", "_estimate_gaussian"):
-        monkeypatch.setattr(metrics, name, forbidden)
-    with pytest.raises(InvalidInputError, match="unknown weighting 'bogus'"):
-        call(probs, labels, x, x + 1.0)
-
-
 def test_unknown_pairing_fails_before_any_row_pass_or_estimate(monkeypatch):
-    # an unknown value of one argument is invalid input, as for weighting
+    # an unknown value of one argument is invalid input
     probs, labels, _ = random_instance(16, k=3, n=60, balanced=True)
     x = rng_for(17).standard_normal((60, 2))
 
@@ -812,7 +781,7 @@ def array_holders():
     x = rng_for(31).normal(size=(12, 2))
     y = np.arange(12) % 3
     makers = [
-        lambda: GaussianStats(np.zeros(2), np.eye(2), 4),
+        lambda: GaussianStats(np.zeros(2), np.eye(2)),
         lambda: class_conditional_stats(x, y),
         lambda: ClassAssignment(np.array([1, 0, 2]), 2.5),
         lambda: MixtureSpec(np.zeros((2, 2)), [np.ones(2)] * 2, [3, 3], seed=1),

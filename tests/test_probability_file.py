@@ -100,7 +100,7 @@ def reads(monkeypatch):
 PROBABILITY_FUNCTIONS = {
     "inception_score": lambda probs, a: (inception_score(probs),),
     "bcis": lambda probs, a: (bcis(probs, a["gen_labels"]),),
-    "wcis": lambda probs, a: (wcis(probs, a["gen_labels"], weighting="uniform"),),
+    "wcis": lambda probs, a: (wcis(probs, a["gen_labels"]),),
     "per_class_is": lambda probs, a: (per_class_is(probs, a["gen_labels"]),),
     "accuracy": lambda probs, a: accuracy(probs, a["gen_labels"]),
     "average_class_probabilities": lambda probs, a: (

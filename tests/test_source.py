@@ -1,8 +1,8 @@
 """The package's own source: every name a module imports is used in it, and
 every private module-level name is read somewhere in the package.  The README
 keeps step with it: each public name it or ``__all__`` gives exists, its
-quick start runs, and its lists of ``synth`` generators and their flags are
-the CLI's.
+quick start runs, and its lists of ``synth`` generators and their flags, and
+of the flags ``metrics`` and ``sweep`` share, are the CLI's.
 
 No linter ships with the test dependencies, and private names are often
 renamed or deleted; an import or a definition left behind would keep a stale
@@ -113,3 +113,17 @@ def test_readme_names_every_synth_generator_and_its_flags():
     for name, parser in generators.items():
         flags = {f for a in parser._actions for f in a.option_strings if f.startswith("--")}
         assert set(re.findall(r"--[a-z-]+", bullets[name])) == flags - common, name
+
+
+def test_readme_lists_every_common_flag():
+    # the "Common flags:" list is metrics' flags, each with its {choices}, and sweep has them all
+    commands = _subcommands(make_parser())
+    listed = re.search(r"Common flags:\s*`(.*?)`", README, re.S).group(1).split()
+    flags, words = set(), []
+    for action in commands["metrics"]._actions:
+        if "--help" not in action.option_strings:
+            flags.update(action.option_strings)
+            words += action.option_strings
+            words += ["{" + ",".join(action.choices) + "}"] if action.choices else []
+    assert listed == words
+    assert flags <= {f for a in commands["sweep"]._actions for f in a.option_strings}
