@@ -26,7 +26,6 @@ from .gaussian import (
     estimate_gaussian,
     frechet_distance,
     frechet_distance_raw,
-    sqrtm_psd,
 )
 from .matching import (
     ClassAssignment,
@@ -72,7 +71,7 @@ __all__ = [
     "CondMetricsError", "ConfigError", "InvalidInputError", "NotPSDError",
     "TensorFileError",
     "GaussianStats", "estimate_gaussian", "frechet_distance",
-    "frechet_distance_raw", "sqrtm_psd",
+    "frechet_distance_raw",
     "ClassAssignment", "average_class_probabilities", "hungarian_max",
     "ClassConditionalStats", "MetricReport", "accuracy", "bcfid",
     "bcfid_from_stats", "bcis", "cfid_sum", "class_conditional_from_moments",

@@ -104,10 +104,10 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     label-independent work (the IS row quantities, the generated pooled
     Gaussian and fid) is done once per row set.  Pairing "identity" compares
     class c with real class mapping[c] (c without a mapping); "hungarian"
-    discovers each point's pairing from its class averages of the probability
-    rows.  ``scores`` (report fields; None for all) limits the FID family to
-    the stages they read.  A probability file's rows are checked as the IS
-    pass reads them: after the other inputs, before any FID work."""
+    discovers each point's pairing from its class averages of the cleaned
+    probability rows.  ``scores`` (report fields; None for all) limits the FID
+    family to the stages they read.  A probability file's rows are checked as
+    the IS pass reads them: after the other inputs, before any FID work."""
     seed = _as_seed(seed)
     trials = _as_int(trials, "trials")
     subset_size = None if subset_size is None else _as_int(subset_size, "subset_size")
@@ -176,16 +176,15 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
         is_, sums = None, []
         if probs is not None:
             (neg_entropy, predicted, is_), sums = _is_pass(
-                probs if rows is None else probs.take(rows), scored, k, raw=discover)
+                probs if rows is None else probs.take(rows), scored, k)
         for i, (labels, split) in enumerate(zip(labelled, splits)):
             report = MetricReport(is_=is_, pairing=pairing, seed=seed)
             if scored:
                 report.bcis, report.wcis, report.per_class_is = _is_classes(
-                    neg_entropy, sums[i][:, :k], *split)
+                    neg_entropy, sums[i], *split)
                 report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
             sizes = None if split is None else [[c.size] for c in split[0]]  # K x 1
-            # with discover the pass summed each class's rows beside its cleaned rows
-            mapping = hungarian_max(sums[i][:, k:] / sizes).mapping if discover else fixed
+            mapping = hungarian_max(sums[i] / sizes).mapping if discover else fixed
             if real is not None and [[real[0][c].size] for c in mapping] != sizes:
                 report.warnings.append(
                     "per-class sample counts differ between the real and generated "

@@ -148,40 +148,15 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return gram
 
 
-def sqrtm_psd(m) -> np.ndarray:
-    """Symmetric PSD square root via the symmetric eigendecomposition.
-
-    Returns V diag(sqrt(max(w, 0))) V^T.  Eigenvalues within -EIG_TOL * max(1,
-    spectral radius) of zero are clamped; lower ones raise :class:`NotPSDError`.
-    Empty, non-finite or asymmetric (beyond round-off) input is rejected.
-    """
-    a, lo, hi = _as_finite(m, "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise InvalidInputError(f"expected a non-empty square matrix, got shape {a.shape}")
-    asym = float(np.abs(a - a.T).max())
-    if asym > 1e-8 * (1.0 + max(abs(lo), abs(hi))):
-        raise InvalidInputError(
-            f"matrix is not symmetric: max |a - a^T| = {asym:.6e}"
-        )
-    w, v = _eigh_psd(0.5 * (a + a.T))
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
-
-
-def _eigh_psd(a: np.ndarray, what: str = "matrix", error=NotPSDError):
-    """Clamped eigenvalues and eigenvectors of symmetric a; ``error`` below the floor."""
+def _factor(a: np.ndarray, what: str = "matrix", error=NotPSDError) -> np.ndarray:
+    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric matrix
+    a = V diag(w) V^T.  Eigenvalues within -EIG_TOL * max(1, spectral radius)
+    of zero are clamped; lower ones raise ``error``."""
     w, v = np.linalg.eigh(a)
     floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
     if float(w[0]) < floor:
         raise error(f"{what} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
-    return np.clip(w, 0.0, None), v
-
-
-def _factor(a: np.ndarray, what: str = "matrix", error=NotPSDError) -> np.ndarray:
-    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric matrix
-    a = V diag(w) V^T, by ``_eigh_psd``."""
-    w, v = _eigh_psd(a, what, error)
-    return np.sqrt(w)[:, None] * v.T
+    return np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
 
 
 def _gram_factor(g: np.ndarray) -> np.ndarray:

@@ -46,14 +46,16 @@ class ClassAssignment:
 def average_class_probabilities(probs, conds) -> np.ndarray:
     """K x K matrix: row c = mean prediction distribution of conditioned class c.
 
-    ``probs`` is an N x K array or ``ProbabilityRows``, such as a
-    ``tensorfile.ProbabilityFile``, which one pass reads in row blocks.
+    The rows are averaged cleaned (floored at ``PROB_FLOOR`` and renormalized),
+    as the IS family and ``pairing="hungarian"`` read them.  ``probs`` is an
+    N x K array or ``ProbabilityRows``, such as a ``tensorfile.ProbabilityFile``,
+    which one pass reads in row blocks.
     """
     probs = _probability_rows(probs)
     n, k = probs.shape
     y = as_label_vector(conds, k, n=n)
     idx = class_index_lists(y, k, min_count=1, side="conditioned")
-    (sums,) = _is_pass(probs, [y], k, clean=False, raw=True)[1]
+    (sums,) = _is_pass(probs, [y], k)[1]
     return sums / np.array([i.size for i in idx])[:, None]
 
 

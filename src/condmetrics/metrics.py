@@ -226,16 +226,13 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * (np.log(p) - np.log(q)), axis=1)
 
 
-def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
-             clean: bool = True, raw: bool = False):
+def _is_pass(source: ProbabilityRows, labelled, k: int | None):
     """The row quantities and class sums of the checked rows of ``source``,
     from one read of its blocks.
 
     Returns ((negative entropies, argmaxes, IS), sums).  sums has, for each
     label vector in ``labelled`` (labels in [0, k)), its k x K class sums of
-    the cleaned rows and, with ``raw``, beside them those of the rows
-    themselves (k x 2K).  Without ``clean`` nothing is cleaned: the row
-    quantities are None and the sums are of the rows alone.
+    the cleaned rows: the rows every score and the class alignment read.
 
     Row blocks hold about ``_IS_BLOCK`` entries; ``source`` may cut them
     anywhere, in order, at most that many rows each.  Each block is cleaned
@@ -248,26 +245,19 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
     """
     n, width = source.shape
     rows = _block_rows(width)
-    cols = width * (clean + raw)
-    if clean:
-        # row 0 carries the running column sum: one in-order sum, whatever the blocks
-        buf, prod = np.empty((1 + min(rows, n), cols)), np.empty((min(rows, n), width))
-        neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
-        col_sum = np.zeros(width)
-    sums = [np.zeros((k + 1, cols)) for _ in labelled]  # row k is the spare
-    offsets, at = np.arange(cols), np.empty(k or 0, dtype=np.intp)
+    # row 0 carries the running column sum: one in-order sum, whatever the blocks
+    buf, prod = np.empty((1 + min(rows, n), width)), np.empty((min(rows, n), width))
+    neg_entropy, predicted = np.empty(n), np.empty(n, dtype=np.intp)
+    col_sum = np.zeros(width)
+    sums = [np.zeros((k + 1, width)) for _ in labelled]  # row k is the spare
+    offsets, at = np.arange(width), np.empty(k or 0, dtype=np.intp)
     for start, p in source.blocks(rows):
         stop = start + len(p)
-        q = p
-        if clean:
-            q = buf[1:1 + len(p)]
-            if raw:
-                q[:, width:] = p
-            c = _clean_rows(p, q[:, :width])
-            np.argmax(p, axis=1, out=predicted[start:stop])
-            neg_entropy[start:stop] = _neg_entropy_rows(c, prod[:len(p)])
-            buf[0, :width] = col_sum
-            col_sum = buf[:1 + len(p), :width].sum(axis=0)
+        q = _clean_rows(p, buf[1:1 + len(p)])
+        np.argmax(p, axis=1, out=predicted[start:stop])
+        neg_entropy[start:stop] = _neg_entropy_rows(q, prod[:len(p)])
+        buf[0] = col_sum
+        col_sum = buf[:1 + len(p)].sum(axis=0)
         here = np.arange(len(p))
         for labels, s in zip(labelled, sums):
             # at[c] becomes the block's first row of label c: ufunc.at fixes
@@ -279,14 +269,11 @@ def _is_pass(source: ProbabilityRows, labelled, k: int | None, *,
             s[np.where(first, y, k)] += q
             rest = np.flatnonzero(~first)
             if rest.size:  # a 1-D index keeps np.add.at on its fast path
-                np.add.at(s.reshape(-1), (y[rest, None] * cols + offsets).ravel(),
+                np.add.at(s.reshape(-1), (y[rest, None] * width + offsets).ravel(),
                           q[rest].ravel())
-    sums = [s[:k] for s in sums]
-    if not clean:
-        return (None, None, None), sums
     marginal = col_sum / n
     is_ = float(np.exp(np.mean(neg_entropy) - marginal @ np.log(marginal)))
-    return (neg_entropy, predicted, is_), sums
+    return (neg_entropy, predicted, is_), [s[:k] for s in sums]
 
 
 def _block_rows(width: int) -> int:

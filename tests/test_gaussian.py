@@ -1,10 +1,11 @@
-import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning, sqrtm
 
 from condmetrics import (
     GaussianStats,
@@ -13,7 +14,6 @@ from condmetrics import (
     estimate_gaussian,
     frechet_distance,
     frechet_distance_raw,
-    sqrtm_psd,
 )
 from condmetrics.gaussian import as_feature_matrix
 from condmetrics.synth import rng_for
@@ -78,53 +78,6 @@ class TestEstimateGaussian:
             estimate_gaussian([[1.0, np.nan]])
 
 
-class TestSqrtmPsd:
-    def test_identity(self):
-        assert np.allclose(sqrtm_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        assert np.allclose(sqrtm_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_square_reproduces_seeded_psd(self):
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((5, 5))
-        a = b @ b.T
-        root = sqrtm_psd(a)
-        assert np.linalg.norm(root @ root - a, "fro") < 1e-8
-        assert np.array_equal(root, root.T)
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
-            sqrtm_psd(m)
-
-    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)], ids=["empty", "rank1", "oblong"])
-    def test_empty_or_non_square_rejected(self, shape):
-        message = f"expected a non-empty square matrix, got shape {shape}"
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            sqrtm_psd(np.zeros(shape))
-
-    def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NotPSDError):
-            sqrtm_psd(np.diag([1.0, -0.5]))
-
-    def test_roundoff_negative_clamped(self):
-        # within the floor: clamped to zero instead of raising
-        root = sqrtm_psd(np.diag([1.0, -1e-12]))
-        assert root[1, 1] == 0.0
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_square_reproduction_tolerance(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 9))
-        b = rng.normal(0.0, rng.uniform(0.1, 10.0), (d, d))
-        a = b @ b.T
-        root = sqrtm_psd(a)
-        assert np.linalg.norm(root @ root - a, "fro") <= 1e-6 * (
-            1.0 + np.linalg.norm(a, "fro"))
-
-
 class TestFrechetDistance:
     def test_identical_stats(self):
         rng = np.random.default_rng(11)
@@ -187,18 +140,17 @@ class TestGaussianStats:
         with pytest.raises(NotPSDError):
             GaussianStats([0.0, 0.0], np.diag([1.0, -1.0]))
 
+    def test_roundoff_negative_eigenvalue_clamped(self):
+        # within the floor: clamped to zero instead of raising
+        s = GaussianStats([0.0, 0.0], np.diag([1.0, -1e-12]))
+        assert s.cov[1, 1] == 0.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             GaussianStats([0.0, 0.0], np.eye(3))
 
     def test_explicit_covariance_takes_one_eigh_and_no_root(self, monkeypatch):
-        import condmetrics.gaussian as gaussian_mod
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("a PSD root of an explicit covariance")
-
         eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(gaussian_mod, "sqrtm_psd", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         b = rng_for(31).standard_normal((6, 6))
         GaussianStats(np.zeros(6), b @ b.T)
@@ -215,9 +167,12 @@ class TestGaussianStats:
 
 
 def covariance_frechet(mean_a, cov_a, mean_b, cov_b):
-    # reference: the Fréchet distance from d x d covariances, through the PSD
-    # roots of both and the SVD of their product
-    a_half, b_half = sqrtm_psd(cov_a), sqrtm_psd(cov_b)
+    # reference: the Fréchet distance from d x d covariances, through scipy's
+    # principal square roots of both and the SVD of their product; sample
+    # covariances with n <= d are singular, which scipy warns of
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        a_half, b_half = sqrtm(cov_a).real, sqrtm(cov_b).real
     delta = mean_a - mean_b
     cross = np.linalg.svd(a_half @ b_half, compute_uv=False).sum()
     return float(delta @ delta + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
@@ -248,7 +203,7 @@ class TestFactorKernel:
     """The factor kernel against the covariance formula and closed forms."""
 
     # Both sides share n whenever n < d: when a singular covariance meets one
-    # of higher rank, the covariance formula's clamped roots keep sqrt(eps)-sized
+    # of higher rank, the covariance formula's square roots keep sqrt(eps)-sized
     # eigenvalues and it is itself only good to ~1e-9 (those pairs are
     # checked against the Gram-space reference below instead).
     @pytest.mark.parametrize("kind", ["plain", "constant", "duplicated", "offset"])
@@ -541,11 +496,7 @@ class TestFactorRule:
         assert calls == {"qr": 0, "cholesky": cholesky, "eigh": 0}
 
     def test_report_runs_one_cholesky_per_tall_estimate(self, monkeypatch):
-        import condmetrics.gaussian as gaussian_mod
         from condmetrics import build_report
-
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("a PSD root on the feature path")
 
         # d = 4: pooled 60 and 36 rows and every class's 20 or 12 rows take
         # the Gram path, the 3 class means stay rows
@@ -554,7 +505,6 @@ class TestFactorRule:
         y, gy = np.repeat(np.arange(k), 20), np.repeat(np.arange(k), 12)
         x = rng.standard_normal((y.size, d)) + y[:, None]
         g = rng.standard_normal((gy.size, d)) * 1.2 + gy[:, None]
-        monkeypatch.setattr(gaussian_mod, "sqrtm_psd", forbidden)
         calls = self._count_decompositions(monkeypatch)
         rep = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
         assert calls == {"qr": 0, "cholesky": 2 + 2 * k, "eigh": 0}

@@ -16,7 +16,10 @@ from condmetrics import (
     InvalidInputError,
     average_class_probabilities,
     hungarian_max,
+    open_probabilities,
 )
+from condmetrics.cli import main
+from condmetrics.metrics import PROB_FLOOR
 from condmetrics.synth import dirichlet_rows, rng_for
 from condmetrics.tensorfile import save_tensor
 
@@ -95,6 +98,32 @@ class TestAverageClassProbabilities:
         probs = np.full((2, 3), 1.0 / 3.0)
         with pytest.raises(InvalidInputError, match="class 1"):
             average_class_probabilities(probs, np.array([0, 2]))
+
+    def test_one_hot_rows_average_their_cleaned_form(self, tmp_path):
+        # the averages are of the rows floored at PROB_FLOOR and renormalized,
+        # as every score reads them: off its peak a one-hot row keeps
+        # PROB_FLOOR / (1 + (K - 1) PROB_FLOOR), from an array, from a file
+        # and in what the match command writes
+        k = 4
+        conds = np.repeat(np.arange(k), 3)
+        probs = np.eye(k)[(conds + 1) % k]
+        paths = {"probs": tmp_path / "probs.cfm", "gen-labels": tmp_path / "conds.cfm"}
+        save_tensor(paths["probs"], probs)
+        save_tensor(paths["gen-labels"], conds)
+        averages = average_class_probabilities(probs, conds)
+        assert np.array_equal(
+            average_class_probabilities(open_probabilities(paths["probs"]), conds), averages)
+        peaks = np.eye(k)[(np.arange(k) + 1) % k] == 1
+        scale = 1.0 + (k - 1) * PROB_FLOOR
+        assert averages[~peaks] == pytest.approx(np.full(k * (k - 1), PROB_FLOOR / scale),
+                                                 rel=1e-12)
+        assert averages[peaks] == pytest.approx(np.full(k, 1.0 / scale), rel=1e-12)
+        out = tmp_path / "match.json"
+        args = [arg for flag, path in paths.items() for arg in (f"--{flag}", str(path))]
+        assert main(["match", *args, "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written["mapping"] == [(c + 1) % k for c in range(k)]
+        assert np.array_equal(written["average_probabilities"], averages)
 
 
 class TestHungarianMax:

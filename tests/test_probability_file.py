@@ -206,17 +206,13 @@ class TestSameReports:
 def assert_sums_equal_add_at(monkeypatch, probs, labels, k, rows,
                              source=metrics_mod.ProbabilityRows):
     """_is_pass's class sums, over blocks of at most ``rows`` rows of
-    ``source(probs)``, equal np.add.at's row-order sums in each mode: the raw
-    rows alone, the cleaned rows alone, and the cleaned rows beside the raw
-    rows."""
+    ``source(probs)``, equal np.add.at's row-order sums of the cleaned rows."""
     monkeypatch.setattr(metrics_mod, "_IS_BLOCK", rows * probs.shape[1])
     cleaned = metrics_mod._clean_rows(probs, np.empty_like(probs))
-    for clean, raw, added in [(False, True, probs), (True, False, cleaned),
-                              (True, True, np.hstack([cleaned, probs]))]:
-        _, (sums,) = metrics_mod._is_pass(source(probs), [labels], k, clean=clean, raw=raw)
-        expected = np.zeros((k, added.shape[1]))
-        np.add.at(expected, labels, added)
-        assert np.array_equal(sums, expected), (clean, raw)
+    _, (sums,) = metrics_mod._is_pass(source(probs), [labels], k)
+    expected = np.zeros((k, cleaned.shape[1]))
+    np.add.at(expected, labels, cleaned)
+    assert np.array_equal(sums, expected)
 
 
 class TestScatter:
@@ -248,13 +244,11 @@ class TestScatter:
             labels = np.sort(labels)
         probs = dirichlet_rows(np.full(10, 0.5), labels.size, seed=21)
         assert_sums_equal_add_at(monkeypatch, probs, labels, 10, 100)
-        for clean, raw in [(False, True), (True, False), (True, True)]:
-            (c_rows, (c_sums,)), (f_rows, (f_sums,)) = (
-                metrics_mod._is_pass(metrics_mod.ProbabilityRows(p), [labels], 10,
-                                     clean=clean, raw=raw)
-                for p in (probs, np.asfortranarray(probs)))
-            assert np.array_equal(c_sums, f_sums), (clean, raw)
-            assert all(np.array_equal(c, f) for c, f in zip(c_rows, f_rows)), (clean, raw)
+        (c_rows, (c_sums,)), (f_rows, (f_sums,)) = (
+            metrics_mod._is_pass(metrics_mod.ProbabilityRows(p), [labels], 10)
+            for p in (probs, np.asfortranarray(probs)))
+        assert np.array_equal(c_sums, f_sums)
+        assert all(np.array_equal(c, f) for c, f in zip(c_rows, f_rows))
 
 
 class CutRows(metrics_mod.ProbabilityRows):
@@ -314,7 +308,7 @@ class AddAtTargets:
 def test_class_sums_add_later_rows_into_flat_targets(monkeypatch, order):
     # more than 8 rows per label per 100-row block, in either order: every
     # later row goes through one np.add.at on the flattened sums with a flat
-    # index, never a 2-D target, in each mode
+    # index, never a 2-D target
     labels = rng_for(22).integers(0, 4, 400)
     if order == "sorted":
         labels = np.sort(labels)
@@ -322,7 +316,7 @@ def test_class_sums_add_later_rows_into_flat_targets(monkeypatch, order):
     proxy = AddAtTargets()
     monkeypatch.setattr(metrics_mod, "np", proxy)
     assert_sums_equal_add_at(monkeypatch, probs, labels, 4, 100)
-    assert proxy.ndims == [(1, 1)] * 3 * 4  # at most one add.at per block per mode
+    assert proxy.ndims == [(1, 1)] * 4  # at most one add.at per block
 
 
 class RepeatedRows(metrics_mod.ProbabilityRows):

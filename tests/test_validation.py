@@ -33,7 +33,6 @@ from condmetrics import (
     label_noise,
     mode_collapse_indices,
     per_class_is,
-    sqrtm_psd,
     sweep_label_noise,
     sweep_mode_collapse,
     tightness_population,
@@ -85,7 +84,6 @@ CALLS = {
     "estimate_gaussian": (estimate_gaussian, dict(features=FEATURES), ["features"]),
     "GaussianStats": (GaussianStats, dict(mean=[0.0, 1.0], cov=[[2.0, 0.5], [0.5, 1.0]]),
                       ["mean", "cov"]),
-    "sqrtm_psd": (sqrtm_psd, dict(m=[[2.0, 0.5], [0.5, 1.0]]), ["m"]),
     "class_conditional_stats": (class_conditional_stats,
                                 dict(features=FEATURES, labels=LABELS),
                                 ["features", "labels"]),
