@@ -22,11 +22,11 @@ pass ends; and the generated pooled Gaussian and fid once per trial.  Each
 point adds only its labelled work: bcis/wcis from its class sums, accuracy
 against the argmaxes, its pairing, bcfid and wcfid.  Each trial streams the
 classes through ``metrics._class_scores``, drops its column gathers and adds
-each point's per-class vector into one sum, so memory is the inputs, one pooled
-Gaussian and O(K d) per point, plus 3 floats per trial and point.  Under feature
-subsampling each trial draws ``subset_size`` distinct columns from
-``rng_for(seed)`` as it starts, shared by both sides and fid/bcfid/wcfid; the
-report holds each score's mean over trials, divided by ``subset_size``.
+each point's FID family into one running sum per score in its report, so memory
+is the inputs, one pooled Gaussian and O(K d) per point, whatever the trials.
+Under feature subsampling each trial draws ``subset_size`` distinct columns from
+``rng_for(seed)`` as it starts, shared by both sides and fid/bcfid/wcfid; each
+score is its sum over the trials, divided by their count, then by ``subset_size``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ PAIRINGS = ("identity", "hungarian")
 # the scores a public function cannot give without generated labels
 _CONDITIONAL = frozenset({"bcis", "wcis", "per_class_is", "bcfid", "wcfid", "cfid_sum"})
 
+# the report fields that hold each point's sum over the trials until they are scored
+_FID_FAMILY = ("fid", "bcfid", "wcfid", "per_class_fid")
+
 _FEATURES = "features on both sides; --real-features and --gen-features are missing"
 
 # option -> (default, the argument that reads it, what is missing): any other
@@ -83,14 +86,13 @@ def _column_sets(d: int, subset_size: int | None, trials: int, seed: int):
     return cols, float(subset_size)
 
 
-def _score_fid(report: MetricReport, scores, trials: int, scale: float) -> None:
-    """Set the FID family of ``report``: each score is its mean over the trials'
-    (fid, bcfid, wcfid, per-class vector) lists, None where not computed,
-    divided by ``scale``.  A list shorter than the trials holds their sum."""
-    for name, kept in zip(("fid", "bcfid", "wcfid", "per_class_fid"), scores):
-        if kept[0] is not None:
-            mean = (np.mean(kept, axis=0) if len(kept) == trials else kept[0] / trials) / scale
-            setattr(report, name, mean if mean.ndim else float(mean))
+def _score_fid(report: MetricReport, trials: int, scale: float) -> None:
+    """Turn the FID family of ``report``, each score's sum over the trials (None
+    where not computed), into its mean over the trials divided by ``scale``."""
+    for name in _FID_FAMILY:
+        total = getattr(report, name)
+        if total is not None:
+            setattr(report, name, total / trials / scale)
     if report.wcfid is not None:
         report.cfid_sum = report.bcfid + report.wcfid
 
@@ -196,9 +198,6 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
     if real_features is None:
         return reports
 
-    # per point, each trial's fid, bcfid, wcfid and per-class vector; K > 1 vectors
-    # are summed in trial order, as np.mean adds rows (a K = 1 column it adds pairwise)
-    trial_scores = [([], [], [], []) for _ in points]
     for cols in column_sets:
         rx, gx = rf[:, cols], gf[:, cols]
         fids = [None] * len(row_sets)
@@ -210,17 +209,14 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
             del pooled
         classes = [(None,) * 3] * len(points) if real is None else _class_scores(
             rx, real, gx, points, means_only=not class_stage)
-        for (*lists, per_class), r, (between, within, per) in zip(trial_scores, sets, classes):
-            for values, value in zip(lists, (fids[r], between, within)):
-                values.append(value)
-            if per_class and per is not None and per.size > 1:
-                per_class[0] += per
-            else:
-                per_class.append(per)
+        for report, r, (between, within, per) in zip(reports, sets, classes):
+            for name, value in zip(_FID_FAMILY, (fids[r], between, within, per)):
+                total = getattr(report, name)  # each point's sum over the trials so far
+                setattr(report, name, value if total is None else total + value)
         del rx, gx  # before the next trial's columns are gathered
-    for report, point_scores in zip(reports, trial_scores):
+    for report in reports:
         report.dims_used = rf.shape[1] if subset_size is None else subset_size
-        _score_fid(report, point_scores, trials, scale)
+        _score_fid(report, trials, scale)
     return reports
 
 

@@ -16,10 +16,10 @@ singular values of Fa Fb^T, which a left rotation of either factor leaves
 unchanged, so any F with F^T F equal to the covariance gives the same distance
 up to round-off.
 
-An explicitly supplied covariance is factored by ``_factor``, one ``eigh``
-whose floor check is the only place a non-PSD matrix raises NotPSDError (the
-CLI's exit code 3).  ``_as_finite`` coerces and checks every array input of
-the package (tensor files aside) for numbers and finiteness.
+A supplied covariance is factored only by ``GaussianStats``, in ``_factor``:
+one ``eigh`` whose floor check is the only place a non-PSD matrix raises
+NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
+array input of the package (tensor files aside) for numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -98,7 +98,7 @@ class GaussianStats:
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T), "covariance"))
+        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T)))
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray) -> GaussianStats:
@@ -148,14 +148,15 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _factor(a: np.ndarray, what: str = "matrix", error=NotPSDError) -> np.ndarray:
-    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric matrix
+def _factor(a: np.ndarray) -> np.ndarray:
+    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric covariance
     a = V diag(w) V^T.  Eigenvalues within -EIG_TOL * max(1, spectral radius)
-    of zero are clamped; lower ones raise ``error``."""
+    of zero are clamped; lower ones raise NotPSDError."""
     w, v = np.linalg.eigh(a)
     floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
     if float(w[0]) < floor:
-        raise error(f"{what} has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
+        raise NotPSDError(
+            f"covariance has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
     return np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
 
 

@@ -2,8 +2,8 @@
 label noising, and staged mode collapse.
 
 The Gaussian constructions (mixtures, the matched-moment pair, the tightness
-case) are defined by their population moments and drawn from them by one
-sampler, ``_draw``.
+case) are defined by their populations, ``ClassConditionalStats`` built from
+their moments, and drawn from them by one sampler, ``_draw``.
 
 All randomness flows from one explicit seed, an integer in [0, 2^63), through
 ``rng_for``.  Independent pieces (collapse steps, sweep points) draw from
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import _as_finite, _factor
+from .gaussian import _as_finite
 from .metrics import (
     ClassConditionalStats,
     _as_int,
@@ -54,13 +54,14 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
-    """Per-class means, covariances (diagonal vectors accepted), and counts."""
+    """Per-class means, covariances (diagonal vectors accepted), and counts.
+    Drawn from their ``ClassConditionalStats``: a non-PSD covariance raises NotPSDError."""
 
     means: np.ndarray
     covs: np.ndarray
     counts: np.ndarray
     seed: int = 0
-    _factors: tuple = field(init=False, repr=False)
+    _population: ClassConditionalStats = field(init=False, repr=False)
 
     def __post_init__(self):
         means = np.atleast_2d(_as_finite(self.means, "means")[0])
@@ -90,8 +91,8 @@ class MixtureSpec:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_factors", tuple(
-            _factor(cov, f"covariance {c}", InvalidInputError) for c, cov in enumerate(covs)))
+        object.__setattr__(self, "_population",
+                           class_conditional_from_moments(means, covs, counts / counts.sum()))
 
 
 def _sigmas(sigma) -> np.ndarray:
@@ -110,17 +111,17 @@ def _as_number(value, what: str) -> float:
     return float(a)
 
 
-def _draw(rng: np.random.Generator, means, factors, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Class-blocked rows z F_c + mu_c (z standard normal from rng, F_c the
-    ``_factor`` of class c's covariance), counts[c] of class c, and their labels."""
-    features = np.concatenate([rng.standard_normal((n, f.shape[0])) @ f + mu
-                               for mu, f, n in zip(means, factors, counts)], axis=0)
+def _draw(rng: np.random.Generator, population, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Class-blocked rows z F_c + mu_c (z standard normal from rng, mu_c and F_c
+    the population's class c mean and factor), counts[c] of class c, and their labels."""
+    features = np.concatenate([rng.standard_normal((n, g.factor.shape[0])) @ g.factor + g.mean
+                               for g, n in zip(population.per_class, counts)], axis=0)
     return features, np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
 def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw the mixture: class-blocked features and matching labels."""
-    return _draw(rng_for(spec.seed), spec.means, spec._factors, spec.counts)
+    return _draw(rng_for(spec.seed), spec._population, spec.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +143,13 @@ _MATCHED = (
 
 
 def _draw_pair(seed: int, n_per_class: int, sides) -> LabeledPair:
-    """Both sides of a two-class construction, side i from its (means, covariances)
-    by ``rng_for(seed, i)``.  Lazy ``sides`` are checked in turn, after n_per_class."""
+    """Both sides of a two-class construction, side i from its population by
+    ``rng_for(seed, i)``.  Lazy ``sides`` are built in turn, after n_per_class."""
     n_per_class = _as_int(n_per_class, "n_per_class")
     if n_per_class < 2:
         raise InvalidInputError("n_per_class must be >= 2")
-    (rx, ry), (gx, gy) = (
-        _draw(rng_for(seed, i), means, [_factor(cov) for cov in covs], (n_per_class,) * 2)
-        for i, (means, covs) in enumerate(sides))
+    (rx, ry), (gx, gy) = (_draw(rng_for(seed, i), population, (n_per_class,) * 2)
+                          for i, population in enumerate(sides))
     return LabeledPair(rx, ry, gx, gy)
 
 
@@ -165,19 +165,15 @@ def matched_moments_population() -> tuple[ClassConditionalStats, ClassConditiona
 
 
 def gen_matched_moments(seed: int, n_per_class: int) -> LabeledPair:
-    """Sample the matched-moment pair (A as 'real', B as 'generated') from its moments."""
-    return _draw_pair(seed, n_per_class, _MATCHED)
-
-
-def _tightness_moments(sigma) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(means, covariances) of one side of the bound-tightness construction."""
-    s = _sigmas(sigma)
-    return np.ones((2, 2)), [np.diag([0.0, s[0] ** 2]), np.diag([s[1] ** 2, 0.0])]
+    """Sample the matched-moment pair (A as 'real', B as 'generated') from its population."""
+    return _draw_pair(seed, n_per_class, matched_moments_population())
 
 
 def tightness_population(sigma) -> ClassConditionalStats:
     """Population statistics of one side of the bound-tightness construction."""
-    return class_conditional_from_moments(*_tightness_moments(sigma), np.full(2, 0.5))
+    s = _sigmas(sigma)
+    return class_conditional_from_moments(
+        np.ones((2, 2)), [np.diag([0.0, s[0] ** 2]), np.diag([s[1] ** 2, 0.0])], np.full(2, 0.5))
 
 
 def gen_tightness_case(
@@ -185,14 +181,14 @@ def gen_tightness_case(
 ) -> LabeledPair:
     """Sample the construction where fid = bcfid + wcfid holds with equality.
 
-    Drawn from ``tightness_population``'s moments: class 0 rows are
+    Drawn from ``tightness_population``: class 0 rows are
     (1, 1 + eps), class 1 rows are (1 + eps, 1), with eps zero-mean normal of
     the per-class sigma and the constant coordinate exactly 1.  All class
     means are (1, 1), so the between-class part vanishes and the within-class
     part carries the whole distance.
     """
     return _draw_pair(seed, n_per_class,
-                      (_tightness_moments(sigma) for sigma in (sigma_real, sigma_gen)))
+                      (tightness_population(sigma) for sigma in (sigma_real, sigma_gen)))
 
 
 # ---------------------------------------------------------------------------

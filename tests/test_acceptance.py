@@ -301,3 +301,45 @@ def test_c10_subsampling_protocol():
     check("10 subsampling protocol",
           full_subset_equals_scaled_full=exact,
           trial_mean_se_under_10pct=stable)
+
+
+def _auc(unlearned, learned) -> float:
+    """The share of (unlearned, learned) pairs the unlearned class wins; ties count half."""
+    u, v = np.asarray(unlearned)[:, None], np.asarray(learned)[None, :]
+    return float(np.mean((u > v) + 0.5 * (u == v)))
+
+
+def test_c11_unlearned_classes():
+    # n_c >> d: K=10 classes at d=16, 500 rows per class per side, seed 111.
+    # The generator draws each unlearned class from the next class's mean, and
+    # a planted classifier peaks on each generated row's source class.
+    t0 = time.monotonic()
+    k, d, n_per, unlearned = 10, 16, 500, [2, 5, 8]
+    learned = [c for c in range(k) if c not in unlearned]
+    means = np.zeros((k, d))
+    means[np.arange(k), np.arange(k)] = 5.0
+    real = cm.gen_mixture(cm.MixtureSpec(means, [np.eye(d)] * k, [n_per] * k, seed=111))
+
+    def report(source):
+        # generated class c is drawn at source[c]'s mean and classified as source[c]
+        gen = cm.gen_mixture(cm.MixtureSpec(means[source], [np.eye(d)] * k, [n_per] * k, seed=112))
+        rows = rng_for(113).uniform(0.0, 0.05, (gen[1].size, k))
+        rows[np.arange(gen[1].size), source[gen[1]]] += 0.95
+        return cm.build_report(real_features=real[0], real_labels=real[1], gen_features=gen[0],
+                               gen_labels=gen[1], probs=rows / rows.sum(axis=1, keepdims=True))
+
+    shifted = np.arange(k)
+    shifted[unlearned] += 1  # each unlearned class takes the next class's mean
+    control, planted = report(np.arange(k)), report(shifted)
+    fid_auc = _auc(planted.per_class_fid[unlearned], planted.per_class_fid[learned])
+    accuracy_auc = _auc(-planted.per_class_accuracy[unlearned],
+                        -planted.per_class_accuracy[learned])
+    is_auc = _auc(planted.per_class_is[unlearned], planted.per_class_is[learned])
+    elapsed = time.monotonic() - t0
+    print(f"[acceptance] 11 per_class_is AUC {is_auc:.3f} (recorded, not gated); "
+          f"bcfid {planted.bcfid:.4g} against control {control.bcfid:.4g}")
+    check("11 unlearned classes",
+          per_class_fid_auc_one=fid_auc == 1.0,
+          per_class_accuracy_auc_one=accuracy_auc == 1.0,
+          bcfid_above_control=planted.bcfid > control.bcfid,
+          runtime_under_10s=elapsed < 10.0)

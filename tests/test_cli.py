@@ -836,6 +836,18 @@ class TestCmdSynth:
         assert capsys.readouterr().err == f"invalid input: {message}\n"
         assert not out_dir.exists()
 
+    def test_non_psd_mixture_covariance_is_numerical_failure(self, tmp_path, capsys):
+        # a spec's covariance is factored where every given covariance is: exit 3
+        spec = {"means": [[0, 0], [4, 4]], "covs": [[1, 1], [[1, 2], [2, 1]]], "counts": [20, 30]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "mix"
+        assert main(["synth", "mixture", "--spec", str(spec_path),
+                     "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == ("numerical failure: covariance has eigenvalue "
+                                           "-1.000000e+00 below the PSD floor -3.000000e-08\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("generator", ["matched-moments", "tightness", "dirichlet"])
     def test_negative_seed_is_invalid_input(self, tmp_path, capsys, generator):
         out_dir = tmp_path / "dir"

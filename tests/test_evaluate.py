@@ -377,6 +377,34 @@ def test_one_class_per_class_fid_is_wcfid_at_any_trial_count():
         assert report.per_class_fid.tolist() == [report.wcfid], trials
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_subsampled_scores_are_the_in_order_sum_over_trials(k):
+    # each trial's scores are a full report on its columns, drawn as the
+    # protocol draws them; the report adds them in trial order, then divides
+    # by the trial count and then by the subset size, bit for bit
+    trials, subset, d = 20, 3, 6
+    names = ("fid", "bcfid", "wcfid", "per_class_fid")
+    for seed in range(6):
+        rng = rng_for(900 + seed)
+        y = np.repeat(np.arange(k), 8)
+        x, g = rng.normal(0.0, 1.0, (y.size, d)), rng.normal(0.0, 1.2, (y.size, d)) ** 3
+        gy = rng.permutation(y)
+        report = build_report(real_features=x, real_labels=y, gen_features=g, gen_labels=gy,
+                              subset_size=subset, trials=trials, seed=seed)
+        columns, totals = rng_for(seed), dict.fromkeys(names)
+        for _ in range(trials):
+            cols = np.sort(columns.choice(d, size=subset, replace=False))
+            one = build_report(real_features=x[:, cols], real_labels=y,
+                               gen_features=g[:, cols], gen_labels=gy)
+            for name in names:
+                value = getattr(one, name)
+                totals[name] = value if totals[name] is None else totals[name] + value
+        for name in names:
+            assert np.array_equal(getattr(report, name), totals[name] / trials / subset), \
+                (seed, name)
+        assert report.cfid_sum == report.bcfid + report.wcfid
+
+
 def test_fid_family_peaks_like_fid():
     # classes stream through one kernel: beyond one pooled Gaussian only the
     # K x d class means are held, never K class factors per side

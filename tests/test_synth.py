@@ -5,6 +5,7 @@ from condmetrics import (
     CollapseSchedule,
     InvalidInputError,
     MixtureSpec,
+    NotPSDError,
     accuracy,
     bcis,
     dirichlet_rows,
@@ -49,7 +50,7 @@ class TestGenMixture:
         assert np.array_equal(y1, y2)
 
     def test_non_psd_covariance_rejected(self):
-        with pytest.raises(InvalidInputError, match="PSD"):
+        with pytest.raises(NotPSDError, match=r"^covariance has eigenvalue -1\.0+e\+00 below"):
             MixtureSpec([[0.0, 0.0]], [np.diag([1.0, -1.0])], [5], seed=0)
 
     def test_tiny_counts_rejected(self):
