@@ -16,10 +16,11 @@ singular values of Fa Fb^T, which a left rotation of either factor leaves
 unchanged, so any F with F^T F equal to the covariance gives the same distance
 up to round-off.
 
-A supplied covariance is factored only by ``GaussianStats``, in ``_factor``:
-one ``eigh`` whose floor check is the only place a non-PSD matrix raises
-NotPSDError (the CLI's exit code 3).  ``_as_finite`` coerces and checks every
-array input of the package (tensor files aside) for numbers and finiteness.
+A supplied covariance (``GaussianStats(mean, cov)``) takes the same
+``_gram_factor`` as an estimate, whose ``eigh`` fallback is the only place a
+non-PSD matrix raises NotPSDError (the CLI's exit code 3).  ``_as_finite``
+coerces and checks every array input of the package (tensor files aside) for
+numbers and finiteness.
 
 The covariance estimator uses the population divisor N (not N-1) so that the
 pooled covariance of a labelled dataset decomposes exactly into its
@@ -82,8 +83,8 @@ class GaussianStats:
     """Mean vector and population covariance of one (sub)population.
 
     ``GaussianStats(mean, cov)`` symmetrizes ``cov``, which must be PSD up to
-    the round-off floor, and keeps diag(sqrt(w)) V^T of it as ``factor``;
-    ``cov`` is rebuilt from the factor when read.
+    the round-off floor, and keeps its ``_gram_factor`` as ``factor``, as an
+    estimate does; ``cov`` is rebuilt from the factor when read.
     """
 
     mean: np.ndarray
@@ -98,7 +99,7 @@ class GaussianStats:
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        self.__dict__.update(mean=mean, factor=_factor(0.5 * (cov + cov.T)))
+        self.__dict__.update(mean=mean, factor=_gram_factor(0.5 * (cov + cov.T)))
 
     @classmethod
     def _from_rows(cls, mean: np.ndarray, rows: np.ndarray) -> GaussianStats:
@@ -148,24 +149,14 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _factor(a: np.ndarray) -> np.ndarray:
-    """The d x d factor diag(sqrt(w)) V^T of a supplied symmetric covariance
-    a = V diag(w) V^T.  Eigenvalues within -EIG_TOL * max(1, spectral radius)
-    of zero are clamped; lower ones raise NotPSDError."""
-    w, v = np.linalg.eigh(a)
-    floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
-    if float(w[0]) < floor:
-        raise NotPSDError(
-            f"covariance has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
-
-
 def _gram_factor(g: np.ndarray) -> np.ndarray:
-    """A d x d factor R with R^T R = g of an estimate's Gram matrix g: its
+    """A d x d factor R with R^T R = g of a symmetric covariance g: its
     Cholesky factor, unless g is singular to round-off (Cholesky fails or a
     pivot^2 is at most d eps max(diag g)).  Then it is diag(sqrt(w)) V^T of
     g = V diag(w) V^T with every w at most d eps max(w) set to zero: kept,
-    those round-off eigenvalues would add sqrt(eps)-sized directions."""
+    those round-off eigenvalues would add sqrt(eps)-sized directions.  An
+    eigenvalue below -EIG_TOL * max(1, spectral radius) raises NotPSDError;
+    an estimate's Gram matrix never has one."""
     tol = len(g) * np.finfo(np.float64).eps
     try:
         r = np.linalg.cholesky(g).T
@@ -174,6 +165,10 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(g)
+    floor = -EIG_TOL * max(1.0, float(np.abs(w).max()))
+    if float(w[0]) < floor:
+        raise NotPSDError(
+            f"covariance has eigenvalue {float(w[0]):.6e} below the PSD floor {floor:.6e}")
     w[w <= tol * w[-1]] = 0.0
     return np.sqrt(w)[:, None] * v.T
 

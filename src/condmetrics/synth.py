@@ -2,7 +2,7 @@
 label noising, and staged mode collapse.
 
 The Gaussian constructions (mixtures, the matched-moment pair, the tightness
-case) are defined by their populations, ``ClassConditionalStats`` built from
+case) are defined by their per-class Gaussians, ``GaussianStats`` built from
 their moments, and drawn from them by one sampler, ``_draw``.
 
 All randomness flows from one explicit seed, an integer in [0, 2^63), through
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussian import _as_finite
+from .gaussian import GaussianStats, _as_finite
 from .metrics import (
     ClassConditionalStats,
     _as_int,
@@ -55,13 +55,13 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Per-class means, covariances (diagonal vectors accepted), and counts.
-    Drawn from their ``ClassConditionalStats``: a non-PSD covariance raises NotPSDError."""
+    Drawn from one ``GaussianStats`` per class: a non-PSD covariance raises NotPSDError."""
 
     means: np.ndarray
     covs: np.ndarray
     counts: np.ndarray
     seed: int = 0
-    _population: ClassConditionalStats = field(init=False, repr=False)
+    _population: tuple[GaussianStats, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         means = np.atleast_2d(_as_finite(self.means, "means")[0])
@@ -91,8 +91,7 @@ class MixtureSpec:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_population",
-                           class_conditional_from_moments(means, covs, counts / counts.sum()))
+        object.__setattr__(self, "_population", tuple(map(GaussianStats, means, covs)))
 
 
 def _sigmas(sigma) -> np.ndarray:
@@ -111,11 +110,11 @@ def _as_number(value, what: str) -> float:
     return float(a)
 
 
-def _draw(rng: np.random.Generator, population, counts) -> tuple[np.ndarray, np.ndarray]:
+def _draw(rng: np.random.Generator, per_class, counts) -> tuple[np.ndarray, np.ndarray]:
     """Class-blocked rows z F_c + mu_c (z standard normal from rng, mu_c and F_c
-    the population's class c mean and factor), counts[c] of class c, and their labels."""
+    the mean and factor of per_class[c]), counts[c] of class c, and their labels."""
     features = np.concatenate([rng.standard_normal((n, g.factor.shape[0])) @ g.factor + g.mean
-                               for g, n in zip(population.per_class, counts)], axis=0)
+                               for g, n in zip(per_class, counts)], axis=0)
     return features, np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
@@ -148,7 +147,7 @@ def _draw_pair(seed: int, n_per_class: int, sides) -> LabeledPair:
     n_per_class = _as_int(n_per_class, "n_per_class")
     if n_per_class < 2:
         raise InvalidInputError("n_per_class must be >= 2")
-    (rx, ry), (gx, gy) = (_draw(rng_for(seed, i), population, (n_per_class,) * 2)
+    (rx, ry), (gx, gy) = (_draw(rng_for(seed, i), population.per_class, (n_per_class,) * 2)
                           for i, population in enumerate(sides))
     return LabeledPair(rx, ry, gx, gy)
 

@@ -149,12 +149,30 @@ class TestGaussianStats:
         with pytest.raises(InvalidInputError):
             GaussianStats([0.0, 0.0], np.eye(3))
 
-    def test_explicit_covariance_takes_one_eigh_and_no_root(self, monkeypatch):
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    def test_explicit_covariance_takes_one_cholesky_and_no_eigh(self, monkeypatch):
+        calls = TestFactorRule._count_decompositions(monkeypatch)
         b = rng_for(31).standard_normal((6, 6))
         GaussianStats(np.zeros(6), b @ b.T)
-        assert len(calls) == 1
+        assert calls == {"qr": 0, "cholesky": 1, "eigh": 0}
+
+    def test_positive_definite_covariance_keeps_its_cholesky_factor(self):
+        b = rng_for(33).standard_normal((5, 8))
+        cov = b @ b.T
+        cov[0, -1] += 1e-13  # asymmetric within round-off
+        s = GaussianStats(np.zeros(5), cov)
+        assert np.array_equal(s.factor, np.linalg.cholesky(0.5 * (cov + cov.T)).T)
+
+    def test_roundoff_eigenvalue_is_floored_to_zero(self):
+        # 1e-17 is below d eps max(w), so it leaves no 3.2e-9 factor direction
+        s = GaussianStats(np.zeros(2), np.diag([1e-17, 1.0]))
+        assert s.cov[0, 0] == 0.0
+
+    def test_non_psd_covariance_fails_cholesky_then_eigh_raises(self, monkeypatch):
+        calls = TestFactorRule._count_decompositions(monkeypatch)
+        with pytest.raises(NotPSDError, match=r"^covariance has eigenvalue -1\.000000e\+00 "
+                                              r"below the PSD floor -1\.000000e-08$"):
+            GaussianStats(np.zeros(2), np.diag([1.0, -1.0]))
+        assert calls == {"qr": 0, "cholesky": 1, "eigh": 1}
 
     @pytest.mark.parametrize("d", [1, 5, 40])
     def test_cov_equals_the_symmetrized_input(self, d):

@@ -2,7 +2,10 @@
 every private module-level name is read somewhere in the package.  The README
 keeps step with it: each public name it or ``__all__`` gives exists, its
 quick start runs, and its lists of ``synth`` generators and their flags, and
-of the flags ``metrics`` and ``sweep`` share, are the CLI's.
+of the flags ``metrics`` and ``sweep`` share, are the CLI's.  One call each to
+``np.linalg.cholesky``, ``eigh`` and ``svd`` are the package's only matrix
+decompositions: one rule factors every covariance, one kernel takes every
+Fréchet distance.
 
 No linter ships with the test dependencies, and private names are often
 renamed or deleted; an import or a definition left behind would keep a stale
@@ -82,6 +85,29 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names(SOURCES) == []
+
+
+# matrix decompositions of numpy.linalg and scipy.linalg, by function name
+DECOMPOSITIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh", "hessenberg", "ldl", "lu",
+                  "lu_factor", "polar", "qr", "qz", "schur", "sqrtm", "svd", "svdvals"}
+
+
+def decomposition_calls(source: str) -> list[str]:
+    """The callee, as written, of each call in source to a decomposition."""
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [ast.unparse(f) for f in calls
+            if getattr(f, "attr", getattr(f, "id", None)) in DECOMPOSITIONS]
+
+
+def test_decomposition_calls_are_found():
+    source = ("from scipy.linalg import sqrtm\nimport numpy as np\n"
+              "r = np.linalg.qr(a, mode='r')\nb = sqrtm(a)\nc = np.dot(a, a)\nqr = 1\n")
+    assert decomposition_calls(source) == ["np.linalg.qr", "sqrtm"]
+
+
+def test_one_call_site_per_decomposition():
+    calls = [call for source in SOURCES.values() for call in decomposition_calls(source)]
+    assert sorted(calls) == ["np.linalg.cholesky", "np.linalg.eigh", "np.linalg.svd"]
 
 
 def test_every_documented_public_name_exists():
