@@ -61,7 +61,6 @@ from .tensorfile import (
     load_labels,
     load_tensor,
     open_probabilities,
-    save_csv,
     save_tensor,
 )
 
@@ -82,6 +81,6 @@ __all__ = [
     "label_noise", "matched_moments_population", "mode_collapse_indices",
     "rng_for", "tightness_population",
     "load_features", "load_labels", "load_tensor", "open_probabilities",
-    "save_csv", "save_tensor",
+    "save_tensor",
     "build_report", "sweep_label_noise", "sweep_mode_collapse",
 ]

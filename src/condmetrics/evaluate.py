@@ -163,6 +163,7 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
         # labels (unconditional fid) no score needs k
         k = _class_count(real_labels, gen_labels)
     if real_features is not None:
+        dims = rf.shape[1] if subset_size is None else subset_size
         column_sets, scale = _column_sets(rf.shape[1], subset_size, trials, seed)
     fixed = None if k is None else _resolve_mapping(mapping, k)
     # the strictest score that reads a split sets its least class size
@@ -187,10 +188,19 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
                 report.accuracy, report.per_class_accuracy = _accuracy(predicted, labels, k)
             sizes = None if split is None else [[c.size] for c in split[0]]  # K x 1
             mapping = hungarian_max(sums[i] / sizes).mapping if discover else fixed
-            if real is not None and [[real[0][c].size] for c in mapping] != sizes:
-                report.warnings.append(
-                    "per-class sample counts differ between the real and generated "
-                    "sides; the conditional-bound guarantees assume matched counts")
+            if real is not None:
+                paired = [[real[0][c].size] for c in mapping]
+                if paired != sizes:
+                    report.warnings.append(
+                        "per-class sample counts differ between the real and generated "
+                        "sides; the conditional-bound guarantees assume matched counts")
+                # a class of n_c <= d rows has a singular covariance
+                small = [n for (g,), (r,) in zip(sizes, paired) if (n := min(g, r)) <= dims]
+                if class_stage and small:
+                    report.warnings.append(
+                        f"{len(small)} of {k} classes have at most d = {dims} rows on a "
+                        f"side (least n_c {min(small)}): their covariances are singular "
+                        "and their per-class FIDs strongly biased")
             reports.append(report)
             points.append((rows, split, mapping))
             sets.append(r)
@@ -215,7 +225,7 @@ def _evaluation(row_sets, *, real_features=None, real_labels=None, gen_features=
                 setattr(report, name, value if total is None else total + value)
         del rx, gx  # before the next trial's columns are gathered
     for report in reports:
-        report.dims_used = rf.shape[1] if subset_size is None else subset_size
+        report.dims_used = dims
         _score_fid(report, trials, scale)
     return reports
 
@@ -300,7 +310,9 @@ def build_report(
     needs features on both sides (and labels on both sides for the
     conditional members).  A warning
     is recorded when the per-class sample counts of the two sides differ,
-    since the conditional-bound guarantees assume matched counts.
+    since the conditional-bound guarantees assume matched counts, and one
+    when wcfid reads a class with at most as many rows as the dimensions
+    scored, since its covariance is singular.
     """
     return _evaluation(
         _one_point,

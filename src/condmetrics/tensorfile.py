@@ -1,28 +1,23 @@
-"""Binary tensor files and CSV ingestion.
+"""Binary tensor files, the one tensor input format.
 
-Binary layout (authoritative format, byte-exact round trips):
+Layout (byte-exact round trips):
 
     magic 'CFM1' | u32 LE version=1 | u8 dtype (1=float64, 2=int64)
     | u8 rank (1 or 2) | 2 zero bytes | rank x u64 LE dims
     | row-major little-endian payload
 
-Paths ending in ``.csv`` are read by ``numpy.loadtxt`` in about one array of memory,
-skipping blank lines and a header (a first row with no number in it); others are binary.
-A malformed CSV row is reported by its 1-based line in the file.
-
-A binary payload is read in row blocks of about ``metrics._IS_BLOCK`` entries,
-each checked while it is in cache.  ``load_tensor`` reads them into one array;
-a ``ProbabilityFile`` reads them into one reused buffer at each pass, so a
-probability matrix is never held whole.
+A payload is read in row blocks of about ``metrics._IS_BLOCK`` entries, each
+checked while it is in cache.  ``load_tensor`` reads them into one array; a
+``ProbabilityFile`` reads them into one reused buffer at each pass, so a
+probability matrix is never held whole.  Any other file, a text one included,
+fails on its magic.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 import struct
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -43,31 +38,18 @@ _DTYPE_BY_CODE = {1: np.dtype("<f8"), 2: np.dtype("<i8")}
 _CODE_BY_KIND = {"f": 1, "i": 2}
 
 
-def _writable(array) -> np.ndarray:
+def save_tensor(path, array) -> None:
+    """Write a float64 or int64 tensor of rank 1 or 2."""
     a = np.asarray(array)
     if a.dtype.kind not in _CODE_BY_KIND:
         raise TensorFileError(f"unsupported dtype {a.dtype}", code="bad-dtype")
     if a.ndim not in (1, 2):
         raise TensorFileError(f"unsupported rank {a.ndim}", code="bad-rank")
-    return a.astype(_DTYPE_BY_CODE[_CODE_BY_KIND[a.dtype.kind]], copy=False)
-
-
-def save_tensor(path, array) -> None:
-    """Write a float64 or int64 tensor of rank 1 or 2."""
-    a = _writable(array)
+    a = a.astype(_DTYPE_BY_CODE[_CODE_BY_KIND[a.dtype.kind]], copy=False)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, _CODE_BY_KIND[a.dtype.kind], a.ndim))
         fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
         a.tofile(fh)  # row-major whatever the array's memory order
-
-
-def save_csv(path, array) -> None:
-    """Write a tensor as CSV with full float precision (17 significant digits).
-
-    Rank-1 tensors become one value per line so labels round-trip as columns.
-    """
-    a = _writable(array)
-    np.savetxt(path, a, fmt="%d" if a.dtype.kind == "i" else "%.17g", delimiter=",")
 
 
 def _find_bad_row(a: np.ndarray) -> int:
@@ -94,7 +76,8 @@ def _read_header(fh, path: Path) -> tuple[tuple[int, ...], np.dtype, int]:
     head = fh.read(_HEADER.size + 16)
     if len(head) < 4 or head[:4] != MAGIC:
         raise TensorFileError(
-            f"{path}: bad magic at byte 0, expected {MAGIC!r}", code="bad-magic")
+            f"{path}: bad magic at byte 0, expected {MAGIC!r}; convert text with "
+            "numpy.loadtxt and condmetrics.save_tensor", code="bad-magic")
     if size < _HEADER.size:
         raise TensorFileError(
             f"{path}: header truncated at byte {size}, expected {_HEADER.size}",
@@ -145,7 +128,10 @@ def _check_payload(path: Path, start: int, actual: int, expected: int) -> None:
             code="truncated")
 
 
-def _load_binary(path: Path) -> np.ndarray:
+def load_tensor(path) -> np.ndarray:
+    """Load a tensor file; float values must be finite, and are checked block by
+    block as they are read."""
+    path = Path(path)
     with open(path, "rb") as fh:
         dims, dtype, offset = _read_header(fh, path)
         arr = np.empty(dims, dtype=dtype)
@@ -153,59 +139,6 @@ def _load_binary(path: Path) -> np.ndarray:
         for start, block in _read_blocks(fh, path, offset, dims, rows, lambda a, b: arr[a:b]):
             if dtype.kind == "f":
                 _finite_range(path, start, block)
-    return arr
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _load_csv(path: Path) -> np.ndarray:
-    with open(path) as fh:
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        header = first is not None and not any(map(_is_number, first.split(",")))
-        if header:
-            first = next(lines, None)
-        if first is None:
-            raise TensorFileError(f"{path}: CSV file has no data rows", code="truncated")
-        try:
-            return np.loadtxt(chain([first], lines), delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            message = _at_file_line(path, str(exc), header)
-            raise TensorFileError(f"{path}: {message}", code="bad-value") from None
-
-
-def _at_file_line(path: Path, message: str, header: bool) -> str:
-    """numpy's loadtxt message with its row number replaced by the file's line.
-
-    numpy counts only the lines it was given (no blank lines, no header), from
-    0 for a bad cell and from 1 for a change in the column count.
-    """
-    found = re.search(r"at row (\d+)", message)
-    if found is None:
-        return message
-    row = int(found[1]) - message.startswith("the number of columns changed")
-    with open(path) as fh:
-        nonblank = (number for number, line in enumerate(fh, 1) if line.strip())
-        line = next(islice(nonblank, row + header, None))
-    return f"{message[:found.start()]}at line {line}{message[found.end():]}"
-
-
-def load_tensor(path) -> np.ndarray:
-    """Load a tensor; '.csv' paths are parsed as text, all others as binary.
-
-    Float values must be finite: a binary file is checked block by block as it
-    is read, a CSV file once it is parsed."""
-    p = Path(path)
-    if p.suffix.lower() != ".csv":
-        return _load_binary(p)
-    arr = _load_csv(p)
-    _finite_range(p, 0, arr)
     return arr
 
 
@@ -257,16 +190,14 @@ class ProbabilityFile(ProbabilityRows):
                 yield start, _checked_probability_rows(block, lo, hi, start, out=block)
 
 
-def open_probabilities(path):
-    """A probability matrix file for any function that takes probabilities:
-    a binary file as a ``ProbabilityFile``, which they read in checked row
-    blocks; a CSV file loaded whole, for them to check."""
-    p = Path(path)
-    return load_features(p) if p.suffix.lower() == ".csv" else ProbabilityFile(p)
+def open_probabilities(path) -> ProbabilityFile:
+    """A probability matrix file for any function that takes probabilities,
+    which they read in checked row blocks."""
+    return ProbabilityFile(path)
 
 
 def load_labels(path) -> np.ndarray:
-    """Load a rank-1 integer label vector; CSV labels must be integral."""
+    """Load a rank-1 integer label vector (an N x 1 matrix counts as one)."""
     arr = load_tensor(path)
     if arr.ndim == 2 and arr.shape[1] == 1:
         arr = arr[:, 0]

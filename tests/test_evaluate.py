@@ -317,6 +317,45 @@ class TestSubsampledSuiteFollowsBuildReport:
         assert suite.warnings == full.warnings
 
 
+class TestRegimeWarning:
+    """A report with per-class FIDs warns once when some class has at most as
+    many rows on a side as the dimensions scored: its covariance is singular."""
+
+    K, D = 3, 12
+    # per class, the smaller side: 7, 5 (generated) and 12 rows
+    REAL, GEN = [7, 9, 12], [9, 5, 12]
+
+    def _inputs(self):
+        means = rng_for(70).normal(0.0, 3.0, (self.K, self.D))
+        x, y = gen_mixture(MixtureSpec(means, [np.eye(self.D)] * self.K, self.REAL, seed=71))
+        g, gy = gen_mixture(MixtureSpec(means, [np.eye(self.D)] * self.K, self.GEN, seed=72))
+        return dict(real_features=x, real_labels=y, gen_features=g, gen_labels=gy)
+
+    @staticmethod
+    def _regime(report) -> list[str]:
+        return [w for w in report.warnings if "singular" in w]
+
+    @pytest.mark.parametrize("subset_size", range(1, D + 1))
+    def test_fires_under_subsampling_exactly_when_some_class_is_that_small(self, subset_size):
+        rep = build_report(**self._inputs(), subset_size=subset_size, trials=2, seed=3)
+        small = [n for n in map(min, self.REAL, self.GEN) if n <= subset_size]
+        assert self._regime(rep) == ([
+            f"{len(small)} of 3 classes have at most d = {subset_size} rows on a side "
+            f"(least n_c {min(small)}): their covariances are singular and their "
+            "per-class FIDs strongly biased"] if small else [])
+
+    def test_full_dimension_counts_every_class(self):
+        assert self._regime(build_report(**self._inputs())) == [
+            "3 of 3 classes have at most d = 12 rows on a side (least n_c 5): their "
+            "covariances are singular and their per-class FIDs strongly biased"]
+
+    def test_no_per_class_fids_no_warning(self):
+        inputs = self._inputs()
+        rep = build_report(real_features=inputs["real_features"],
+                           gen_features=inputs["gen_features"])
+        assert rep.warnings == []
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:

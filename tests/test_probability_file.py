@@ -29,7 +29,6 @@ from condmetrics import (
     hungarian_max,
     inception_score,
     per_class_is,
-    save_csv,
     save_tensor,
     sweep_label_noise,
     sweep_mode_collapse,
@@ -163,15 +162,6 @@ class TestSameReports:
         best = hungarian_max(averages)
         assert out.read_text() == assignment_to_json(best.mapping, best.score, averages)
         assert best.mapping.tolist() == [(c + 1) % K for c in range(K)]
-
-    def test_csv_probabilities_give_the_same_bytes(self, inputs, tmp_path):
-        arrays, paths = inputs
-        csv_paths = dict(paths, probs=tmp_path / "probs.csv")
-        save_csv(csv_paths["probs"], arrays["probs"])
-        from_binary, from_csv = tmp_path / "binary.json", tmp_path / "csv.json"
-        assert main(["metrics", *cli_args(paths, from_binary, "--pairing", "hungarian")]) == 0
-        assert main(["metrics", *cli_args(csv_paths, from_csv, "--pairing", "hungarian")]) == 0
-        assert from_binary.read_bytes() == from_csv.read_bytes()
 
     def test_label_noise_sweep_reads_the_file_once(self, tmp_path, reads):
         # eleven points' K x K class sums (88 MB at K=1000) come from one read
@@ -426,11 +416,6 @@ class TestReader:
         with pytest.raises(TensorFileError) as err:
             list(reader.blocks(5))
         assert err.value.code == "bad-value"
-
-    def test_csv_is_loaded_whole(self, tmp_path):
-        probs = dirichlet_rows(np.ones(3), 5, seed=6)
-        save_csv(tmp_path / "p.csv", probs)
-        assert np.array_equal(open_probabilities(tmp_path / "p.csv"), probs)
 
 
 class TestCliFaults:
